@@ -11,6 +11,8 @@ the swapped (alpha) release.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -151,7 +153,12 @@ class SNFResult(NamedTuple):
     rank: int
 
 
-def _eliminate_unit(rowdata, cols, units, r0, c0):
+def _eliminate_unit(rowdata, cols, heap, r0, c0):
+    """Clear row r0 and column c0 against the unit pivot at (r0, c0).
+
+    Every entry that becomes +-1 is pushed onto the pivot heap with its
+    Markowitz cost at that moment.
+    """
     v = rowdata[r0][c0]  # +-1
     row0 = rowdata.pop(r0)
     for c in row0:
@@ -167,9 +174,10 @@ def _eliminate_unit(rowdata, cols, units, r0, c0):
             nv = row.get(c, 0) - f * w
             if nv:
                 row[c] = nv
-                cols[c].add(r)
+                col = cols[c]
+                col.add(r)
                 if nv in (1, -1):
-                    units[(r, c)] = None
+                    heapq.heappush(heap, ((len(row) - 1) * (len(col) - 1), r, c))
             elif c in row:
                 del row[c]
                 cols[c].discard(r)
@@ -246,50 +254,36 @@ def _dense_snf(A):
 def smith_normal_form(matrix):
     """Invariant factors d_1 | d_2 | ... (nonzero only) and the rank.
 
-    Elementary row/column reduction with pivots chosen by minimal absolute
-    value; unit pivots are eliminated sparsely (with a bounded Markowitz
-    fill heuristic), any non-unit residue falls back to dense reduction.
+    Unit pivots are eliminated sparsely, cheapest first: a lazy min-heap
+    holds every +-1 entry keyed by its Markowitz cost (row length - 1) *
+    (column length - 1), with ties broken by (row, col).  A popped entry that
+    is no longer +-1 is dropped, and one whose cost has grown since it was
+    pushed goes back with its current cost.  Each unit pivot contributes the
+    factor 1.  Once no +-1 entry is left, the residue is reduced densely, and
+    only its factors are normalized into a divisibility chain.
     """
     if isinstance(matrix, SparseIntMatrix):
         rowdata = matrix.row_dicts()
     else:
         rowdata = SparseIntMatrix.from_dense(matrix).row_dicts()
     cols = defaultdict(set)
-    units = {}
     for r, row in rowdata.items():
-        for c, v in row.items():
+        for c in row:
             cols[c].add(r)
-            if v in (1, -1):
-                units[(r, c)] = None
+    heap = [((len(row) - 1) * (len(cols[c]) - 1), r, c)
+            for r, row in rowdata.items() for c, v in row.items() if v in (1, -1)]
+    heapq.heapify(heap)
     n_units = 0
-    while units:
-        best = None
-        best_cost = None
-        stale = []
-        scanned = 0
-        for key in units:
-            r, c = key
-            row = rowdata.get(r)
-            v = row.get(c) if row else None
-            if v not in (1, -1):
-                stale.append(key)
-                continue
-            scanned += 1
-            cost = (len(row) - 1) * (len(cols[c]) - 1)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = key, cost
-                if cost == 0:
-                    break
-            if scanned >= 32:
-                break
-        for key in stale:
-            del units[key]
-        if best is None:
-            if scanned == 0 and not stale:
-                break
+    while heap:
+        cost, r, c = heapq.heappop(heap)
+        row = rowdata.get(r)
+        if row is None or row.get(c) not in (1, -1):
             continue
-        del units[best]
-        _eliminate_unit(rowdata, cols, units, *best)
+        now = (len(row) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, r, c))
+            continue
+        _eliminate_unit(rowdata, cols, heap, r, c)
         n_units += 1
     # dense residue (no +-1 entries left)
     rest = []
@@ -297,19 +291,17 @@ def smith_normal_form(matrix):
         act_rows = sorted(rowdata)
         act_cols = sorted({c for row in rowdata.values() for c in row})
         dense = [[rowdata[r].get(c, 0) for c in act_cols] for r in act_rows]
-        rest = _dense_snf(dense)
-    factors = [1] * n_units + [abs(d) for d in rest]
-    # insurance: normalize the divisibility chain
-    import math
-
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            a, b = factors[i], factors[j]
+        rest = [abs(d) for d in _dense_snf(dense)]
+    # the unit factors divide everything, so only the residue's need a chain
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
             if b % a:
                 g = math.gcd(a, b)
-                factors[i], factors[j] = g, a * b // g
-    factors.sort()
-    return SNFResult(tuple(factors), len(factors))
+                rest[i], rest[j] = g, a * b // g
+    rest.sort()
+    factors = (1,) * n_units + tuple(rest)
+    return SNFResult(factors, len(factors))
 
 
 # -- chain complexes ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line frontend: build complexes, run the matching, verify, report.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or cap error.
+Exit codes: 0 pass, 1 verification failure or failed internal check,
+2 usage or cap error.
 """
 
 from __future__ import annotations
@@ -293,6 +294,9 @@ def main(argv=None):
     except (ValueError, OSError, posets.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

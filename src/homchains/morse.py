@@ -314,16 +314,30 @@ class AcyclicityError(ValueError):
         super().__init__(f"alternating cycle through {len(self.cycle)} cells")
 
 
+def _pairs_fingerprint(matching):
+    return hash(frozenset(matching.up.items()))
+
+
 @dataclass(frozen=True)
 class MatchingCertificate:
-    """Per dimension pair, a topological order of the matched cover digraph."""
+    """Per dimension pair, a topological order of the matched cover digraph.
+
+    The certificate is bound to the matched pairs it was issued for by a
+    fingerprint of the pair set; check_matches rejects any other matching.
+    """
 
     orders: dict  # d -> tuple of cells (dims d-1 and d interleaved)
     n_pairs: int
+    fingerprint: int
 
     def check_matches(self, matching):
-        if len(matching.up) != self.n_pairs:
+        if (len(matching.up) != self.n_pairs
+                or _pairs_fingerprint(matching) != self.fingerprint):
             raise ValueError("certificate does not match this matching")
+        parts = (matching.up.keys(), matching.down.keys(),
+                 [c for cells in matching.critical.values() for c in cells])
+        if not sum(map(len, parts)) == len(set().union(*parts)) == matching.n_cells:
+            raise ValueError("up, down and critical cells do not partition the cells")
 
 
 def validate_acyclic(matching, cx):
@@ -365,7 +379,7 @@ def validate_acyclic(matching, cx):
         if len(order) != len(nodes):
             raise AcyclicityError(_extract_cycle(succ, indeg))
         orders[d] = tuple(order)
-    return MatchingCertificate(orders, len(matching.up))
+    return MatchingCertificate(orders, len(matching.up), _pairs_fingerprint(matching))
 
 
 def _extract_cycle(succ, indeg):

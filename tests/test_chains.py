@@ -89,18 +89,81 @@ def test_snf_divisibility_mix():
     assert smith_normal_form([[2, 0], [0, 3]]).factors == (1, 6)
 
 
+def sympy_factors(rows):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    d = sympy_snf(Matrix(rows), domain=ZZ)
+    return sorted(abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
                 min_size=1, max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1))
 def test_snf_against_sympy(rows):
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    from sympy import Matrix
 
     got = smith_normal_form(rows)
-    d = sympy_snf(Matrix(rows), domain=ZZ)
-    want = sorted(abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
-    assert list(got.factors) == want
+    assert list(got.factors) == sympy_factors(rows)
     assert got.rank == Matrix(rows).rank()
+
+
+# mostly zeros, so that unit pivots meet fill-in and leave non-unit residues
+SPARSE_ENTRY = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3))
+
+
+@st.composite
+def sparse_rows(draw, max_rows=10, max_cols=12):
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    return draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rows())
+def test_snf_sparse_against_sympy(rows):
+    assert list(smith_normal_form(rows).factors) == sympy_factors(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_snf_invariant_under_permutation_and_transpose(data):
+    rows = data.draw(sparse_rows())
+    rperm = data.draw(st.permutations(range(len(rows))))
+    cperm = data.draw(st.permutations(range(len(rows[0]))))
+    want = smith_normal_form(rows)
+    permuted = [[rows[i][j] for j in cperm] for i in rperm]
+    transposed = [list(col) for col in zip(*rows)]
+    assert smith_normal_form(permuted) == want
+    assert smith_normal_form(transposed) == want
+
+
+def block_diagonal(*blocks):
+    n = sum(len(b[0]) for b in blocks)
+    out = []
+    offset = 0
+    for b in blocks:
+        for row in b:
+            out.append([0] * offset + list(row) + [0] * (n - offset - len(row)))
+        offset += len(b[0])
+    return out
+
+
+@pytest.mark.parametrize("rows, factors", [
+    # a unit block beside residues that no unit pivot touches
+    (block_diagonal([[1, 1, 0], [0, 1, -1]], [[2, 4], [6, 8]]), (1, 1, 2, 4)),
+    (block_diagonal([[1, -1], [0, 1]], [[2, 0], [0, 3]]), (1, 1, 1, 6)),  # residue factor 1
+    (block_diagonal([[-1]], [[2, 0], [0, 3]], [[4]]), (1, 1, 2, 12)),
+    # the residue appears only through elimination: 1 - 2*2 = -3
+    ([[1, 2], [2, 1]], (1, 3)),
+    ([[1, 1, 1], [1, -1, 1], [1, 1, -1]], (1, 2, 2)),
+])
+def test_snf_unit_elimination_leaves_residue(rows, factors):
+    got = smith_normal_form(rows)
+    assert got.factors == factors
+    assert list(got.factors) == sympy_factors(rows)
+    assert smith_normal_form(SparseIntMatrix.from_dense(rows)) == got
 
 
 # -- boundary matrices and homology ----------------------------------------
@@ -123,6 +186,17 @@ def test_b4_boundary_shapes_and_square():
     assert (icc.mats[1].nrows, icc.mats[1].ncols) == (24, 36)
     assert (icc.mats[2].nrows, icc.mats[2].ncols) == (36, 6)
     assert icc.mats[1].mul(icc.mats[2]).is_zero()
+
+
+def test_b6_boundary_snf_ranks_pinned():
+    icc = boundary_matrices(chain_product_complex((1,) * 6))
+    assert icc.f_vector() == (720, 1800, 1080, 90)
+    ranks = {}
+    for d, m in icc.mats.items():
+        snf = smith_normal_form(m)
+        assert set(snf.factors) == {1}
+        ranks[d] = snf.rank
+    assert ranks == {1: 719, 2: 970, 3: 90}
 
 
 def test_single_vertex_no_matrices():

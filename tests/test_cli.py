@@ -130,3 +130,23 @@ def test_euler_command(capsys):
 def test_cap_exceeded_exit_code(capsys):
     code, _, err = run(capsys, "build", "--spec", "1,1,1,1,1,1", "--max-cells", "10")
     assert code == 2
+
+
+def test_internal_check_failure_is_one_line(capsys, monkeypatch):
+    from homchains import chains, morse
+
+    def bad_square(self):
+        raise ArithmeticError("boundary squared is nonzero at dimension 2")
+
+    def bad_assembly(spec, **kwargs):
+        raise AssertionError("matching is not an involution")
+
+    monkeypatch.setattr(chains.IntegerChainComplex, "check_boundary_squared", bad_square)
+    code, out, err = run(capsys, "report", "--spec", "1,1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: internal check failed: boundary squared is nonzero at dimension 2\n"
+
+    monkeypatch.setattr(morse, "match_product_of_chains", bad_assembly)
+    code, _, err = run(capsys, "match", "--spec", "1,1,1")
+    assert code == 1
+    assert err == "error: internal check failed: matching is not an involution\n"

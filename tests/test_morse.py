@@ -15,6 +15,7 @@ from homchains import (
     fiber_trace,
     loop_schedule,
     match_product_of_chains,
+    morse_complex,
     parse_cellword,
     render_cellword,
     validate_acyclic,
@@ -202,3 +203,40 @@ def test_critical_structure_small():
     for spec in [(1, 1, 1), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1, 1)]:
         m = match_product_of_chains(spec)
         assert check_critical_structure(m) == []
+
+
+def test_certificate_rejects_swapped_pair():
+    # Hom(B_3): pair 123 with (21)3 instead of 213; the pair count is unchanged
+    spec = (1, 1, 1)
+    cx = chain_product_complex(spec)
+    m = match_product_of_chains(spec)
+    cert = validate_acyclic(m, cx)
+    cert.check_matches(m)
+    upper = parse_cellword("(21)3")
+    old, new = m.down[upper], parse_cellword("123")
+    assert new in m.critical[0] and new in dict(cx.boundary[upper])
+    up = {a: b for a, b in m.up.items() if a != old}
+    up[new] = upper
+    swapped = MorseMatching(spec=m.spec, up=up, down={b: a for a, b in up.items()},
+                            critical={0: (old,), 1: m.critical[1]}, n_cells=m.n_cells)
+    assert len(swapped.up) == cert.n_pairs
+    with pytest.raises(ValueError, match="certificate"):
+        cert.check_matches(swapped)
+    with pytest.raises(ValueError, match="certificate"):
+        morse_complex(cx, swapped, cert)
+
+
+def test_certificate_requires_partition():
+    spec = (1, 1, 1)
+    cx = chain_product_complex(spec)
+    m = match_product_of_chains(spec)
+    cert = validate_acyclic(m, cx)
+    lower = next(iter(m.up))
+    overlapping = MorseMatching(spec=m.spec, up=m.up, down=m.down,
+                                critical={**m.critical, 0: m.critical[0] + (lower,)},
+                                n_cells=m.n_cells + 1)
+    short = MorseMatching(spec=m.spec, up=m.up, down=m.down,
+                          critical=m.critical, n_cells=m.n_cells + 1)
+    for bad in (overlapping, short):
+        with pytest.raises(ValueError, match="partition"):
+            cert.check_matches(bad)
