@@ -36,13 +36,13 @@ from .words import (
     enumerate_words,
     parse_cellword,
     render_cellword,
+    signed_faces,
 )
 from .complexes import (
     CellComplex,
     cellword_from_multihom,
     cellword_to_multihom,
     chain_product_complex,
-    faces,
     hom_complex_generic,
     maximal_chain_complex,
     verify_fold_consequence,
@@ -71,7 +71,6 @@ from .chains import (
     involution_partner,
     morse_complex,
     morse_incidence,
-    pair_incidence,
     smith_normal_form,
 )
 from .euler import euler_closed_form, euler_formula, euler_recursion, euler_table, f_vector_bn

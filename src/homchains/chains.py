@@ -1,18 +1,12 @@
 """Integer cellular chain complexes: incidence numbers, boundary matrices,
 Smith-normal-form homology, and Morse-complex incidences via alternating paths.
 
-Sign conventions follow the tensor-product orientation of a product of
-simplices, with target vertices listed in ascending canonical order (for
-ideal lattices this is graded lexicographic order under the fixed linear
-extension).  Releasing a joined pair with q pairs to its left therefore has
-incidence (-1)^q for the order-preserving (beta) release and (-1)^(q+1) for
-the swapped (alpha) release.
+Cell-word faces and their signs come from words.signed_faces.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,21 +15,6 @@ from .words import CellWord, release
 
 
 # -- incidence numbers ----------------------------------------------------
-
-
-def pair_incidence(cw, t, order):
-    """Incidence of the face releasing the t-th joined pair (1-based) of cw.
-
-    'beta' keeps the descending order, 'alpha' swaps; the two signs are
-    always opposite.
-    """
-    if not 1 <= t <= len(cw.pairs):
-        raise ValueError(f"no joined pair #{t}")
-    if order == "beta":
-        return -1 if (t - 1) % 2 else 1
-    if order == "alpha":
-        return -1 if t % 2 else 1
-    raise ValueError(f"order must be 'alpha' or 'beta', not {order!r}")
 
 
 def _atom_key(a):
@@ -187,7 +166,10 @@ def _eliminate_unit(rowdata, cols, heap, r0, c0):
 
 
 def _dense_snf(A):
-    """Textbook SNF of a small dense integer matrix; returns nonzero invariant factors."""
+    """Textbook SNF of a small dense integer matrix.
+
+    Returns the nonzero invariant factors: positive, each dividing the next.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     t = 0
@@ -259,8 +241,8 @@ def smith_normal_form(matrix):
     (column length - 1), with ties broken by (row, col).  A popped entry that
     is no longer +-1 is dropped, and one whose cost has grown since it was
     pushed goes back with its current cost.  Each unit pivot contributes the
-    factor 1.  Once no +-1 entry is left, the residue is reduced densely, and
-    only its factors are normalized into a divisibility chain.
+    factor 1.  Once no +-1 entry is left, the residue is reduced densely; its
+    factors are positive and already form a divisibility chain.
     """
     if isinstance(matrix, SparseIntMatrix):
         rowdata = matrix.row_dicts()
@@ -291,15 +273,7 @@ def smith_normal_form(matrix):
         act_rows = sorted(rowdata)
         act_cols = sorted({c for row in rowdata.values() for c in row})
         dense = [[rowdata[r].get(c, 0) for c in act_cols] for r in act_rows]
-        rest = [abs(d) for d in _dense_snf(dense)]
-    # the unit factors divide everything, so only the residue's need a chain
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            a, b = rest[i], rest[j]
-            if b % a:
-                g = math.gcd(a, b)
-                rest[i], rest[j] = g, a * b // g
-    rest.sort()
+        rest = _dense_snf(dense)
     factors = (1,) * n_units + tuple(rest)
     return SNFResult(factors, len(factors))
 
@@ -418,7 +392,6 @@ class ComplexMatchContext:
         self._boundary = cx.boundary
         self.cx = cx
         self.matching = matching
-        self._signs = {}
         self._dim = None
 
     def facets(self, cell):
@@ -429,18 +402,18 @@ class ComplexMatchContext:
             self._dim = {c: d for d, cells in self.cx.cells.items() for c in cells}
         return self._dim[cell]
 
-    def facet_sign(self, face, cell):
-        d = self._signs.get(cell)
-        if d is None:
-            d = dict(self._boundary[cell])
-            self._signs[cell] = d
-        return d[face]
-
     def up(self, cell):
         return self.matching.up.get(cell)
 
     def down(self, cell):
         return self.matching.down.get(cell)
+
+
+def _facet_sign(ctx, face, cell):
+    for f, s in ctx.facets(cell):
+        if f == face:
+            return s
+    raise KeyError(face)
 
 
 def path_weight(path, ctx):
@@ -450,13 +423,13 @@ def path_weight(path, ctx):
     if t < 1:
         raise ValueError("alternating path needs at least one matched step")
     sign = -1 if t % 2 else 1
-    sign *= ctx.facet_sign(cells[1], cells[0])          # [a_1 : sigma]
-    sign *= ctx.facet_sign(cells[-1], cells[-2])        # [tau : u(a_t)]
+    sign *= _facet_sign(ctx, cells[1], cells[0])            # [a_1 : sigma]
+    sign *= _facet_sign(ctx, cells[-1], cells[-2])          # [tau : u(a_t)]
     for i in range(t):
         a, u = cells[1 + 2 * i], cells[2 + 2 * i]
-        sign *= ctx.facet_sign(a, u)                    # [a_i : u(a_i)]
+        sign *= _facet_sign(ctx, a, u)                      # [a_i : u(a_i)]
         if i + 1 < t:
-            sign *= ctx.facet_sign(cells[3 + 2 * i], u)  # [a_{i+1} : u(a_i)]
+            sign *= _facet_sign(ctx, cells[3 + 2 * i], u)   # [a_{i+1} : u(a_i)]
     return sign
 
 
@@ -641,7 +614,8 @@ def morse_complex(cx, matching, certificate, with_census=False):
     homology equals the homology of the underlying complex.
 
     Returns (IntegerChainComplex, censuses) where censuses maps
-    (sigma, tau) -> PathCensus when with_census is set (else empty dict).
+    (sigma, tau) -> PathCensus for every critical pair joined by at least one
+    alternating path when with_census is set (else empty dict).
     """
     if certificate is None:
         raise ValueError("matching must be validated acyclic first")
@@ -663,8 +637,8 @@ def morse_complex(cx, matching, certificate, with_census=False):
                 for tau, plist in paths.items():
                     if plist:
                         acc[tau] = acc.get(tau, 0) + sum(path_weight(p, ctx) for p in plist)
-                    if with_census:
-                        censuses[(sigma, tau)] = _build_census(plist, ctx)
+                        if with_census:
+                            censuses[(sigma, tau)] = _build_census(plist, ctx)
                 for tau, v in acc.items():
                     if v:
                         entries[(index[d - 1][tau], j)] = v

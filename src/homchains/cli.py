@@ -24,12 +24,11 @@ class RunConfig:
     spec: object = None          # ChainSpec or None
     poset: object = None         # GradedPoset or None
     max_cells: int = words.DEFAULT_CAP
-    threads: int = 1
     fmt: str = "table"
 
     def __post_init__(self):
-        if self.max_cells <= 0 or self.threads <= 0:
-            raise ValueError("caps and thread counts must be positive")
+        if self.max_cells <= 0:
+            raise ValueError("the cell cap must be positive")
 
 
 def _config(args):
@@ -46,7 +45,6 @@ def _config(args):
         raise ValueError("--spec and --poset are mutually exclusive")
     return RunConfig(spec=spec, poset=poset,
                      max_cells=getattr(args, "max_cells", words.DEFAULT_CAP),
-                     threads=getattr(args, "threads", 1),
                      fmt=getattr(args, "format", "table"))
 
 
@@ -90,8 +88,7 @@ def cmd_match(args):
     cfg = _config(args)
     if cfg.spec is None:
         raise ValueError("match requires --spec")
-    matching = morse.match_product_of_chains(cfg.spec, cap=cfg.max_cells,
-                                             threads=cfg.threads)
+    matching = morse.match_product_of_chains(cfg.spec, cap=cfg.max_cells)
     payload = {
         "schema": SCHEMA,
         "spec": list(cfg.spec.i),
@@ -133,13 +130,19 @@ def cmd_match(args):
     return 0
 
 
+def _complex_and_matching(cfg):
+    """The complex of the chain spec, and the matching run on its cells."""
+    cx = complexes.chain_product_complex(cfg.spec, cap=cfg.max_cells)
+    cells = (cw for cs in cx.cells.values() for cw in cs)
+    return cx, morse.match_product_of_chains(cfg.spec, cells=cells)
+
+
 def _suite_results(cfg, names):
     """Run verification suites for a chain spec; yields (name, ok, detail)."""
     spec = cfg.spec
-    cx = complexes.chain_product_complex(spec, cap=cfg.max_cells)
-    matching = morse.match_product_of_chains(spec, cap=cfg.max_cells, threads=cfg.threads)
+    cx, matching = _complex_and_matching(cfg)
     results = []
-    hreport = None
+    cert = hreport = None
     for name in names:
         if name == "cubicality":
             ok = True
@@ -153,7 +156,7 @@ def _suite_results(cfg, names):
             results.append((name, ok, f"{cx.n_cells()} cells checked"))
         elif name == "acyclicity":
             try:
-                morse.validate_acyclic(matching, cx)
+                cert = cert or morse.validate_acyclic(matching, cx)
                 results.append((name, True, f"{len(matching.up)} pairs"))
             except morse.AcyclicityError as exc:
                 results.append((name, False, str(exc)))
@@ -166,7 +169,7 @@ def _suite_results(cfg, names):
             results.append((name, from_words == from_matching,
                             f"{len(from_matching)} critical cells"))
         elif name == "zero-incidence":
-            cert = morse.validate_acyclic(matching, cx)
+            cert = cert or morse.validate_acyclic(matching, cx)
             icc, _ = chains.morse_complex(cx, matching, cert)
             ok = all(m.is_zero() for m in icc.mats.values())
             results.append((name, ok, "all Morse boundaries zero" if ok else "nonzero entry"))
@@ -208,8 +211,7 @@ def cmd_report(args):
     if cfg.spec is None:
         raise ValueError("report requires --spec")
     spec = cfg.spec
-    cx = complexes.chain_product_complex(spec, cap=cfg.max_cells)
-    matching = morse.match_product_of_chains(spec, cap=cfg.max_cells, threads=cfg.threads)
+    cx, matching = _complex_and_matching(cfg)
     cert = morse.validate_acyclic(matching, cx)
     hreport = chains.homology(cx)
     payload = {
@@ -251,7 +253,6 @@ def _parser():
         if poset_ok:
             p.add_argument("--poset", help="poset file: `id rank` lines then `lower upper` covers")
         p.add_argument("--max-cells", type=int, default=words.DEFAULT_CAP)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("json", "table"), default="table")
 
     p = sub.add_parser("build", help="build the complex and print its f-vector")

@@ -20,8 +20,8 @@ from .words import (
     as_spec,
     check_content,
     enumerate_cellwords,
-    release,
     render_cellword,
+    signed_faces,
 )
 from . import chains as _chains
 
@@ -109,24 +109,6 @@ def _render_atom(x):
 # -- the cubical model for products of chains -------------------------------
 
 
-def faces(cw):
-    """Codimension-1 faces of a cell word: each pair released in both orders."""
-    out = []
-    for t in range(1, len(cw.pairs) + 1):
-        out.append((release(cw, t, "alpha"), "alpha"))
-        out.append((release(cw, t, "beta"), "beta"))
-    return out
-
-
-def _signed_faces(cw):
-    out = []
-    for t in range(1, len(cw.pairs) + 1):
-        sa = -1 if t % 2 else 1
-        out.append((release(cw, t, "alpha"), sa))
-        out.append((release(cw, t, "beta"), -sa))
-    return tuple(out)
-
-
 def chain_product_complex(spec, cap=DEFAULT_CAP):
     """Hom of a product of chains, built directly from parenthesized words."""
     spec = as_spec(spec)
@@ -134,7 +116,7 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     boundary = {}
     for cw in enumerate_cellwords(spec, cap=cap):
         cells[cw.dim].append(cw)
-        boundary[cw] = _signed_faces(cw)
+        boundary[cw] = signed_faces(cw)
     return CellComplex({d: sorted(v) for d, v in cells.items()}, boundary, spec=spec)
 
 

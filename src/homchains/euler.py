@@ -60,18 +60,17 @@ def euler_closed_form(n):
 class EulerEntry:
     n: int
     chi: int
-    method: str  # formula | recursion | closed_form | f_vector
+    method: str  # formula | recursion | closed_form
 
 
 def euler_table(n_max):
-    """One entry per n and method; raises if the four methods ever disagree."""
+    """One entry per n and method; raises if the three methods ever disagree."""
     out = []
     for n in range(1, n_max + 1):
         values = {
             "formula": euler_formula(n),
             "recursion": euler_recursion(n),
             "closed_form": euler_closed_form(n),
-            "f_vector": sum((-1) ** k * f_vector_bn(n, k) for k in range(n // 2 + 1)),
         }
         if len(set(values.values())) != 1:
             raise AssertionError(f"Euler methods disagree at n = {n}: {values}")

@@ -16,21 +16,17 @@ schedule decides each cell independently.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .posets import CapExceeded
 from .words import (
     DEFAULT_CAP,
     CellWord,
     as_spec,
     check_content,
     enumerate_cellwords,
-    release,
+    signed_faces,
 )
-from .chains import pair_incidence
 
 
 def loop_schedule(spec):
@@ -113,32 +109,25 @@ class MorseMatching:
         return tuple(sorted(self.up.items()))
 
 
-def match_product_of_chains(spec, cap=DEFAULT_CAP, threads=1):
+def match_product_of_chains(spec, cap=DEFAULT_CAP, cells=None):
     """Run the matching over every cell of Hom(spec) and assemble the pairing.
 
-    Each cell is simulated independently; the assembly asserts that the
-    per-cell outcomes agree (partners pair with each other), so matched and
-    critical cells partition the cell set.
+    `cells` are the cells of Hom(spec) when the caller already holds them,
+    e.g. those of a built complex; otherwise they are enumerated.  Each cell
+    is simulated independently; the assembly asserts that the per-cell
+    outcomes agree (partners pair with each other), so matched and critical
+    cells partition the cell set.
     """
     spec = as_spec(spec)
-    cells = list(enumerate_cellwords(spec, cap=cap))
-    spec_i = spec.i
-
-    def classify(chunk):
-        return [_run_cell(cw.word, cw.pairs, spec_i) for cw in chunk]
-
-    if threads > 1:
-        size = max(1, len(cells) // (threads * 8))
-        chunks = [cells[k:k + size] for k in range(0, len(cells), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [r for part in pool.map(classify, chunks) for r in part]
-    else:
-        results = classify(cells)
-
+    if cells is None:
+        cells = enumerate_cellwords(spec, cap=cap)
     up = {}
     down = {}
     critical = defaultdict(list)
-    for cw, (status, _idx, partner) in zip(cells, results):
+    n_cells = 0
+    for cw in cells:
+        n_cells += 1
+        status, _idx, partner = _run_cell(cw.word, cw.pairs, spec.i)
         if status == "critical":
             critical[cw.dim].append(cw)
         elif status == "lower":
@@ -155,7 +144,7 @@ def match_product_of_chains(spec, cap=DEFAULT_CAP, threads=1):
         up=up,
         down=down,
         critical={d: tuple(sorted(v)) for d, v in critical.items()},
-        n_cells=len(cells),
+        n_cells=n_cells,
     )
 
 
@@ -193,7 +182,7 @@ def fiber_trace(spec, cell):
 class SpecMatchContext:
     """Facet/matching oracle for Hom(spec) that never materializes the complex.
 
-    Face signs come from the joined-pair release rule; matched partners come
+    Faces and their signs come from words.signed_faces; matched partners come
     from per-cell simulation.  Suitable for alternating-path computations in
     complexes too large to store.
     """
@@ -210,17 +199,7 @@ class SpecMatchContext:
         return got
 
     def facets(self, cell):
-        out = []
-        for t in range(1, len(cell.pairs) + 1):
-            out.append((release(cell, t, "alpha"), pair_incidence(cell, t, "alpha")))
-            out.append((release(cell, t, "beta"), pair_incidence(cell, t, "beta")))
-        return tuple(out)
-
-    def facet_sign(self, face, cell):
-        for f, s in self.facets(cell):
-            if f == face:
-                return s
-        raise KeyError(face)
+        return signed_faces(cell)
 
     def dim_of(self, cell):
         return cell.dim
@@ -366,16 +345,13 @@ def validate_acyclic(matching, cx):
                 else:
                     succ[upper].append(f)
                     indeg[f] += 1
-        ready = [node for node in nodes if indeg[node] == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
+        # Kahn's algorithm, in the order of cx.cells, so the result is deterministic
+        order = [node for node in nodes if indeg[node] == 0]
+        for node in order:
             for nxt in succ[node]:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
-                    heapq.heappush(ready, nxt)
+                    order.append(nxt)
         if len(order) != len(nodes):
             raise AcyclicityError(_extract_cycle(succ, indeg))
         orders[d] = tuple(order)

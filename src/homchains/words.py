@@ -170,6 +170,25 @@ def release(cw, t, order):
     raise ValueError(f"order must be 'alpha' or 'beta', not {order!r}")
 
 
+def signed_faces(cw):
+    """Codimension-1 faces of a cell word with their incidence numbers.
+
+    Each joined pair is released in both orders, alpha before beta.  Signs
+    follow the tensor-product orientation of a product of simplices, with
+    target vertices listed in ascending canonical order (for ideal lattices
+    this is graded lexicographic order under the fixed linear extension).
+    Releasing a joined pair with q pairs to its left therefore has incidence
+    (-1)^q for the order-preserving (beta) release and (-1)^(q+1) for the
+    swapped (alpha) release; the two signs are always opposite.
+    """
+    out = []
+    for t in range(1, len(cw.pairs) + 1):
+        sa = -1 if t % 2 else 1
+        out.append((release(cw, t, "alpha"), sa))
+        out.append((release(cw, t, "beta"), -sa))
+    return tuple(out)
+
+
 # -- descents -------------------------------------------------------------
 
 

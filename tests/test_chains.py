@@ -17,12 +17,13 @@ from homchains import (
     match_product_of_chains,
     morse_complex,
     morse_incidence,
-    pair_incidence,
     parse_cellword,
+    render_cellword,
+    signed_faces,
     smith_normal_form,
     validate_acyclic,
 )
-from homchains.chains import path_weight
+from homchains.chains import _dense_snf, path_weight
 from homchains.morse import MorseMatching, SpecMatchContext
 
 
@@ -31,16 +32,22 @@ from homchains.morse import MorseMatching, SpecMatchContext
 
 def test_pair_incidence_worked_example():
     cw = parse_cellword("(64)5(32)(71)")
-    assert pair_incidence(cw, 2, "beta") == -1
-    assert pair_incidence(cw, 2, "alpha") == 1
-    with pytest.raises(ValueError):
-        pair_incidence(cw, 4, "beta")
+    signs = {render_cellword(f): s for f, s in signed_faces(cw)}
+    assert signs["(64)532(71)"] == -1   # pair 2, beta
+    assert signs["(64)523(71)"] == 1    # pair 2, alpha
+    assert len(signs) == 2 * len(cw.pairs)
 
 
 def test_pair_incidence_opposite_signs():
+    from homchains.words import release
+
     cw = parse_cellword("(64)5(32)(71)")
+    got = signed_faces(cw)
+    assert [f for f, _ in got] == [release(cw, t, order) for t in (1, 2, 3)
+                                   for order in ("alpha", "beta")]
     for t in (1, 2, 3):
-        assert pair_incidence(cw, t, "alpha") == -pair_incidence(cw, t, "beta")
+        (_, s_alpha), (_, s_beta) = got[2 * t - 2:2 * t]
+        assert s_alpha == -s_beta
 
 
 def test_incidence_worked_example():
@@ -62,14 +69,13 @@ def test_incidence_non_facet_is_zero():
 @pytest.mark.parametrize("spec", [(1, 1, 1), (2, 2), (1, 1, 2), (1, 1, 1, 1)])
 def test_pair_incidence_agrees_with_multihom_incidence(spec):
     from homchains import enumerate_cellwords
-    from homchains.words import release
 
     for cw in enumerate_cellwords(spec):
         eta = cellword_to_multihom(cw, spec)
-        for t in range(1, len(cw.pairs) + 1):
-            for order in ("alpha", "beta"):
-                tau = cellword_to_multihom(release(cw, t, order), spec)
-                assert pair_incidence(cw, t, order) == incidence(tau, eta)
+        got = signed_faces(cw)
+        assert len(got) == 2 * len(cw.pairs)
+        for face, sign in got:
+            assert sign == incidence(cellword_to_multihom(face, spec), eta)
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -137,6 +143,15 @@ def test_snf_invariant_under_permutation_and_transpose(data):
     transposed = [list(col) for col in zip(*rows)]
     assert smith_normal_form(permuted) == want
     assert smith_normal_form(transposed) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+                min_size=1, max_size=5).filter(lambda rows: len({len(r) for r in rows}) == 1))
+def test_dense_snf_returns_a_positive_divisibility_chain(rows):
+    factors = _dense_snf([list(r) for r in rows])
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 def block_diagonal(*blocks):
@@ -300,6 +315,7 @@ def test_morse_complex_homology_matches_full():
         assert h_full.betti == h_morse.betti
         assert h_full.torsion_free and h_morse.torsion_free
         for census in censuses.values():
+            assert census.count > 0
             assert census.total == 0
             assert census.pairing is not None
             assert len(census.paths) % 2 == 0

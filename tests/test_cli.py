@@ -113,10 +113,21 @@ def test_report_deterministic(capsys):
     assert "digest" in payload["matching"]
 
 
-def test_report_threads_deterministic(capsys):
-    _, out1, _ = run(capsys, "report", "--spec", "2,2")
-    _, out4, _ = run(capsys, "report", "--spec", "2,2", "--threads", "4")
-    assert out1 == out4
+def test_verify_validates_acyclicity_once(capsys, monkeypatch):
+    from homchains import morse
+
+    calls = []
+    real = morse.validate_acyclic
+
+    def counting(matching, cx):
+        calls.append(1)
+        return real(matching, cx)
+
+    monkeypatch.setattr(morse, "validate_acyclic", counting)
+    code, out, _ = run(capsys, "verify", "--spec", "1,1,2", "--suite", "acyclicity,zero-incidence")
+    assert code == 0
+    assert "acyclicity: PASS" in out and "zero-incidence: PASS" in out
+    assert len(calls) == 1
 
 
 def test_euler_command(capsys):

@@ -10,7 +10,6 @@ from homchains import (
     chain,
     chain_product_complex,
     enumerate_cellwords,
-    faces,
     find_folds,
     hom_complex_generic,
     homology,
@@ -20,6 +19,7 @@ from homchains import (
     product,
     product_of_chains,
     render_cellword,
+    signed_faces,
     verify_fold_consequence,
 )
 from homchains.complexes import product_cell_to_cellword
@@ -94,13 +94,13 @@ def test_multihom_round_trip(spec):
 
 def test_faces_example():
     cw = parse_cellword("(64)5(32)(71)")
-    got = {(render_cellword(f), tag) for f, tag in faces(cw)}
-    assert ("(64)532(71)", "beta") in got
-    assert ("(64)523(71)", "alpha") in got
+    got = {(render_cellword(f), sign) for f, sign in signed_faces(cw)}
+    assert ("(64)532(71)", -1) in got   # beta keeps the descending pair
+    assert ("(64)523(71)", 1) in got    # alpha swaps it
     assert len(got) == 6
-    assert faces(parse_cellword("123")) == []
-    got = {(render_cellword(f), tag) for f, tag in faces(parse_cellword("(21)"))}
-    assert got == {("12", "alpha"), ("21", "beta")}
+    assert signed_faces(parse_cellword("123")) == ()
+    got = {(render_cellword(f), sign) for f, sign in signed_faces(parse_cellword("(21)"))}
+    assert got == {("12", -1), ("21", 1)}
 
 
 def test_cubical_size_pattern():

@@ -52,9 +52,9 @@ def test_alternating_sums_match_formula():
 
 def test_table_contains_all_methods():
     entries = euler_table(6)
-    assert len(entries) == 6 * 4
+    assert len(entries) == 6 * 3
     methods = {e.method for e in entries}
-    assert methods == {"formula", "recursion", "closed_form", "f_vector"}
+    assert methods == {"formula", "recursion", "closed_form"}
 
 
 def test_betti_alternating_sum_matches_chi():

@@ -112,10 +112,13 @@ def test_pairs_respect_fibers():
             assert len(ra) == len(rb)
 
 
-def test_threads_deterministic():
-    m1 = match_product_of_chains((2, 2, 2), threads=1)
-    m4 = match_product_of_chains((2, 2, 2), threads=4)
-    assert m1.up == m4.up and m1.critical == m4.critical
+def test_matching_on_given_cells_equals_enumeration():
+    for spec in [(1, 1, 2), (2, 2, 2)]:
+        cx = chain_product_complex(spec)
+        m1 = match_product_of_chains(spec)
+        m2 = match_product_of_chains(spec, cells=(c for cs in cx.cells.values() for c in cs))
+        assert (m1.up, m1.down, m1.critical, m1.n_cells) == (m2.up, m2.down, m2.critical,
+                                                            m2.n_cells)
 
 
 def test_critical_cells_op():
@@ -145,6 +148,22 @@ def test_validate_acyclic_and_spec_context():
     for v in m.critical.values():
         for c in v:
             assert ctx.up(c) is None and ctx.down(c) is None
+
+
+def test_certificate_orders_are_topological():
+    for spec in [(1, 1, 2), (1, 1, 1, 1), (2, 2, 2)]:
+        cx = chain_product_complex(spec)
+        m = match_product_of_chains(spec)
+        cert = validate_acyclic(m, cx)
+        for d, order in cert.orders.items():
+            pos = {cell: k for k, cell in enumerate(order)}
+            assert len(pos) == len(cx.cells[d - 1]) + len(cx.cells[d])
+            for upper in cx.cells[d]:
+                for f, _ in cx.boundary[upper]:
+                    if m.up.get(f) == upper:
+                        assert pos[f] < pos[upper]
+                    else:
+                        assert pos[upper] < pos[f]
 
 
 def test_validate_acyclic_empty_matching():
