@@ -40,10 +40,10 @@ from .words import (
 )
 from .complexes import (
     CellComplex,
-    cellword_from_multihom,
     cellword_to_multihom,
     chain_product_complex,
     hom_complex_generic,
+    is_cubical,
     maximal_chain_complex,
     verify_fold_consequence,
 )

@@ -563,7 +563,7 @@ def _build_census(paths, ctx):
     return PathCensus(tuple(paths), weights, tuple(sorted(pairing)) if ok else None, total)
 
 
-def morse_incidence(sigma, tau, ctx, census=True):
+def morse_incidence(sigma, tau, ctx):
     """Morse-complex incidence between critical cells, with a path census.
 
     The value sums w(c) over all alternating paths plus the direct facet
@@ -579,8 +579,6 @@ def morse_incidence(sigma, tau, ctx, census=True):
     paths, direct = alternating_paths_from(sigma, ctx, (tau,))
     plist = paths[tau]
     value = direct.get(tau, 0) + sum(path_weight(p, ctx) for p in plist)
-    if not census:
-        return value, None
     return value, _build_census(plist, ctx)
 
 

@@ -145,14 +145,8 @@ def _suite_results(cfg, names):
     cert = hreport = None
     for name in names:
         if name == "cubicality":
-            ok = True
-            for d, cells in cx.cells.items():
-                for cw in cells:
-                    mh = complexes.cellword_to_multihom(cw, spec)
-                    sizes = [len(c) for c in mh]
-                    if any(s not in (1, 2) for s in sizes) or any(
-                            a == 2 and b == 2 for a, b in zip(sizes, sizes[1:])):
-                        ok = False
+            ok = all(complexes.is_cubical(complexes.cellword_to_multihom(cw, spec))
+                     for cells in cx.cells.values() for cw in cells)
             results.append((name, ok, f"{cx.n_cells()} cells checked"))
         elif name == "acyclicity":
             try:
@@ -200,7 +194,8 @@ def cmd_verify(args):
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
     results = _suite_results(cfg, names)
     payload = {"schema": SCHEMA, "spec": list(cfg.spec.i),
-               "results": {name: ok for name, ok, _ in results}}
+               "results": {name: ok for name, ok, _ in results},
+               "details": {name: detail for name, _, detail in results}}
     lines = [f"{name}: {'PASS' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     _emit(payload, cfg.fmt, lines)
     return 0 if all(ok for _, ok, _ in results) else 1

@@ -160,57 +160,6 @@ def cellword_to_multihom(cw, spec):
     return tuple(assign)
 
 
-def cellword_from_multihom(mh, spec):
-    """Inverse of cellword_to_multihom."""
-    spec = as_spec(spec)
-    ell = spec.ell
-    if len(mh) != ell + 1:
-        raise ValueError("multihom length does not match the chain spec")
-    if len(mh[0]) != 1 or tuple(mh[0][0]) != ():
-        raise ValueError("chain must start at the empty ideal")
-    offsets = [0] * (spec.n + 1)
-    for t in range(1, spec.n + 1):
-        offsets[t] = offsets[t - 1] + spec.i[t - 1]
-
-    def block_of(pos):
-        for t in range(1, spec.n + 1):
-            if pos <= offsets[t]:
-                return t
-        raise ValueError(f"position {pos} out of range")
-
-    word = []
-    pairs = []
-    cur = set()
-    k = 1
-    while k <= ell:
-        coord = mh[k]
-        if len(coord) == 1:
-            added = set(coord[0]) - cur
-            if len(added) != 1 or len(coord[0]) != len(cur) + 1:
-                raise ValueError("coordinates do not form an ideal chain")
-            word.append(block_of(added.pop()))
-            cur = set(coord[0])
-            k += 1
-        elif len(coord) == 2:
-            if set(coord[0]) & set(coord[1]) != cur:
-                raise ValueError("doubled coordinate must meet in the previous ideal")
-            xs = sorted((set(coord[0]) | set(coord[1])) - cur)
-            if len(xs) != 2:
-                raise ValueError("bad doubled coordinate")
-            lo, hi = xs
-            word.append(block_of(hi))
-            word.append(block_of(lo))
-            pairs.append(k)
-            cur = cur | set(xs)
-            if k + 1 > ell or len(mh[k + 1]) != 1 or set(mh[k + 1][0]) != cur:
-                raise ValueError("coordinate after a doubled one must be the union")
-            k += 2
-        else:
-            raise ValueError("coordinate of size > 2 is not cubical")
-    cw = CellWord(tuple(word), tuple(pairs))
-    return check_content(cw, spec)
-
-
 # -- generic homomorphism complexes -----------------------------------------
 
 
@@ -301,7 +250,7 @@ def _generic_signed_faces(X):
     return tuple(out)
 
 
-def maximal_chain_complex(P, cap=DEFAULT_CAP, method="auto"):
+def maximal_chain_complex(P, cap=DEFAULT_CAP):
     """Hom(P) = Hom(C_m, P) for a graded poset P of rank m.
 
     Vertices are the maximal chains of P.  For a product of chains
@@ -311,85 +260,33 @@ def maximal_chain_complex(P, cap=DEFAULT_CAP, method="auto"):
     if not isinstance(P, GradedPoset):
         raise ValueError("maximal_chain_complex needs a graded poset")
     spec = getattr(P, "chain_spec", None)
-    use_words = spec is not None and all(a <= b for a, b in zip(spec, spec[1:]))
-    if method == "words" and not use_words:
-        raise ValueError("poset is not tagged as a product of chains")
-    if method == "auto":
-        method = "words" if use_words else "generic"
-    if method == "words":
+    if spec is not None and all(a <= b for a, b in zip(spec, spec[1:])):
         cx = chain_product_complex(as_spec(spec), cap=cap)
         cx.target = P
         return cx
-    if method != "generic":
-        raise ValueError(f"unknown method {method!r}")
-    m = P.top_rank
-    cx = hom_complex_generic(chain(m), P, maps="strict", cap=cap)
+    cx = hom_complex_generic(chain(P.top_rank), P, maps="strict", cap=cap)
     if getattr(P, "ideal_masks", None) is not None or spec is not None:
         _assert_cubical(cx)
     return cx
 
 
-def _assert_cubical(cx):
-    # Hom of a distributive lattice: coordinate sizes 1 or 2, no adjacent 2s
-    for d, cs in cx.cells.items():
-        for X in cs:
-            sizes = [len(c) for c in X]
-            if any(s not in (1, 2) for s in sizes):
-                raise AssertionError(f"non-cubical cell {X!r}")
-            if any(a == 2 and b == 2 for a, b in zip(sizes, sizes[1:])):
-                raise AssertionError(f"adjacent doubled coordinates in {X!r}")
+def is_cubical(X):
+    """Whether a cell of Hom(C_m, P) has the shape of a cell of a cubical complex.
 
-
-def product_cell_to_cellword(X, P):
-    """Translate a generic Hom(C_m, P) cell over a chain-product poset to a CellWord.
-
-    P's elements must decode to coordinate tuples (mixed-radix over the factor
-    sizes); the letter of a chain step is the factor whose coordinate grew.
+    Every coordinate has 1 or 2 elements and no two doubled coordinates are
+    adjacent; every cell of Hom(C_m, L) has this shape for a distributive
+    lattice L.
     """
-    spec = P.chain_spec
-    sizes = [v + 1 for v in spec]
-    k = len(sizes)
-    strides = [1] * k
-    for j in range(k - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
+    sizes = [len(c) for c in X]
+    return (all(s in (1, 2) for s in sizes)
+            and not any(a == 2 == b for a, b in zip(sizes, sizes[1:])))
 
-    def decode(e):
-        return tuple((e // strides[j]) % sizes[j] for j in range(k))
 
-    word = []
-    pairs = []
-    p = 0
-    prev = decode(X[0][0])
-    for coord in X[1:]:
-        if len(coord) == 1:
-            cur = decode(coord[0])
-            jj = [j for j in range(k) if cur[j] != prev[j]]
-            if len(jj) == 1 and cur[jj[0]] == prev[jj[0]] + 1:
-                word.append(jj[0] + 1)
-                p += 1
-                prev = cur
-                continue
-            if not jj:
-                continue  # repeated singleton after a doubled coordinate
-            raise ValueError("not a saturated chain step")
-        if len(coord) != 2:
-            raise ValueError("cell is not cubical")
-        a, b = (decode(e) for e in coord)
-        ja = [j for j in range(k) if a[j] != prev[j]]
-        jb = [j for j in range(k) if b[j] != prev[j]]
-        if len(ja) != 1 or len(jb) != 1:
-            raise ValueError("bad doubled coordinate")
-        hi, lo = max(ja[0], jb[0]), min(ja[0], jb[0])
-        word.append(hi + 1)
-        word.append(lo + 1)
-        pairs.append(p + 1)
-        p += 2
-        step = [prev[j] for j in range(k)]
-        step[ja[0]] += 1
-        step[jb[0]] += 1
-        prev = tuple(step)
-    cw = CellWord(tuple(word), tuple(pairs))
-    return check_content(cw, as_spec(spec))
+def _assert_cubical(cx):
+    for cs in cx.cells.values():
+        for X in cs:
+            if not is_cubical(X):
+                raise AssertionError(f"non-cubical cell {X!r}")
 
 
 # -- fold consequences -------------------------------------------------------

@@ -95,9 +95,6 @@ class MorseMatching:
     critical: dict  # dim -> sorted tuple of cells
     n_cells: int
 
-    def partner(self, cell):
-        return self.up.get(cell) or self.down.get(cell)
-
     def is_critical(self, cell):
         return cell not in self.up and cell not in self.down
 

@@ -250,10 +250,6 @@ def critical_cellword_from_word(word):
     return cellword(word, pairs)
 
 
-def is_critical_word(word):
-    return decompose_descents(word).valid
-
-
 # -- enumeration ----------------------------------------------------------
 
 
@@ -313,17 +309,6 @@ def enumerate_cellwords(spec, cap=DEFAULT_CAP):
             raise CapExceeded(f"cell enumeration exceeds the cap {cap}")
         for pairs in placements:
             yield CellWord(w, pairs)
-
-
-def count_cellwords(spec, cap=DEFAULT_CAP):
-    spec = as_spec(spec)
-    total = 0
-    for w in enumerate_words(spec, cap=cap):
-        des = sorted(descent_set(w))
-        total += len(_pair_placements(des))
-        if total > cap:
-            raise CapExceeded(f"cell count exceeds the cap {cap}")
-    return total
 
 
 # -- critical cells of Hom(r, s, t) ---------------------------------------

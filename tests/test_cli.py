@@ -83,6 +83,16 @@ def test_verify_euler_suite(capsys):
     assert "chi = -6" in out
 
 
+def test_verify_json_keeps_details(capsys):
+    code, out, _ = run(capsys, "verify", "--spec", "1,1,1", "--suite",
+                       "cubicality,acyclicity", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"] == {"cubicality": True, "acyclicity": True}
+    assert payload["details"]["acyclicity"] == "5 pairs"
+    assert payload["details"]["cubicality"] == "12 cells checked"
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--spec", "1,1", "--suite", "nope")
     assert code == 2

@@ -4,16 +4,19 @@ import pytest
 
 from homchains import (
     CapExceeded,
+    CellWord,
+    FinitePoset,
+    GradedPoset,
     antichain,
-    cellword_from_multihom,
     cellword_to_multihom,
     chain,
     chain_product_complex,
-    enumerate_cellwords,
+    disjoint_union,
     find_folds,
     hom_complex_generic,
     homology,
     ideal_lattice,
+    is_cubical,
     maximal_chain_complex,
     parse_cellword,
     product,
@@ -22,7 +25,7 @@ from homchains import (
     signed_faces,
     verify_fold_consequence,
 )
-from homchains.complexes import product_cell_to_cellword
+from homchains.complexes import _assert_cubical
 from homchains.euler import f_vector_bn
 
 
@@ -86,12 +89,6 @@ def test_vertex_multihoms_are_singletons():
         assert all(len(c) == 1 for c in mh)
 
 
-@pytest.mark.parametrize("spec", [(1, 1), (1, 1, 1), (2, 2), (1, 1, 2), (1, 2, 2)])
-def test_multihom_round_trip(spec):
-    for cw in enumerate_cellwords(spec):
-        assert cellword_from_multihom(cellword_to_multihom(cw, spec), spec) == cw
-
-
 def test_faces_example():
     cw = parse_cellword("(64)5(32)(71)")
     got = {(render_cellword(f), sign) for f, sign in signed_faces(cw)}
@@ -103,23 +100,53 @@ def test_faces_example():
     assert got == {("12", -1), ("21", 1)}
 
 
-def test_cubical_size_pattern():
-    for spec in [(1, 1, 1), (2, 2), (1, 1, 2)]:
-        for cw in enumerate_cellwords(spec):
-            sizes = [len(c) for c in cellword_to_multihom(cw, spec)]
-            assert all(s in (1, 2) for s in sizes)
-            assert not any(a == 2 == b for a, b in zip(sizes, sizes[1:]))
+@pytest.mark.parametrize("spec", [(1, 1), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2),
+                                  (1, 1, 1, 1), (1, 2, 3)])
+def test_cellword_model_is_the_generic_hom(spec):
+    # J of a disjoint union of chains; bit b of an ideal's mask is block position b + 1
+    P = ideal_lattice(disjoint_union([chain(i - 1) for i in spec]))
+    gx = hom_complex_generic(chain(sum(spec)), P, "strict")
+    ideal = [tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+             for mask in P.ideal_masks]
+
+    def lift(X):
+        return tuple(tuple(ideal[e] for e in coord) for coord in X)
+
+    def mh(cw):
+        return cellword_to_multihom(cw, spec)
+
+    wx = chain_product_complex(spec)
+    generic = {lift(X): {lift(f): sign for f, sign in gx.boundary[X]}
+               for cs in gx.cells.values() for X in cs}
+    model = {mh(cw): {mh(f): sign for f, sign in wx.boundary[cw]}
+             for cs in wx.cells.values() for cw in cs}
+    assert len(model) == wx.n_cells()
+    assert model == generic
+    assert all(is_cubical(X) for X in model)
+    product_hom = hom_complex_generic(chain(sum(spec)), product_of_chains(spec), "strict")
+    assert product_hom.f_vector() == wx.f_vector()
 
 
-@pytest.mark.parametrize("spec", [(1, 1), (2, 2), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 2, 3)])
-def test_generic_equals_cellword_enumeration(spec):
-    P = product_of_chains(spec)
-    gx = maximal_chain_complex(P, method="generic")
-    wx = maximal_chain_complex(P)
-    assert gx.f_vector() == wx.f_vector()
-    gcells = {product_cell_to_cellword(X, P) for d in gx.cells for X in gx.cells[d]}
-    wcells = {c for d in wx.cells for c in wx.cells[d]}
-    assert gcells == wcells
+def test_generic_branch_on_a_distributive_lattice():
+    # J(Z_5) for the zigzag 0 < 1 > 2 < 3 > 4 carries no chain spec
+    L = ideal_lattice(FinitePoset(5, [(0, 1), (2, 1), (2, 3), (4, 3)]))
+    cx = maximal_chain_complex(L)
+    assert not any(isinstance(X, CellWord) for cs in cx.cells.values() for X in cs)
+    assert cx.f_vector() == (16, 24, 8)
+    assert cx.euler_characteristic() == 0
+
+
+def test_assert_cubical_rejects_m3():
+    M3 = GradedPoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+                     rank=[0, 1, 1, 1, 2])
+    with pytest.raises(AssertionError, match=r"\(\(0,\), \(1, 2, 3\), \(4,\)\)"):
+        _assert_cubical(hom_complex_generic(chain(2), M3, "strict"))
+
+
+def test_is_cubical():
+    assert is_cubical(((0,), (1, 2), (3,), (4, 5)))
+    assert not is_cubical(((0,), (1, 2, 3), (4,)))
+    assert not is_cubical(((0,), (1, 2), (3, 4), (5,)))
 
 
 def test_f_vector_matches_formula():
