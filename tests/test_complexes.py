@@ -12,6 +12,7 @@ from homchains import (
     chain,
     chain_product_complex,
     disjoint_union,
+    enumerate_cellwords,
     find_folds,
     hom_complex_generic,
     homology,
@@ -89,6 +90,14 @@ def test_vertex_multihoms_are_singletons():
         assert all(len(c) == 1 for c in mh)
 
 
+@pytest.mark.parametrize("spec", [(1, 1), (1, 1, 1), (2, 2), (1, 1, 2), (1, 2, 2)])
+def test_multihom_round_trip(spec):
+    cws = list(enumerate_cellwords(spec))
+    back = {cellword_to_multihom(cw, spec): cw for cw in cws}
+    assert all(back[cellword_to_multihom(cw, spec)] == cw for cw in cws)
+    assert len(back) == len(cws)
+
+
 def test_faces_example():
     cw = parse_cellword("(64)5(32)(71)")
     got = {(render_cellword(f), sign) for f, sign in signed_faces(cw)}
@@ -98,6 +107,37 @@ def test_faces_example():
     assert signed_faces(parse_cellword("123")) == ()
     got = {(render_cellword(f), sign) for f, sign in signed_faces(parse_cellword("(21)"))}
     assert got == {("12", -1), ("21", 1)}
+
+
+def test_cubical_size_pattern():
+    for spec in [(1, 1, 1), (2, 2), (1, 1, 2)]:
+        for cw in enumerate_cellwords(spec):
+            assert is_cubical(cellword_to_multihom(cw, spec))
+
+
+@pytest.mark.parametrize("spec", [(1, 1), (2, 2), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 2, 3)])
+def test_generic_equals_cellword_enumeration(spec):
+    P = product_of_chains(spec)
+    gx = hom_complex_generic(chain(sum(spec)), P, "strict")
+    wx = maximal_chain_complex(P)
+    assert gx.f_vector() == wx.f_vector()
+    # an ideal of block positions is the product element whose coordinate j counts
+    # the positions in block j; elements are mixed-radix over the sizes spec_j + 1
+    block = [j for j, i in enumerate(spec) for _ in range(i)]
+    strides = [1] * len(spec)
+    for j in range(len(spec) - 2, -1, -1):
+        strides[j] = strides[j + 1] * (spec[j + 1] + 1)
+
+    def element(ideal):
+        return sum(strides[block[pos - 1]] for pos in ideal)
+
+    gcells = {tuple(tuple(sorted(coord)) for coord in X)
+              for cs in gx.cells.values() for X in cs}
+    wcells = {tuple(tuple(sorted(element(I) for I in coord))
+                    for coord in cellword_to_multihom(cw, spec))
+              for cs in wx.cells.values() for cw in cs}
+    assert len(wcells) == wx.n_cells()
+    assert gcells == wcells
 
 
 @pytest.mark.parametrize("spec", [(1, 1), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2),
