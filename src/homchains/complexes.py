@@ -13,7 +13,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .posets import CapExceeded, GradedPoset, chain, delete_element, find_folds
+from .posets import CapExceeded, GradedPoset, _bits, chain, delete_element, find_folds
 from .words import (
     DEFAULT_CAP,
     CellWord,
@@ -163,22 +163,30 @@ def cellword_to_multihom(cw, spec):
 # -- generic homomorphism complexes -----------------------------------------
 
 
-def _strict_maps(A, B):
-    """All strictly order-preserving maps A -> B, as tuples indexed by A's ids."""
+def _strict_maps(A, B, cap):
+    """All strictly order-preserving maps A -> B, as tuples indexed by A's ids.
+
+    f[x] ranges only over the elements above f[a] for every down-cover a of
+    x.  Raises CapExceeded as soon as more than `cap` maps are found.
+    """
     order = A.linear_extension()
-    preds = [tuple(a for a in A.down_covers[x]) for x in range(A.n)]
+    full = (1 << B.n) - 1
     out = []
     f = [None] * A.n
 
     def rec(k):
         if k == len(order):
+            if len(out) == cap:
+                raise CapExceeded(f"more than {cap} homomorphisms")
             out.append(tuple(f))
             return
         x = order[k]
-        for b in range(B.n):
-            if all(B.lt(f[a], b) for a in preds[x]):
-                f[x] = b
-                rec(k + 1)
+        allowed = full
+        for a in A.down_covers[x]:
+            allowed &= B.above(f[a])
+        for b in _bits(allowed):
+            f[x] = b
+            rec(k + 1)
         f[x] = None
 
     rec(0)
@@ -191,19 +199,25 @@ def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
     `maps` is either 'strict' (strictly order-preserving maps) or a predicate
     on tuples indexed by A's ids.  Cells are built bottom-up: vertices are
     the homomorphisms, and a candidate cell enters when all its facets are
-    present (equivalent to the representative-system condition).
+    present (equivalent to the representative-system condition).  For strict
+    maps, coordinate i only tries the elements of B above every element of
+    each down-cover's coordinate and below every element of each up-cover's
+    coordinate (B's above/below masks); the facet check still admits every
+    cell.
     """
     if callable(maps):
         if B.n ** A.n > cap:
             raise CapExceeded(f"|B|^|A| = {B.n}^{A.n} exceeds the cap {cap}")
         verts = [f for f in itertools.product(range(B.n), repeat=A.n) if maps(f)]
+        if len(verts) > cap:
+            raise CapExceeded(f"{len(verts)} homomorphisms exceed the cap {cap}")
     elif maps == "strict":
-        verts = _strict_maps(A, B)
+        verts = _strict_maps(A, B, cap)
     else:
         raise ValueError("maps must be 'strict' or a predicate")
-    if len(verts) > cap:
-        raise CapExceeded(f"{len(verts)} homomorphisms exceed the cap {cap}")
     m = A.n
+    strict = not callable(maps)
+    full = (1 << B.n) - 1
     level = sorted(tuple((f[i],) for i in range(m)) for f in verts)
     cells = {0: tuple(level)}
     boundary = {v: () for v in level}
@@ -214,23 +228,30 @@ def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
         nxt = set()
         for X in level:
             for i in range(m):
-                have = set(X[i])
-                for b in range(B.n):
-                    if b in have:
-                        continue
-                    coord = tuple(sorted(have | {b}))
+                allowed = full
+                if strict:
+                    for a in A.down_covers[i]:
+                        for x in X[a]:
+                            allowed &= B.above(x)
+                    for a in A.up_covers[i]:
+                        for y in X[a]:
+                            allowed &= B.below(y)
+                for b in X[i]:
+                    allowed &= ~(1 << b)
+                for b in _bits(allowed):
+                    coord = tuple(sorted(X[i] + (b,)))
                     X2 = X[:i] + (coord,) + X[i + 1:]
                     if X2 in nxt:
                         continue
                     if all(f in prev for f, _ in _generic_signed_faces(X2)):
                         nxt.add(X2)
+                        if total + len(nxt) > cap:
+                            raise CapExceeded(f"cell count exceeds the cap {cap}")
         level = sorted(nxt)
         if not level:
             break
         d += 1
         total += len(level)
-        if total > cap:
-            raise CapExceeded(f"cell count exceeds the cap {cap}")
         cells[d] = tuple(level)
         for X in level:
             boundary[X] = _generic_signed_faces(X)

@@ -1,6 +1,7 @@
 """Command-line frontend: subcommands, exit codes, deterministic reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,16 @@ def test_build_poset_file(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "--poset", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["f_vector"] == [6, 6, 1]
+
+
+def test_build_zigzag5_data_file(capsys):
+    # J(Z_5) is not a product of chains, so build takes the generic Hom path
+    path = Path(__file__).parent / "data" / "zigzag5.poset"
+    code, out, _ = run(capsys, "build", "--poset", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["f_vector"] == [16, 24, 8]
+    assert payload["euler"] == 0
 
 
 def test_match_trace(capsys):

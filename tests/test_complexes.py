@@ -1,6 +1,9 @@
 """Hom complexes: generic construction, the cubical cell-word model, folds."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homchains import (
     CapExceeded,
@@ -11,6 +14,7 @@ from homchains import (
     cellword_to_multihom,
     chain,
     chain_product_complex,
+    delete_element,
     disjoint_union,
     enumerate_cellwords,
     find_folds,
@@ -121,6 +125,17 @@ def test_generic_equals_cellword_enumeration(spec):
     gx = hom_complex_generic(chain(sum(spec)), P, "strict")
     wx = maximal_chain_complex(P)
     assert gx.f_vector() == wx.f_vector()
+    wcells = _cellwords_as_product_cells(wx, spec)
+    assert len(wcells) == wx.n_cells()
+    assert _cell_set(gx) == wcells
+
+
+def _cell_set(cx):
+    return {tuple(tuple(sorted(coord)) for coord in X)
+            for cs in cx.cells.values() for X in cs}
+
+
+def _cellwords_as_product_cells(wx, spec):
     # an ideal of block positions is the product element whose coordinate j counts
     # the positions in block j; elements are mixed-radix over the sizes spec_j + 1
     block = [j for j, i in enumerate(spec) for _ in range(i)]
@@ -131,13 +146,51 @@ def test_generic_equals_cellword_enumeration(spec):
     def element(ideal):
         return sum(strides[block[pos - 1]] for pos in ideal)
 
-    gcells = {tuple(tuple(sorted(coord)) for coord in X)
-              for cs in gx.cells.values() for X in cs}
-    wcells = {tuple(tuple(sorted(element(I) for I in coord))
-                    for coord in cellword_to_multihom(cw, spec))
-              for cs in wx.cells.values() for cw in cs}
-    assert len(wcells) == wx.n_cells()
-    assert gcells == wcells
+    return {tuple(tuple(sorted(element(I) for I in coord))
+                  for coord in cellword_to_multihom(cw, spec))
+            for cs in wx.cells.values() for cw in cs}
+
+
+@st.composite
+def small_specs(draw):
+    spec, budget = [], 6
+    while budget and (not spec or draw(st.booleans())):
+        spec.append(draw(st.integers(1, budget)))
+        budget -= spec[-1]
+    return tuple(sorted(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs())
+def test_generic_hom_is_the_cellword_model_on_random_specs(spec):
+    gx = hom_complex_generic(chain(sum(spec)), product_of_chains(spec))
+    wx = chain_product_complex(spec)
+    assert gx.f_vector() == wx.f_vector()
+    assert _cell_set(gx) == _cellwords_as_product_cells(wx, spec)
+
+
+def _brute_force_hom(A, B):
+    """Every tuple of nonempty subsets of B all of whose representative systems
+    are strictly order-preserving maps A -> B."""
+    subsets = [c for k in range(1, B.n + 1) for c in itertools.combinations(range(B.n), k)]
+    relations = [(a, b) for a in range(A.n) for b in range(A.n) if A.lt(a, b)]
+    return {X for X in itertools.product(subsets, repeat=A.n)
+            if all(B.lt(f[a], f[b]) for f in itertools.product(*X) for a, b in relations)}
+
+
+M3 = GradedPoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], rank=[0, 1, 1, 1, 2])
+
+
+@pytest.mark.parametrize("A, B", [
+    (chain(2), M3),  # cells with 3-element coordinates
+    (product_of_chains((1, 1)), chain(3)),  # a source that is not a chain
+    # an ungraded target: (0,0) < (0,2) < (1,2) is a maximal chain beside one of 4 elements
+    (chain(2), delete_element(product_of_chains((1, 2)), 1)[0]),
+], ids=["C2-M3", "square-C3", "C2-ungraded"])
+def test_generic_matches_definition(A, B):
+    cx = hom_complex_generic(A, B)
+    assert _cell_set(cx) == _brute_force_hom(A, B)
+    assert all(sum(len(c) - 1 for c in X) == d for d, cs in cx.cells.items() for X in cs)
 
 
 @pytest.mark.parametrize("spec", [(1, 1), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2),
@@ -177,8 +230,6 @@ def test_generic_branch_on_a_distributive_lattice():
 
 
 def test_assert_cubical_rejects_m3():
-    M3 = GradedPoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
-                     rank=[0, 1, 1, 1, 2])
     with pytest.raises(AssertionError, match=r"\(\(0,\), \(1, 2, 3\), \(4,\)\)"):
         _assert_cubical(hom_complex_generic(chain(2), M3, "strict"))
 
@@ -211,6 +262,15 @@ def test_complex_cap():
         chain_product_complex((1,) * 6, cap=100)
     with pytest.raises(CapExceeded):
         hom_complex_generic(chain(3), ideal_lattice(antichain(3)), "strict", cap=4)
+    # the hexagon has 6 vertices: the first edge already exceeds a cap of 6
+    with pytest.raises(CapExceeded, match="cell count exceeds the cap 6"):
+        hom_complex_generic(chain(3), ideal_lattice(antichain(3)), "strict", cap=6)
+
+
+def test_strict_maps_fail_fast_at_the_cap():
+    # B_8 has 8! = 40,320 maximal chains; the search stops at the 1,001st
+    with pytest.raises(CapExceeded, match="more than 1000 homomorphisms"):
+        hom_complex_generic(chain(8), ideal_lattice(antichain(8)), cap=1000)
 
 
 def test_json_export_shape():
