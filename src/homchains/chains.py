@@ -1,12 +1,18 @@
 """Integer cellular chain complexes: incidence numbers, boundary matrices,
 Smith-normal-form homology, and Morse-complex incidences via alternating paths.
 
-Cell-word faces and their signs come from words.signed_faces.
+Cell-word faces and their signs come from words.signed_faces.  Boundary
+matrices and the Morse complex work on cell indices: a complex's face tables
+and a matching's partner arrays.  Cell keys appear only in the key-level
+oracles (ComplexMatchContext, morse.SpecMatchContext) and in path censuses,
+whose sign-reversing pairing acts on cell words.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -304,19 +310,17 @@ class IntegerChainComplex:
 
 def boundary_matrices(cx):
     """Assemble the integer boundary matrices of a cell complex and verify d o d = 0."""
-    bases = {d: tuple(cx.cells[d]) for d in sorted(cx.cells)}
-    index = {d: {cell: i for i, cell in enumerate(cells)} for d, cells in bases.items()}
+    bases = dict(cx.cells)
     mats = {}
     for d in sorted(bases):
         if d == 0:
             continue
-        entries = {}
-        for j, cell in enumerate(bases[d]):
-            for face, sign in cx.boundary[cell]:
-                key = (index[d - 1][face], j)
-                if key in entries:
-                    raise ArithmeticError("repeated facet in boundary")
-                entries[key] = sign
+        ptr, idx, sgn = cx.boundary[d]
+        cols = itertools.chain.from_iterable(itertools.repeat(j, ptr[j + 1] - ptr[j])
+                                             for j in range(len(bases[d])))
+        entries = dict(zip(zip(idx, cols), sgn))
+        if len(entries) != len(idx):
+            raise ArithmeticError("repeated facet in boundary")
         mats[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]), entries)
     icc = IntegerChainComplex(bases, mats)
     icc.check_boundary_squared()
@@ -386,27 +390,47 @@ class AlternatingPath:
 
 
 class ComplexMatchContext:
-    """Facet/matching oracle over a built complex and a Morse matching."""
+    """Facet/matching oracle over a built complex and a Morse matching, on cell keys."""
 
     def __init__(self, cx, matching):
-        self._boundary = cx.boundary
         self.cx = cx
         self.matching = matching
-        self._dim = None
 
     def facets(self, cell):
-        return self._boundary[cell]
+        d, j = self.cx.locate(cell)
+        lower = self.cx.cells.get(d - 1)
+        return tuple((lower[i], sign) for i, sign in self.cx.faces(d, j))
 
     def dim_of(self, cell):
-        if self._dim is None:
-            self._dim = {c: d for d, cells in self.cx.cells.items() for c in cells}
-        return self._dim[cell]
+        return self.cx.locate(cell)[0]
 
     def up(self, cell):
-        return self.matching.up.get(cell)
+        d, i = self.cx.locate(cell)
+        u = self.matching.up[d][i]
+        return None if u < 0 else self.cx.cells[d + 1][u]
 
     def down(self, cell):
-        return self.matching.down.get(cell)
+        d, i = self.cx.locate(cell)
+        a = self.matching.down[d][i]
+        return None if a < 0 else self.cx.cells[d - 1][a]
+
+
+class _IndexContext:
+    """The oracle between dimensions d and d - 1 on cell indices: facets of
+    d-cells and up-partners of (d-1)-cells."""
+
+    def __init__(self, cx, matching, d):
+        self.table = cx.boundary[d]
+        self.lower_up = matching.up[d - 1]
+
+    def facets(self, j):
+        ptr, idx, sgn = self.table
+        lo, hi = ptr[j], ptr[j + 1]
+        return zip(idx[lo:hi], sgn[lo:hi])
+
+    def up(self, i):
+        u = self.lower_up[i]
+        return None if u < 0 else u
 
 
 def _facet_sign(ctx, face, cell):
@@ -436,28 +460,42 @@ def path_weight(path, ctx):
 def alternating_paths_from(sigma, ctx, targets, reachable=None):
     """All alternating paths from sigma to any target, plus direct facet signs.
 
-    Returns (paths_by_target, direct_by_target).  When a `reachable` set is
-    given, the walk is pruned to cells from which a target is reachable.
+    Returns (paths_by_target, direct_by_target); targets without a path are
+    absent from the first.  When a `reachable` set is given, the walk is
+    pruned to cells from which a target is reachable.  The walk keeps its
+    own stack, so path length is not bounded by the recursion limit; paths
+    come in depth-first order.
     """
-    paths = {tau: [] for tau in targets}
+    paths = {}
     direct = {}
 
-    def walk(a, trail):
+    def walkable(f):
+        return ctx.up(f) is not None and (reachable is None or f in reachable)
+
+    # a frame is (trail ending in a matched pair a, u(a); a; iterator over the facets of u(a))
+    stack = []
+
+    def push(trail, a):
         u = ctx.up(a)
-        t2 = trail + (a, u)
-        for f, _sign in ctx.facets(u):
-            if f == a:
-                continue
-            if f in paths:
-                paths[f].append(AlternatingPath(t2 + (f,)))
-            elif ctx.up(f) is not None and (reachable is None or f in reachable):
-                walk(f, t2)
+        stack.append((trail + (a, u), a, iter(ctx.facets(u))))
 
     for f, sign in ctx.facets(sigma):
-        if f in paths:
+        if f in targets:
             direct[f] = direct.get(f, 0) + sign
-        if ctx.up(f) is not None and (reachable is None or f in reachable):
-            walk(f, (sigma,))
+        if walkable(f):
+            push((sigma,), f)
+            while stack:
+                trail, a, facets = stack[-1]
+                for g, _sign in facets:
+                    if g == a:
+                        continue
+                    if g in targets:
+                        paths.setdefault(g, []).append(AlternatingPath(trail + (g,)))
+                    elif walkable(g):
+                        push(trail, g)
+                        break
+                else:
+                    stack.pop()
     return paths, direct
 
 
@@ -577,29 +615,34 @@ def morse_incidence(sigma, tau, ctx):
     if dim_of is not None and dim_of(sigma) != dim_of(tau) + 1:
         raise ValueError("dim(sigma) must equal dim(tau) + 1")
     paths, direct = alternating_paths_from(sigma, ctx, (tau,))
-    plist = paths[tau]
+    plist = paths.get(tau, [])
     value = direct.get(tau, 0) + sum(path_weight(p, ctx) for p in plist)
     return value, _build_census(plist, ctx)
 
 
 def _reachable_to(targets, cx, matching, d):
-    """Cells of dims d-1, d from which some target is reachable in the matched digraph."""
-    cofacets = defaultdict(list)
-    for cell in cx.cells[d]:
-        down = matching.down.get(cell)
-        for f, _ in cx.boundary[cell]:
-            if f != down:
-                cofacets[f].append(cell)
+    """Indices of the (d-1)-cells from which some target is reachable in the matched digraph."""
+    ptr, idx, _ = cx.boundary[d]
+    down = matching.down[d]
+    # the cofaces of each (d-1)-cell in compressed sparse rows
+    start = [0] * (len(cx.cells[d - 1]) + 1)
+    for f in idx:
+        start[f + 1] += 1
+    for i in range(1, len(start)):
+        start[i] += start[i - 1]
+    fill = start[:-1]
+    cofaces = array("i", [0]) * len(idx)
+    for j in range(len(cx.cells[d])):
+        for f in idx[ptr[j]:ptr[j + 1]]:
+            cofaces[fill[f]] = j
+            fill[f] += 1
     reach = set(targets)
     queue = deque(targets)
     while queue:
         f = queue.popleft()
-        for u in cofacets.get(f, ()):
-            if u not in reach:
-                reach.add(u)
-                queue.append(u)
-            a = matching.down.get(u)
-            if a is not None and a not in reach:
+        for u in cofaces[start[f]:start[f + 1]]:
+            a = down[u]
+            if a != f and a >= 0 and a not in reach:
                 reach.add(a)
                 queue.append(a)
     return reach
@@ -609,37 +652,45 @@ def morse_complex(cx, matching, certificate, with_census=False):
     """The chain complex on critical cells with alternating-path incidences.
 
     Requires the acyclicity certificate produced by validate_acyclic; its
-    homology equals the homology of the underlying complex.
+    homology equals the homology of the underlying complex.  Paths are
+    walked on cell indices.
 
     Returns (IntegerChainComplex, censuses) where censuses maps
-    (sigma, tau) -> PathCensus for every critical pair joined by at least one
-    alternating path when with_census is set (else empty dict).
+    (sigma, tau) -> PathCensus, on cell keys, for every critical pair joined
+    by at least one alternating path when with_census is set (else empty
+    dict).
     """
     if certificate is None:
         raise ValueError("matching must be validated acyclic first")
     certificate.check_matches(matching)
-    ctx = ComplexMatchContext(cx, matching)
-    crit = {d: tuple(matching.critical.get(d, ())) for d in range(max(cx.cells) + 1)}
-    bases = {d: crit[d] for d in range(max(cx.cells) + 1)}
-    index = {d: {cell: i for i, cell in enumerate(cells)} for d, cells in bases.items()}
+    if not (matching.cells is cx.cells or matching.cells == cx.cells):
+        raise ValueError("matching was built on another cell basis")
+    top = cx.dim
+    crit = {d: matching.critical.get(d, ()) for d in range(top + 1)}
+    bases = {d: tuple(cx.cells[d][i] for i in crit[d]) for d in range(top + 1)}
+    key_ctx = ComplexMatchContext(cx, matching) if with_census else None
     mats = {}
     censuses = {}
-    for d in range(1, max(cx.cells) + 1):
+    for d in range(1, top + 1):
         entries = {}
-        targets = set(bases[d - 1])
-        if targets and bases[d]:
-            reach = _reachable_to(targets, cx, matching, d)
-            for j, sigma in enumerate(bases[d]):
-                paths, direct = alternating_paths_from(sigma, ctx, targets, reachable=reach)
+        row = {tau: r for r, tau in enumerate(crit[d - 1])}
+        if row and crit[d]:
+            ctx = _IndexContext(cx, matching, d)
+            reach = _reachable_to(row, cx, matching, d)
+            for col, sigma in enumerate(crit[d]):
+                paths, direct = alternating_paths_from(sigma, ctx, row, reachable=reach)
                 acc = dict(direct)
                 for tau, plist in paths.items():
-                    if plist:
-                        acc[tau] = acc.get(tau, 0) + sum(path_weight(p, ctx) for p in plist)
-                        if with_census:
-                            censuses[(sigma, tau)] = _build_census(plist, ctx)
+                    acc[tau] = acc.get(tau, 0) + sum(path_weight(p, ctx) for p in plist)
+                    if with_census:
+                        key_paths = [AlternatingPath(tuple(
+                            cx.cells[d - k % 2][c] for k, c in enumerate(p.cells)))
+                            for p in plist]
+                        censuses[(bases[d][col], cx.cells[d - 1][tau])] = _build_census(
+                            key_paths, key_ctx)
                 for tau, v in acc.items():
                     if v:
-                        entries[(index[d - 1][tau], j)] = v
+                        entries[(row[tau], col)] = v
         mats[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]), entries)
     icc = IntegerChainComplex(bases, mats)
     icc.check_boundary_squared()

@@ -94,19 +94,19 @@ def cmd_match(args):
         "spec": list(cfg.spec.i),
         "cells": matching.n_cells,
         "matched_pairs": len(matching.up),
-        "critical": {str(d): len(v) for d, v in sorted(matching.critical.items())},
+        "critical": {str(d): k for d, k in matching.critical_count().items()},
         "digest": _matching_digest(matching),
     }
     lines = [f"cells: {matching.n_cells}",
              f"matched pairs: {len(matching.up)}",
              "critical cells: " + ", ".join(
-                 f"dim {d}: {len(v)}" for d, v in sorted(matching.critical.items())),
+                 f"dim {d}: {k}" for d, k in matching.critical_count().items()),
              f"digest: {payload['digest']}"]
     if args.emit_critical:
+        critical = morse.critical_cells(matching)
         payload["critical_cells"] = {
-            str(d): [words.render_cellword(c) for c in v]
-            for d, v in sorted(matching.critical.items())}
-        for d, v in sorted(matching.critical.items()):
+            str(d): [words.render_cellword(c) for c in v] for d, v in critical.items()}
+        for d, v in critical.items():
             lines.append(f"dim {d}: " + " ".join(words.render_cellword(c) for c in v))
     if args.emit_pairs:
         payload["pairs"] = [[words.render_cellword(a), words.render_cellword(b)]
@@ -133,8 +133,7 @@ def cmd_match(args):
 def _complex_and_matching(cfg):
     """The complex of the chain spec, and the matching run on its cells."""
     cx = complexes.chain_product_complex(cfg.spec, cap=cfg.max_cells)
-    cells = (cw for cs in cx.cells.values() for cw in cs)
-    return cx, morse.match_product_of_chains(cfg.spec, cells=cells)
+    return cx, morse.match_product_of_chains(cfg.spec, cells=cx.cells)
 
 
 def _suite_results(cfg, names):
@@ -159,7 +158,7 @@ def _suite_results(cfg, names):
                 words.critical_cellword_from_word(w)
                 for w in words.enumerate_words(spec, cap=cfg.max_cells)
                 if words.decompose_descents(w).valid}
-            from_matching = {c for v in matching.critical.values() for c in v}
+            from_matching = {c for v in morse.critical_cells(matching).values() for c in v}
             results.append((name, from_words == from_matching,
                             f"{len(from_matching)} critical cells"))
         elif name == "zero-incidence":
@@ -214,7 +213,7 @@ def cmd_report(args):
         "spec": list(spec.i),
         "f_vector": list(cx.f_vector()),
         "critical": {str(d): [words.render_cellword(c) for c in v]
-                     for d, v in sorted(matching.critical.items())},
+                     for d, v in morse.critical_cells(matching).items()},
         "betti": list(hreport.betti),
         "torsion": [list(t) for t in hreport.torsion],
         "euler": hreport.euler,

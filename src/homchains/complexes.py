@@ -4,43 +4,83 @@ A cell of Hom_M(A, B) is a tuple of nonempty subsets of B, one per element
 of A, all of whose representative systems lie in M; cells are keyed by
 tuples of sorted tuples.  For a product of chains the complex is cubical and
 cells are keyed by parenthesized multiset permutations (CellWord).
+
+A CellComplex indexes each cell by its position in the tuple cells[d]
+(sorted, for the complexes built here), and stores the boundary of the d-cells as a FaceTable: face
+indices into cells[d - 1] and signs in compressed sparse rows.  The keys are
+kept only to name cells: rendering, digests and per-cell traces.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .posets import CapExceeded, GradedPoset, _bits, chain, delete_element, find_folds
 from .words import (
     DEFAULT_CAP,
-    CellWord,
     as_spec,
     check_content,
     enumerate_cellwords,
-    render_cellword,
-    signed_faces,
+    word_placements,
 )
 from . import chains as _chains
 
 
-class CellComplex:
-    """A polyhedral cell complex: canonical cell keys per dimension plus signed facets."""
+class FaceTable(NamedTuple):
+    """The faces of the d-cells in compressed sparse rows.
 
-    def __init__(self, cells, boundary, spec=None, target=None):
-        self.cells = {d: tuple(cells[d]) for d in sorted(cells)}
-        self.boundary = boundary
+    Cell j has the (d-1)-cells idx[ptr[j]:ptr[j + 1]] as its faces, with
+    incidence numbers sgn[ptr[j]:ptr[j + 1]].
+    """
+
+    ptr: array  # 'i', one more entry than there are d-cells
+    idx: array  # 'i', indices into cells[d - 1]
+    sgn: array  # 'b', +1 or -1
+
+
+class CellComplex:
+    """A polyhedral cell complex: cell keys per dimension plus index-based signed faces.
+
+    `cells` maps each dimension to its cell keys, and `boundary` maps each
+    cell of dimension >= 1 to its ((face, sign), ...); the keys are turned
+    into indices once, here.  Builders that already hold indices use
+    from_faces.
+    """
+
+    def __init__(self, cells, boundary, spec=None):
+        cells = {d: tuple(cells[d]) for d in sorted(cells)}
+        faces = {}
+        for d in cells:
+            if d == 0:
+                continue
+            index = {cell: i for i, cell in enumerate(cells[d - 1])}
+            ptr, idx, sgn = array("i", [0]), array("i"), array("b")
+            for cell in cells[d]:
+                for face, sign in boundary[cell]:
+                    i = index.get(face)
+                    if i is None:
+                        raise ValueError(f"face {face!r} missing from the complex")
+                    idx.append(i)
+                    sgn.append(sign)
+                ptr.append(len(idx))
+            faces[d] = FaceTable(ptr, idx, sgn)
+        self._set(cells, faces, spec)
+
+    @classmethod
+    def from_faces(cls, cells, faces, spec=None):
+        """A complex from cell tuples and a FaceTable per dimension >= 1."""
+        cx = cls.__new__(cls)
+        cx._set(cells, faces, spec)
+        return cx
+
+    def _set(self, cells, faces, spec):
+        self.cells = cells
+        self.boundary = faces
         self.spec = spec
-        self.target = target
-        index = set()
-        for d, cs in self.cells.items():
-            index.update(cs)
-        for cell, faces in boundary.items():
-            for face, _sign in faces:
-                if face not in index:
-                    raise ValueError(f"face {face!r} missing from the complex")
+        self._where = None
 
     @property
     def dim(self):
@@ -55,69 +95,72 @@ class CellComplex:
     def euler_characteristic(self):
         return sum((-1) ** d * len(cs) for d, cs in self.cells.items())
 
-    def cover_pairs(self):
-        """All (face, cell) cover pairs of the face poset."""
-        for d in range(1, self.dim + 1):
-            for cell in self.cells[d]:
-                for face, _ in self.boundary[cell]:
-                    yield face, cell
+    def faces(self, d, j):
+        """The faces of the j-th d-cell as (index into cells[d - 1], sign) pairs."""
+        if d == 0:
+            return ()
+        ptr, idx, sgn = self.boundary[d]
+        lo, hi = ptr[j], ptr[j + 1]
+        return tuple(zip(idx[lo:hi], sgn[lo:hi]))
 
-    def render_key(self, key):
-        if isinstance(key, CellWord):
-            return render_cellword(key)
-        return render_multihom(key, self.target)
-
-    def to_json_dict(self):
-        faces = {}
-        for d in range(1, self.dim + 1):
-            for cell in self.cells[d]:
-                faces[self.render_key(cell)] = [
-                    [self.render_key(f), s] for f, s in self.boundary[cell]]
-        return {
-            "dims": list(range(self.dim + 1)),
-            "cells": {str(d): [self.render_key(c) for c in self.cells[d]]
-                      for d in range(self.dim + 1)},
-            "faces": faces,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+    def locate(self, cell):
+        """(dimension, index) of a cell key; the key index is built on first use."""
+        if self._where is None:
+            self._where = {c: (d, i) for d, cs in self.cells.items() for i, c in enumerate(cs)}
+        return self._where[cell]
 
     def __repr__(self):
         return f"CellComplex(f={self.f_vector()})"
 
 
-def render_multihom(mh, target=None):
-    def one(coord):
-        names = [target.label(x) if target is not None and isinstance(x, int)
-                 else _render_atom(x) for x in coord]
-        return names[0] if len(names) == 1 else "{" + ",".join(names) + "}"
-
-    return "(" + ",".join(one(c) for c in mh) + ")"
-
-
-def _render_atom(x):
-    if isinstance(x, tuple):
-        if not x:
-            return "{}"
-        if max(x) <= 9:
-            return "".join(str(v) for v in x)
-        return "{" + ",".join(str(v) for v in x) + "}"
-    return str(x)
-
-
 # -- the cubical model for products of chains -------------------------------
 
 
+def _sign_block(d):
+    # words.signed_faces: the t-th pair (1-based) gives alpha (-1)^t, then beta -(-1)^t
+    return array("b", [s for t in range(1, d + 1) for s in ((-1) ** t, -((-1) ** t))])
+
+
 def chain_product_complex(spec, cap=DEFAULT_CAP):
-    """Hom of a product of chains, built directly from parenthesized words."""
+    """Hom of a product of chains, built directly from parenthesized words.
+
+    enumerate_cellwords yields every dimension in sorted order, all cells of
+    one word together, so a cell's index is its word's start in its
+    dimension plus the rank of its pair placement among that word's.  A
+    d-cell has 2d faces: its t-th pair released in the alpha order (the
+    word with the pair swapped), then in the beta order (the same word),
+    with the signs of words.signed_faces.
+    """
     spec = as_spec(spec)
-    cells = defaultdict(list)
-    boundary = {}
+    cells = [[] for _ in range(spec.ell // 2 + 1)]
     for cw in enumerate_cellwords(spec, cap=cap):
         cells[cw.dim].append(cw)
-        boundary[cw] = signed_faces(cw)
-    return CellComplex({d: sorted(v) for d, v in cells.items()}, boundary, spec=spec)
+    cells = {d: tuple(cs) for d, cs in enumerate(cells) if cs}
+    # word -> (start index per dimension, placements of its descents)
+    table = {w: (start, info)
+             for w, start, info in word_placements(v.word for v in cells[0])}
+    idx = {d: array("i") for d in cells if d}
+    for w, (start, info) in table.items():
+        alpha = {}
+        for p in info.descents:
+            v = list(w)
+            v[p - 1], v[p] = v[p], v[p - 1]
+            alpha[p] = table[tuple(v)]
+        for d in range(1, len(info.by_dim)):
+            out = idx[d]
+            beta_start = start[d - 1]
+            for ps, m in zip(info.by_dim[d], info.masks[d]):
+                for p in ps:
+                    q = m & ~(1 << p)
+                    a_start, a_info = alpha[p]
+                    out.append(a_start[d - 1] + a_info.rank[q])
+                    out.append(beta_start + info.rank[q])
+    faces = {}
+    for d, out in idx.items():
+        n = len(cells[d])
+        faces[d] = FaceTable(array("i", range(0, 2 * d * n + 1, 2 * d)), out,
+                             _sign_block(d) * n)
+    return CellComplex.from_faces(cells, faces, spec=spec)
 
 
 def cellword_to_multihom(cw, spec):
@@ -163,14 +206,33 @@ def cellword_to_multihom(cw, spec):
 # -- generic homomorphism complexes -----------------------------------------
 
 
+def _heights(P):
+    """Per element, the length of the longest chain below it and above it."""
+    order = P.linear_extension()
+    below = [0] * P.n
+    for x in order:
+        for a in P.down_covers[x]:
+            below[x] = max(below[x], below[a] + 1)
+    above = [0] * P.n
+    for x in reversed(order):
+        for b in P.up_covers[x]:
+            above[x] = max(above[x], above[b] + 1)
+    return below, above
+
+
 def _strict_maps(A, B, cap):
     """All strictly order-preserving maps A -> B, as tuples indexed by A's ids.
 
     f[x] ranges only over the elements above f[a] for every down-cover a of
-    x.  Raises CapExceeded as soon as more than `cap` maps are found.
+    x whose longest chains below and above are at least as long as x's.
+    Raises CapExceeded as soon as more than `cap` maps are found.
     """
     order = A.linear_extension()
-    full = (1 << B.n) - 1
+    a_below, a_above = _heights(A)
+    b_below, b_above = _heights(B)
+    fits = [sum(1 << b for b in range(B.n)
+                if b_below[b] >= a_below[x] and b_above[b] >= a_above[x])
+            for x in range(A.n)]
     out = []
     f = [None] * A.n
 
@@ -181,7 +243,7 @@ def _strict_maps(A, B, cap):
             out.append(tuple(f))
             return
         x = order[k]
-        allowed = full
+        allowed = fits[x]
         for a in A.down_covers[x]:
             allowed &= B.above(f[a])
         for b in _bits(allowed):
@@ -199,11 +261,12 @@ def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
     `maps` is either 'strict' (strictly order-preserving maps) or a predicate
     on tuples indexed by A's ids.  Cells are built bottom-up: vertices are
     the homomorphisms, and a candidate cell enters when all its facets are
-    present (equivalent to the representative-system condition).  For strict
-    maps, coordinate i only tries the elements of B above every element of
-    each down-cover's coordinate and below every element of each up-cover's
-    coordinate (B's above/below masks); the facet check still admits every
-    cell.
+    present (equivalent to the representative-system condition); the facets
+    found by that check become the cell's boundary, so each candidate is
+    signed once.  For strict maps, coordinate i only tries the elements of B
+    above every element of each down-cover's coordinate and below every
+    element of each up-cover's coordinate (B's above/below masks); the facet
+    check still admits every cell.
     """
     if callable(maps):
         if B.n ** A.n > cap:
@@ -220,12 +283,13 @@ def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
     full = (1 << B.n) - 1
     level = sorted(tuple((f[i],) for i in range(m)) for f in verts)
     cells = {0: tuple(level)}
-    boundary = {v: () for v in level}
+    faces = {}
     total = len(level)
     d = 0
     while level:
-        prev = set(level)
-        nxt = set()
+        prev = {X: i for i, X in enumerate(level)}
+        found = {}        # accepted candidate -> its signed facets
+        rejected = set()
         for X in level:
             for i in range(m):
                 allowed = full
@@ -241,21 +305,29 @@ def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
                 for b in _bits(allowed):
                     coord = tuple(sorted(X[i] + (b,)))
                     X2 = X[:i] + (coord,) + X[i + 1:]
-                    if X2 in nxt:
+                    if X2 in found or X2 in rejected:
                         continue
-                    if all(f in prev for f, _ in _generic_signed_faces(X2)):
-                        nxt.add(X2)
-                        if total + len(nxt) > cap:
+                    facets = _generic_signed_faces(X2)
+                    if all(f in prev for f, _ in facets):
+                        found[X2] = facets
+                        if total + len(found) > cap:
                             raise CapExceeded(f"cell count exceeds the cap {cap}")
-        level = sorted(nxt)
+                    else:
+                        rejected.add(X2)
+        level = sorted(found)
         if not level:
             break
         d += 1
         total += len(level)
         cells[d] = tuple(level)
+        ptr, idx, sgn = array("i", [0]), array("i"), array("b")
         for X in level:
-            boundary[X] = _generic_signed_faces(X)
-    return CellComplex(cells, boundary, target=B)
+            for f, sign in found[X]:
+                idx.append(prev[f])
+                sgn.append(sign)
+            ptr.append(len(idx))
+        faces[d] = FaceTable(ptr, idx, sgn)
+    return CellComplex.from_faces(cells, faces)
 
 
 def _generic_signed_faces(X):
@@ -282,9 +354,7 @@ def maximal_chain_complex(P, cap=DEFAULT_CAP):
         raise ValueError("maximal_chain_complex needs a graded poset")
     spec = getattr(P, "chain_spec", None)
     if spec is not None and all(a <= b for a, b in zip(spec, spec[1:])):
-        cx = chain_product_complex(as_spec(spec), cap=cap)
-        cx.target = P
-        return cx
+        return chain_product_complex(as_spec(spec), cap=cap)
     cx = hom_complex_generic(chain(P.top_rank), P, maps="strict", cap=cap)
     if getattr(P, "ideal_masks", None) is not None or spec is not None:
         _assert_cubical(cx)

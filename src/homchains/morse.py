@@ -12,12 +12,19 @@ Rather than materializing the shrinking domains of the fiber maps, each cell
 carries its own loop state: a cell survives to a loop exactly when every
 earlier loop classified it `b`, so a single left-to-right scan of the loop
 schedule decides each cell independently.
+
+A MorseMatching refers to cells by their index in the cells[d] of its
+complex: per dimension, an array of up-partners and one of
+down-partners, -1 where a cell is not matched that way, and the sorted
+indices of the critical cells.  Acyclicity is certified by Kahn's algorithm
+on those arrays and the complex's face tables.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .words import (
     DEFAULT_CAP,
@@ -26,6 +33,7 @@ from .words import (
     check_content,
     enumerate_cellwords,
     signed_faces,
+    word_placements,
 )
 
 
@@ -52,16 +60,19 @@ def _part_array(ell, pairs):
     return part
 
 
-def _run_cell(word, pairs, spec_i, record=None):
+def _run_cell(word, pairs, spec_i, record=None, occ=None):
     """Scan the loop schedule for one cell.
 
-    Returns (status, loop_index, partner) with status 'lower' (matched
-    upward by joining), 'upper' (matched downward by releasing) or
-    'critical'.  When `record` is a list it receives (r, s, j, klass) rows.
+    Returns (status, loop_index, j) with status 'lower' (matched upward by
+    joining the entries at j, j + 1), 'upper' (matched downward by releasing
+    the pair at j) or 'critical' (j is None).  When `record` is a list it
+    receives (r, s, j, klass) rows.  `occ` is _occurrences(word, n), for
+    callers that scan many cells of one word.
     """
     ell = len(word)
     n = len(spec_i)
-    occ = _occurrences(word, n)
+    if occ is None:
+        occ = _occurrences(word, n)
     part = _part_array(ell, pairs)
     idx = 0
     for r in range(n, 0, -1):
@@ -76,78 +87,154 @@ def _run_cell(word, pairs, spec_i, record=None):
             if record is not None:
                 record.append((r, s, j, klass))
             if klass == "a":
-                if part[j] == 0:
-                    partner = CellWord(word, tuple(sorted(pairs + (j,))))
-                    return "lower", idx, partner
-                partner = CellWord(word, tuple(p for p in pairs if p != j))
-                return "upper", idx, partner
+                return ("lower" if part[j] == 0 else "upper"), idx, j
             idx += 1
     return "critical", idx, None
 
 
+def _partner(cell, status, j):
+    """The matched partner of a cell word, from its _run_cell outcome."""
+    if status == "lower":
+        return CellWord(cell.word, tuple(sorted(cell.pairs + (j,))))
+    if status == "upper":
+        return CellWord(cell.word, tuple(p for p in cell.pairs if p != j))
+    return None
+
+
+class Mates:
+    """One side of a matching, per dimension.
+
+    mates[d] is an array('i') holding, for each d-cell, the index of its
+    partner on this side (in cells[d + 1] for up, in cells[d - 1] for down),
+    or -1.  len() counts the cells matched on this side: the matched pairs.
+    """
+
+    __slots__ = ("by_dim", "n_matched")
+
+    def __init__(self, by_dim):
+        self.by_dim = by_dim
+        self.n_matched = sum(len(a) - a.count(-1) for a in by_dim.values())
+
+    def __getitem__(self, d):
+        return self.by_dim[d]
+
+    def __len__(self):
+        return self.n_matched
+
+
+def _unmatched(cells):
+    return {d: array("i", [-1]) * len(cs) for d, cs in cells.items()}
+
+
 @dataclass
 class MorseMatching:
-    """A partial pairing of cells of Hom(spec): up/down maps plus critical cells."""
+    """A partial pairing of the cells of a complex, by cell index.
+
+    `cells` is the cell basis the indices refer to: the cells[d] of the
+    complex the matching belongs to.  critical[d] lists the indices of the
+    unmatched d-cells in increasing order, for the dimensions that have any.
+    """
 
     spec: object
-    up: dict        # lower cell -> joined partner
-    down: dict      # upper cell -> released partner
-    critical: dict  # dim -> sorted tuple of cells
+    cells: dict = field(repr=False)
+    up: Mates       # lower cell -> index of its joined partner
+    down: Mates     # upper cell -> index of its released partner
+    critical: dict  # dim -> sorted tuple of cell indices
     n_cells: int
 
-    def is_critical(self, cell):
-        return cell not in self.up and cell not in self.down
+    @classmethod
+    def from_pairs(cls, cx, up):
+        """The matching of `cx` that pairs each key of `up` with its value.
+
+        Keys and values are cell keys, each value one dimension above its
+        key; every cell left unpaired is critical.
+        """
+        ups, downs = _unmatched(cx.cells), _unmatched(cx.cells)
+        for lower, upper in up.items():
+            d, i = cx.locate(lower)
+            e, j = cx.locate(upper)
+            if e != d + 1:
+                raise ValueError(f"{upper!r} is not one dimension above {lower!r}")
+            if downs[e][j] >= 0 or ups[e][j] >= 0 or downs[d][i] >= 0:
+                raise ValueError(f"a cell of the pair {lower!r} / {upper!r} is matched twice")
+            ups[d][i] = j
+            downs[e][j] = i
+        critical = {}
+        for d, cs in cx.cells.items():
+            free = tuple(i for i in range(len(cs)) if ups[d][i] < 0 and downs[d][i] < 0)
+            if free:
+                critical[d] = free
+        return cls(cx.spec, cx.cells, Mates(ups), Mates(downs), critical, cx.n_cells())
 
     def critical_count(self):
         return {d: len(v) for d, v in sorted(self.critical.items())}
 
     def pairs(self):
-        """The matched pairs as (lower, upper), in canonical order."""
-        return tuple(sorted(self.up.items()))
+        """The matched pairs as (lower, upper) cell keys, in canonical order."""
+        cells = self.cells
+        return tuple(sorted((cells[d][i], cells[d + 1][u])
+                            for d, mates in self.up.by_dim.items()
+                            for i, u in enumerate(mates) if u >= 0))
 
 
 def match_product_of_chains(spec, cap=DEFAULT_CAP, cells=None):
     """Run the matching over every cell of Hom(spec) and assemble the pairing.
 
-    `cells` are the cells of Hom(spec) when the caller already holds them,
-    e.g. those of a built complex; otherwise they are enumerated.  Each cell
-    is simulated independently; the assembly asserts that the per-cell
-    outcomes agree (partners pair with each other), so matched and critical
-    cells partition the cell set.
+    `cells` is the cell basis of a built complex of the spec (its `cells`),
+    when the caller holds one; otherwise the cells are enumerated.  Each
+    cell is simulated independently.  A cell's partner has the same word,
+    so its index is the word's start in the partner's dimension plus the
+    rank of the partner's pair placement.  The assembly asserts that the
+    per-cell outcomes agree (partners pair with each other), so matched and
+    critical cells partition the cell set.
     """
     spec = as_spec(spec)
     if cells is None:
-        cells = enumerate_cellwords(spec, cap=cap)
-    up = {}
-    down = {}
+        by_dim = defaultdict(list)
+        for cw in enumerate_cellwords(spec, cap=cap):
+            by_dim[cw.dim].append(cw)
+        cells = {d: tuple(by_dim[d]) for d in sorted(by_dim)}
+    else:
+        check_content(cells[0][0], spec)
+    up, down = _unmatched(cells), _unmatched(cells)
     critical = defaultdict(list)
-    n_cells = 0
-    for cw in cells:
-        n_cells += 1
-        status, _idx, partner = _run_cell(cw.word, cw.pairs, spec.i)
-        if status == "critical":
-            critical[cw.dim].append(cw)
-        elif status == "lower":
-            up[cw] = partner
-        else:
-            down[cw] = partner
+    seen = [0] * len(cells)
+    for w, start, info in word_placements(v.word for v in cells[0]):
+        occ = _occurrences(w, spec.n)
+        for d, (ps, masks) in enumerate(zip(info.by_dim, info.masks)):
+            base = start[d]
+            for r, pairs in enumerate(ps):
+                status, _idx, j = _run_cell(w, pairs, spec.i, occ=occ)
+                if status == "lower":
+                    up[d][base + r] = start[d + 1] + info.rank[masks[r] | 1 << j]
+                elif status == "upper":
+                    down[d][base + r] = start[d - 1] + info.rank[masks[r] & ~(1 << j)]
+                else:
+                    critical[d].append(base + r)
+            seen[d] = base + len(ps)
+    if seen != [len(cells[d]) for d in cells]:
+        raise ValueError("the cells are not those of the spec")
+    up, down = Mates(up), Mates(down)
     if len(up) != len(down):
         raise AssertionError("matching is not an involution")
-    for a, b in up.items():
-        if down.get(b) != a:
-            raise AssertionError(f"inconsistent pair {a} / {b}")
+    for d, mates in up.by_dim.items():
+        for i, u in enumerate(mates):
+            if u >= 0 and down[d + 1][u] != i:
+                raise AssertionError(f"inconsistent pair {cells[d][i]} / {cells[d + 1][u]}")
     return MorseMatching(
         spec=spec,
+        cells=cells,
         up=up,
         down=down,
-        critical={d: tuple(sorted(v)) for d, v in critical.items()},
-        n_cells=n_cells,
+        critical={d: tuple(v) for d, v in sorted(critical.items())},
+        n_cells=sum(len(cs) for cs in cells.values()),
     )
 
 
 def critical_cells(matching):
-    """Unmatched cells grouped by dimension."""
-    return {d: matching.critical[d] for d in sorted(matching.critical)}
+    """Unmatched cells grouped by dimension, as cell keys."""
+    return {d: tuple(matching.cells[d][i] for i in v)
+            for d, v in sorted(matching.critical.items())}
 
 
 @dataclass(frozen=True)
@@ -169,19 +256,20 @@ def fiber_trace(spec, cell):
     spec = as_spec(spec)
     check_content(cell, spec)
     record = []
-    status, idx, partner = _run_cell(cell.word, cell.pairs, spec.i, record=record)
+    status, idx, j = _run_cell(cell.word, cell.pairs, spec.i, record=record)
     if status == "critical":
         return FiberTrace(cell, tuple(record), "critical", None, None)
     r, s, _, _ = record[-1]
-    return FiberTrace(cell, tuple(record), "matched", partner, (r, s))
+    return FiberTrace(cell, tuple(record), "matched", _partner(cell, status, j), (r, s))
 
 
 class SpecMatchContext:
     """Facet/matching oracle for Hom(spec) that never materializes the complex.
 
-    Faces and their signs come from words.signed_faces; matched partners come
-    from per-cell simulation.  Suitable for alternating-path computations in
-    complexes too large to store.
+    Cells are CellWord keys.  Faces and their signs come from
+    words.signed_faces; matched partners come from per-cell simulation.
+    Suitable for alternating-path computations in complexes too large to
+    store.
     """
 
     def __init__(self, spec):
@@ -202,15 +290,12 @@ class SpecMatchContext:
         return cell.dim
 
     def up(self, cell):
-        status, _, partner = self._outcome(cell)
-        return partner if status == "lower" else None
+        status, _, j = self._outcome(cell)
+        return _partner(cell, status, j) if status == "lower" else None
 
     def down(self, cell):
-        status, _, partner = self._outcome(cell)
-        return partner if status == "upper" else None
-
-
-# -- acyclicity -----------------------------------------------------------
+        status, _, j = self._outcome(cell)
+        return _partner(cell, status, j) if status == "upper" else None
 
 
 # -- structural checks ------------------------------------------------------
@@ -226,23 +311,27 @@ def check_fiber_monotonicity(spec, cx):
     """
     spec = as_spec(spec)
     records = {}
-    for cells in cx.cells.values():
+    for d, cells in cx.cells.items():
+        records[d] = rows = []
         for cw in cells:
             rec = []
             _run_cell(cw.word, cw.pairs, spec.i, record=rec)
-            records[cw] = rec
+            rows.append(rec)
     bad_phi = 0
     bad_rho = 0
-    for face, cell in cx.cover_pairs():
-        rf = records[face]
-        rc = records[cell]
-        for k in range(min(len(rf), len(rc))):
-            jf, kf = rf[k][2], rf[k][3]
-            jc, kc = rc[k][2], rc[k][3]
-            if jf < jc:
-                bad_phi += 1
-            if jf == jc and kc == "a" and kf != "a":
-                bad_rho += 1
+    for d in range(1, cx.dim + 1):
+        ptr, idx, _ = cx.boundary[d]
+        lower = records[d - 1]
+        for j, rc in enumerate(records[d]):
+            for f in idx[ptr[j]:ptr[j + 1]]:
+                rf = lower[f]
+                for k in range(min(len(rf), len(rc))):
+                    jf, kf = rf[k][2], rf[k][3]
+                    jc, kc = rc[k][2], rc[k][3]
+                    if jf < jc:
+                        bad_phi += 1
+                    if jf == jc and kc == "a" and kf != "a":
+                        bad_rho += 1
     return bad_phi, bad_rho
 
 
@@ -257,7 +346,7 @@ def check_critical_structure(matching):
     from .words import descent_set
 
     bad = []
-    for cells in matching.critical.values():
+    for cells in critical_cells(matching).values():
         for cw in cells:
             word = cw.word
             ell = len(word)
@@ -282,6 +371,9 @@ def check_critical_structure(matching):
     return bad
 
 
+# -- acyclicity -----------------------------------------------------------
+
+
 class AcyclicityError(ValueError):
     """Raised when a matching admits an alternating directed cycle."""
 
@@ -290,29 +382,54 @@ class AcyclicityError(ValueError):
         super().__init__(f"alternating cycle through {len(self.cycle)} cells")
 
 
+def _same_basis(a, b):
+    return a is b or a == b
+
+
 def _pairs_fingerprint(matching):
-    return hash(frozenset(matching.up.items()))
+    return hash(b"".join(matching.up[d].tobytes() for d in sorted(matching.cells)))
+
+
+def _is_partition(matching):
+    """Whether the up-matched, down-matched and critical cells partition the cells."""
+    if (matching.n_cells != sum(map(len, matching.cells.values()))
+            or not set(matching.critical) <= set(matching.cells)):
+        return False
+    for d, cs in matching.cells.items():
+        up, down = matching.up[d], matching.down[d]
+        crit = matching.critical.get(d, ())
+        n = len(cs)
+        if (len(up) != n or len(down) != n
+                or (n - up.count(-1)) + (n - down.count(-1)) + len(crit) != n
+                or len(set(crit)) != len(crit)
+                or any(not 0 <= i < n or up[i] >= 0 or down[i] >= 0 for i in crit)
+                or any(u >= 0 and v >= 0 for u, v in zip(up, down))):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class MatchingCertificate:
     """Per dimension pair, a topological order of the matched cover digraph.
 
-    The certificate is bound to the matched pairs it was issued for by a
-    fingerprint of the pair set; check_matches rejects any other matching.
+    orders[d] lists the (d-1)-cells by their index i and the d-cells j as
+    len(cells[d - 1]) + j.  The certificate is bound to the cell basis and
+    to the matched pairs it was issued for, through a fingerprint of the up
+    arrays' bytes; check_matches rejects any other matching.
     """
 
-    orders: dict  # d -> tuple of cells (dims d-1 and d interleaved)
+    orders: dict  # d -> array('i') of node numbers
     n_pairs: int
     fingerprint: int
+    cells: dict = field(repr=False, compare=False)
 
     def check_matches(self, matching):
+        if not _same_basis(matching.cells, self.cells):
+            raise ValueError("certificate was issued for another cell basis")
         if (len(matching.up) != self.n_pairs
                 or _pairs_fingerprint(matching) != self.fingerprint):
             raise ValueError("certificate does not match this matching")
-        parts = (matching.up.keys(), matching.down.keys(),
-                 [c for cells in matching.critical.values() for c in cells])
-        if not sum(map(len, parts)) == len(set().union(*parts)) == matching.n_cells:
+        if not _is_partition(matching):
             raise ValueError("up, down and critical cells do not partition the cells")
 
 
@@ -320,52 +437,76 @@ def validate_acyclic(matching, cx):
     """Certify that a matching on a complex is acyclic (Patchwork-compatible).
 
     Per adjacent dimension pair, matched covers are oriented upward and all
-    other covers downward; a topological order of each digraph is returned
-    as the certificate.  An alternating cycle raises AcyclicityError.
+    other covers downward: a d-cell's successors are its faces other than
+    its matched face, and a (d-1)-cell's only successor is its up-partner.
+    A topological order of each digraph, found by Kahn's algorithm, is
+    returned as the certificate.  A matching built on another cell basis
+    raises ValueError, and an alternating cycle raises AcyclicityError.
     """
-    for a, b in matching.up.items():
-        if all(f != a for f, _ in cx.boundary[b]):
-            raise ValueError(f"matched pair {a} / {b} is not a cover in the complex")
+    if not _same_basis(matching.cells, cx.cells):
+        raise ValueError("matching was built on another cell basis")
     orders = {}
-    top = max(cx.cells)
-    for d in range(1, top + 1):
-        succ = defaultdict(list)
-        indeg = defaultdict(int)
-        nodes = list(cx.cells[d - 1]) + list(cx.cells[d])
-        for node in nodes:
-            indeg[node] = 0
-        for upper in cx.cells[d]:
-            for f, _ in cx.boundary[upper]:
-                if matching.up.get(f) == upper:
-                    succ[f].append(upper)
-                    indeg[upper] += 1
-                else:
-                    succ[upper].append(f)
-                    indeg[f] += 1
-        # Kahn's algorithm, in the order of cx.cells, so the result is deterministic
-        order = [node for node in nodes if indeg[node] == 0]
-        for node in order:
-            for nxt in succ[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-        if len(order) != len(nodes):
-            raise AcyclicityError(_extract_cycle(succ, indeg))
-        orders[d] = tuple(order)
-    return MatchingCertificate(orders, len(matching.up), _pairs_fingerprint(matching))
+    for d in range(1, cx.dim + 1):
+        ptr, idx, _ = cx.boundary[d]
+        lo_up, hi_down = matching.up[d - 1], matching.down[d]
+        n0 = len(cx.cells[d - 1])
+        indeg = array("i", [0]) * (n0 + len(cx.cells[d]))
+        for f in idx:
+            indeg[f] += 1
+        n_matched = 0
+        for j, i in enumerate(hi_down):
+            if i >= 0:
+                if lo_up[i] != j or i not in idx[ptr[j]:ptr[j + 1]]:
+                    raise ValueError(f"matched pair {cx.cells[d - 1][i]} / {cx.cells[d][j]} "
+                                     "is not a cover in the complex")
+                indeg[i] -= 1
+                indeg[n0 + j] = 1
+                n_matched += 1
+        if n_matched != len(lo_up) - lo_up.count(-1):
+            raise ValueError(f"up and down partners disagree between dimensions {d - 1} and {d}")
+        # Kahn's algorithm, lower cells first, so the result is deterministic
+        order = [v for v in range(len(indeg)) if not indeg[v]]
+        for v in order:
+            if v < n0:
+                u = lo_up[v]
+                if u >= 0:
+                    u += n0
+                    indeg[u] -= 1
+                    if not indeg[u]:
+                        order.append(u)
+            else:
+                j = v - n0
+                m = hi_down[j]
+                for f in idx[ptr[j]:ptr[j + 1]]:
+                    if f != m:
+                        indeg[f] -= 1
+                        if not indeg[f]:
+                            order.append(f)
+        if len(order) != len(indeg):
+            raise AcyclicityError(_extract_cycle(cx, matching, d, indeg))
+        orders[d] = array("i", order)
+    return MatchingCertificate(orders, len(matching.up), _pairs_fingerprint(matching),
+                               matching.cells)
 
 
-def _extract_cycle(succ, indeg):
+def _extract_cycle(cx, matching, d, indeg):
     # every un-eliminated node keeps an un-eliminated predecessor, so walking
     # predecessors from any of them must close a cycle
-    remaining = {node for node, k in indeg.items() if k > 0}
+    ptr, idx, _ = cx.boundary[d]
+    lo_up, hi_down = matching.up[d - 1], matching.down[d]
+    n0 = len(cx.cells[d - 1])
+    remaining = [v for v in range(len(indeg)) if indeg[v] > 0]
     preds = defaultdict(list)
-    for u, vs in succ.items():
-        if u in remaining:
-            for v in vs:
-                if v in remaining:
-                    preds[v].append(u)
-    node = min(remaining)
+    for v in remaining:
+        if v < n0:
+            succ = [n0 + lo_up[v]] if lo_up[v] >= 0 else []
+        else:
+            j = v - n0
+            succ = [f for f in idx[ptr[j]:ptr[j + 1]] if f != hi_down[j]]
+        for w in succ:
+            if indeg[w] > 0:
+                preds[w].append(v)
+    node = remaining[0]
     seen = {}
     path = []
     while node not in seen:
@@ -374,4 +515,4 @@ def _extract_cycle(succ, indeg):
         node = preds[node][0]
     cycle = path[seen[node]:]
     cycle.reverse()
-    return cycle
+    return [cx.cells[d - 1][v] if v < n0 else cx.cells[d][v - n0] for v in cycle]

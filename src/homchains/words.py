@@ -297,8 +297,60 @@ def _pair_placements(descents):
     return out
 
 
+class Placements(NamedTuple):
+    """The pair placements of one descent set, grouped by dimension.
+
+    by_dim[d] lists the placements with d pairs in enumeration order, masks[d]
+    the same placements as bitmasks of their positions, and rank maps a mask
+    to its placement's index within its dimension.
+    """
+
+    descents: tuple
+    by_dim: tuple
+    masks: tuple
+    rank: dict
+
+
+def placements(descents):
+    """The Placements of a sorted tuple of descent positions."""
+    by_dim = []
+    for pairs in _pair_placements(descents):
+        if len(by_dim) == len(pairs):
+            by_dim.append([])
+        by_dim[len(pairs)].append(pairs)
+    masks = tuple(tuple(sum(1 << p for p in pairs) for pairs in ps) for ps in by_dim)
+    rank = {m: r for ms in masks for r, m in enumerate(ms)}
+    return Placements(descents, tuple(map(tuple, by_dim)), masks, rank)
+
+
+def word_placements(words):
+    """(word, start, Placements of its descents) for each word, in order.
+
+    start[d] counts the cells of dimension d of the words before this one,
+    which is where this word's d-cells begin in the sorted cells of Hom(spec)
+    when `words` are all the words of the spec in lexicographic order.
+    Words with the same descent set share one Placements.
+    """
+    memo = {}
+    count = []
+    for w in words:
+        des = tuple(p for p in range(1, len(w)) if w[p - 1] > w[p])
+        info = memo.get(des)
+        if info is None:
+            info = memo[des] = placements(des)
+        count.extend([0] * (len(info.by_dim) - len(count)))
+        yield w, tuple(count), info
+        for d, ps in enumerate(info.by_dim):
+            count[d] += len(ps)
+
+
 def enumerate_cellwords(spec, cap=DEFAULT_CAP):
-    """All cells of Hom(spec): every word with every non-overlapping descent pairing."""
+    """All cells of Hom(spec): every word with every non-overlapping descent pairing.
+
+    Words come in lexicographic order, and each word's pairings in
+    lexicographic order starting with none, so the cells of each dimension
+    come sorted.
+    """
     spec = as_spec(spec)
     total = 0
     for w in enumerate_words(spec, cap=cap):

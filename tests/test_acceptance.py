@@ -74,8 +74,8 @@ def test_criterion_01_hexagon():
     want_edges = {frozenset((want_vertices[i], want_vertices[(i + 1) % 6]))
                   for i in range(6)}
     got_edges = set()
-    for edge in cx.cells[1]:
-        ends = [vertex_chain(f.word) for f, _ in cx.boundary[edge]]
+    for j in range(len(cx.cells[1])):
+        ends = [vertex_chain(cx.cells[0][f].word) for f, _ in cx.faces(1, j)]
         got_edges.add(frozenset(ends))
     assert got_edges == want_edges
     h = art["homology"]
@@ -127,7 +127,7 @@ def test_criterion_04_bijection():
                 cw = hc.critical_cellword_from_word(w)
                 from_words.setdefault(cw.dim, set()).add(cw)
                 assert cw.dim == hc.critical_dimension(dec)
-        from_matching = {d: set(v) for d, v in matching.critical.items()}
+        from_matching = {d: set(v) for d, v in hc.critical_cells(matching).items()}
         assert from_words == from_matching, spec
     dt = time.perf_counter() - t0
     assert dt < 120.0
@@ -180,7 +180,7 @@ def test_criterion_07_rst_counts():
                              for o in itertools.combinations(range(1, r + 1), k)
                              for w in itertools.combinations(range(1, s + 1), k)
                              for h in itertools.combinations(range(1, t + 1), k)}
-                    assert cells == set(matching.critical.get(k, ()))
+                    assert cells == set(hc.critical_cells(matching).get(k, ()))
     worked = hc.parse_cellword("233(21)123(21)13")
     assert hc.fiber_trace((4, 4, 4), worked).outcome == "critical"
     assert rst_cell_from_selections(4, 4, 4, (1, 3), (2, 4), (2, 3)) == worked

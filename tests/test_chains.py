@@ -1,5 +1,7 @@
 """Incidence numbers, Smith normal form, homology, and Morse-complex incidences."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from homchains import (
     boundary_matrices,
     cellword_to_multihom,
     chain_product_complex,
+    critical_cells,
     homology,
     incidence,
     involution_partner,
@@ -233,9 +236,9 @@ def test_homology_values():
 
 def test_boundary_squared_check_trips_on_bad_signs():
     cx = chain_product_complex((2, 2))
-    cell = cx.cells[2][0]
-    faces = cx.boundary[cell]
-    cx.boundary[cell] = tuple((f, abs(s)) for f, s in faces)  # break orientation
+    ptr, _idx, sgn = cx.boundary[2]
+    for k in range(ptr[0], ptr[1]):
+        sgn[k] = abs(sgn[k])  # break the orientation of the first 2-cell
     with pytest.raises(ArithmeticError):
         boundary_matrices(cx)
 
@@ -250,8 +253,8 @@ def interval_matching():
     boundary["e01"] = (("v0", -1), ("v1", 1))
     boundary["e12"] = (("v1", -1), ("v2", 1))
     cx = CellComplex({0: verts, 1: edges}, boundary)
-    m = MorseMatching(spec=None, up={"v1": "e01"}, down={"e01": "v1"},
-                      critical={0: ("v0", "v2"), 1: ("e12",)}, n_cells=5)
+    m = MorseMatching.from_pairs(cx, {"v1": "e01"})
+    assert critical_cells(m) == {0: ("v0", "v2"), 1: ("e12",)}
     return cx, m
 
 
@@ -281,9 +284,8 @@ def hexagon_fence_matching():
     pc = parse_cellword
     up = {pc("213"): pc("(21)3"), pc("231"): pc("2(31)"), pc("321"): pc("(32)1"),
           pc("312"): pc("3(21)"), pc("132"): pc("(31)2")}
-    down = {b: a for a, b in up.items()}
-    m = MorseMatching(spec=None, up=up, down=down,
-                      critical={0: (pc("123"),), 1: (pc("1(32)"),)}, n_cells=12)
+    m = MorseMatching.from_pairs(cx, up)
+    assert critical_cells(m) == {0: (pc("123"),), 1: (pc("1(32)"),)}
     return cx, m
 
 
@@ -348,3 +350,33 @@ def test_paper_alternating_path_involution():
 def test_sparse_matrix_coordinate_export():
     m = SparseIntMatrix.from_dense([[0, 2], [-1, 0]])
     assert m.coordinate_lines() == "2 2\n0 1 2\n1 0 -1"
+
+
+def _recursion_depth():
+    """The recursion depth in use by the caller, as the interpreter counts it
+    (which may include C calls as well as Python frames)."""
+    def probe(n):
+        try:
+            return probe(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - probe(0)
+
+
+def test_morse_complex_census_needs_no_recursion():
+    # alternating paths on B_7 run to 17 matched steps; the walk keeps its own stack
+    spec = (1,) * 7
+    cx = chain_product_complex(spec)
+    m = match_product_of_chains(spec, cells=cx.cells)
+    cert = validate_acyclic(m, cx)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 10)
+    try:
+        icc, censuses = morse_complex(cx, m, cert, with_census=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert icc.f_vector() == (1, 351, 350, 0)
+    assert all(mat.is_zero() for mat in icc.mats.values())
+    assert max(c.paths[k].t for c in censuses.values() for k in range(c.count)) == 17
+    assert all(c.pairing is not None and c.total == 0 for c in censuses.values())

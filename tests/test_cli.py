@@ -44,6 +44,25 @@ def test_build_poset_file(tmp_path, capsys):
     assert json.loads(out)["f_vector"] == [6, 6, 1]
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("report-11111.json", ("report", "--spec", "1,1,1,1,1")),
+    ("match-222-pairs-critical.json",
+     ("match", "--spec", "2,2,2", "--emit-pairs", "--emit-critical", "--format", "json")),
+    ("verify-222-all.txt", ("verify", "--spec", "2,2,2", "--suite", "all")),
+    ("verify-222-all.json", ("verify", "--spec", "2,2,2", "--suite", "all", "--format", "json")),
+    ("build-zigzag5.json",
+     ("build", "--poset", str(Path(__file__).parent / "data" / "zigzag5.poset"),
+      "--format", "json")),
+])
+def test_output_matches_golden_file(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
+
+
 def test_build_zigzag5_data_file(capsys):
     # J(Z_5) is not a product of chains, so build takes the generic Hom path
     path = Path(__file__).parent / "data" / "zigzag5.poset"

@@ -30,8 +30,20 @@ from homchains import (
     signed_faces,
     verify_fold_consequence,
 )
-from homchains.complexes import _assert_cubical
+from homchains import complexes
+from homchains.complexes import _assert_cubical, _strict_maps
 from homchains.euler import f_vector_bn
+
+
+def key_faces(cx, d, j):
+    """The signed faces of the j-th d-cell as cell keys."""
+    return tuple((cx.cells[d - 1][f], sign) for f, sign in cx.faces(d, j))
+
+
+def zigzag_ideal_lattice(n):
+    """J(Z_n) for the zigzag 0 < 1 > 2 < 3 > ... on n elements."""
+    covers = [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)]
+    return ideal_lattice(FinitePoset(n, covers))
 
 
 def test_hexagon_generic():
@@ -187,10 +199,24 @@ M3 = GradedPoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], rank=[0, 1
     # an ungraded target: (0,0) < (0,2) < (1,2) is a maximal chain beside one of 4 elements
     (chain(2), delete_element(product_of_chains((1, 2)), 1)[0]),
 ], ids=["C2-M3", "square-C3", "C2-ungraded"])
-def test_generic_matches_definition(A, B):
+def test_generic_matches_definition(A, B, monkeypatch):
     cx = hom_complex_generic(A, B)
     assert _cell_set(cx) == _brute_force_hom(A, B)
     assert all(sum(len(c) - 1 for c in X) == d for d, cs in cx.cells.items() for X in cs)
+    # every partial map the search visits extends to a full map on a graded
+    # target: no visited node finds its mask of allowed values empty
+    masks = []
+    real_bits = complexes._bits
+
+    def recording_bits(mask):
+        masks.append(mask)
+        return real_bits(mask)
+
+    monkeypatch.setattr(complexes, "_bits", recording_bits)
+    maps = _strict_maps(A, B, cap=10**6)
+    assert sorted(maps) == sorted(tuple(c[0] for c in X) for X in cx.cells[0])
+    if isinstance(B, GradedPoset):
+        assert masks and all(masks)
 
 
 @pytest.mark.parametrize("spec", [(1, 1), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2),
@@ -209,10 +235,10 @@ def test_cellword_model_is_the_generic_hom(spec):
         return cellword_to_multihom(cw, spec)
 
     wx = chain_product_complex(spec)
-    generic = {lift(X): {lift(f): sign for f, sign in gx.boundary[X]}
-               for cs in gx.cells.values() for X in cs}
-    model = {mh(cw): {mh(f): sign for f, sign in wx.boundary[cw]}
-             for cs in wx.cells.values() for cw in cs}
+    generic = {lift(X): {lift(f): sign for f, sign in key_faces(gx, d, j)}
+               for d, cs in gx.cells.items() for j, X in enumerate(cs)}
+    model = {mh(cw): {mh(f): sign for f, sign in key_faces(wx, d, j)}
+             for d, cs in wx.cells.items() for j, cw in enumerate(cs)}
     assert len(model) == wx.n_cells()
     assert model == generic
     assert all(is_cubical(X) for X in model)
@@ -248,13 +274,16 @@ def test_f_vector_matches_formula():
 
 
 def test_closure_under_faces():
-    cx = chain_product_complex((2, 2))
-    for d in range(1, cx.dim + 1):
-        for cell in cx.cells[d]:
-            for face, _ in cx.boundary[cell]:
-                assert face in set(cx.cells[d - 1])
-                for face2, _ in cx.boundary.get(face, ()):
-                    assert face2 in set(cx.cells[d - 2])
+    for spec in [(2, 2), (1, 1, 1, 1, 1), (1, 2, 3)]:
+        cx = chain_product_complex(spec)
+        for d in range(1, cx.dim + 1):
+            assert cx.cells[d] == tuple(sorted(cx.cells[d]))
+            for j, cell in enumerate(cx.cells[d]):
+                assert key_faces(cx, d, j) == signed_faces(cell)
+                for face, _ in cx.faces(d, j):
+                    assert 0 <= face < len(cx.cells[d - 1])
+                    for face2, _ in cx.faces(d - 1, face):
+                        assert 0 <= face2 < len(cx.cells[d - 2])
 
 
 def test_complex_cap():
@@ -271,14 +300,6 @@ def test_strict_maps_fail_fast_at_the_cap():
     # B_8 has 8! = 40,320 maximal chains; the search stops at the 1,001st
     with pytest.raises(CapExceeded, match="more than 1000 homomorphisms"):
         hom_complex_generic(chain(8), ideal_lattice(antichain(8)), cap=1000)
-
-
-def test_json_export_shape():
-    cx = chain_product_complex((1, 1))
-    d = cx.to_json_dict()
-    assert d["dims"] == [0, 1]
-    assert d["cells"]["0"] == ["12", "21"]
-    assert d["faces"]["(21)"] == [["12", -1], ["21", 1]]
 
 
 def test_fold_consequence_grid():
@@ -302,3 +323,41 @@ def test_fold_consequence_diamond():
 def test_fold_consequence_requires_fold():
     with pytest.raises(ValueError):
         verify_fold_consequence(chain(2), chain(2), 1)
+
+
+def test_generic_signs_each_candidate_once(monkeypatch):
+    # on J(Z_7) every candidate cell is accepted, so one signing per cell of dimension >= 1
+    calls = []
+    real = complexes._generic_signed_faces
+
+    def counting(X):
+        calls.append(X)
+        return real(X)
+
+    monkeypatch.setattr(complexes, "_generic_signed_faces", counting)
+    cx = maximal_chain_complex(zigzag_ideal_lattice(7))
+    assert cx.f_vector() == (272, 680, 490, 85)
+    assert len(calls) == len(set(calls)) == 680 + 490 + 85
+
+
+def test_strict_maps_prune_by_height(monkeypatch):
+    # Hom(C_9, J(Z_9)) has 7,936 vertices; the search visits only prefixes of them
+    L = zigzag_ideal_lattice(9)
+    masks = []
+    real_bits = complexes._bits
+
+    def recording_bits(mask):
+        masks.append(mask)
+        return real_bits(mask)
+
+    monkeypatch.setattr(complexes, "_bits", recording_bits)
+    maps = _strict_maps(chain(L.top_rank), L, cap=10**6)
+    assert len(maps) == len(set(maps)) == 7936
+    assert all(L.rank[f[k]] == k for f in maps for k in range(len(f)))
+    assert all(masks)
+    assert len(masks) == len({f[:k] for f in maps for k in range(len(f))})
+
+
+def test_key_level_constructor_checks_faces():
+    with pytest.raises(ValueError, match="missing from the complex"):
+        complexes.CellComplex({0: ("a",), 1: ("e",)}, {"e": (("a", 1), ("b", -1))})

@@ -1,5 +1,8 @@
 """The matching algorithm, fiber traces, acyclicity validation."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from homchains import (
@@ -23,6 +26,16 @@ from homchains import (
 from homchains.morse import MorseMatching, SpecMatchContext
 
 
+def key_partners(m):
+    """The up and down partners of a matching as dicts of cell keys."""
+    cells = m.cells
+    up = {cells[d][i]: cells[d + 1][u]
+          for d, mates in m.up.by_dim.items() for i, u in enumerate(mates) if u >= 0}
+    down = {cells[d][j]: cells[d - 1][a]
+            for d, mates in m.down.by_dim.items() for j, a in enumerate(mates) if a >= 0}
+    return up, down
+
+
 def test_loop_schedule():
     assert loop_schedule((2, 2, 2, 2)) == tuple(
         (r, s) for r in (4, 3, 2, 1) for s in (2, 1))
@@ -43,8 +56,9 @@ def test_paper_worked_pairing_in_matching():
     m = match_product_of_chains((2, 2, 2, 2))
     upper = parse_cellword("(21)1(32)344")
     lower = parse_cellword("(21)132344")
-    assert m.down[upper] == lower
-    assert m.up[lower] == upper
+    up, down = key_partners(m)
+    assert down[upper] == lower
+    assert up[lower] == upper
 
 
 def test_trace_of_sorted_word_is_critical():
@@ -61,9 +75,9 @@ def test_trace_of_paper_critical_cell():
 
 def test_critical_cells_s3():
     m = match_product_of_chains((1, 1, 1))
-    crit = {render_cellword(c) for v in m.critical.values() for c in v}
+    crit = {render_cellword(c) for v in critical_cells(m).values() for c in v}
     assert crit == {"123", "3(21)"}
-    assert {w for w in (c.word for v in m.critical.values() for c in v)} == {
+    assert {w for w in (c.word for v in critical_cells(m).values() for c in v)} == {
         (1, 2, 3), (3, 2, 1)}
 
 
@@ -87,11 +101,12 @@ def test_critical_counts_112():
 def test_matched_plus_critical_partitions():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2), (2, 2, 2)]:
         m = match_product_of_chains(spec)
+        up, down = key_partners(m)
         ncrit = sum(len(v) for v in m.critical.values())
-        assert len(m.up) == len(m.down)
+        assert len(m.up) == len(m.down) == len(up) == len(down)
         assert 2 * len(m.up) + ncrit == m.n_cells
-        for a, b in m.up.items():
-            assert m.down[b] == a
+        for a, b in up.items():
+            assert down[b] == a
             assert b.dim == a.dim + 1
             assert b.word == a.word
 
@@ -104,7 +119,7 @@ def test_pairs_respect_fibers():
     for spec in [(1, 1, 1), (1, 1, 2), (2, 2, 2)]:
         m = match_product_of_chains(spec)
         i = as_spec(spec).i
-        for a, b in m.up.items():
+        for a, b in key_partners(m)[0].items():
             ra, rb = [], []
             _run_cell(a.word, a.pairs, i, record=ra)
             _run_cell(b.word, b.pairs, i, record=rb)
@@ -116,14 +131,19 @@ def test_matching_on_given_cells_equals_enumeration():
     for spec in [(1, 1, 2), (2, 2, 2)]:
         cx = chain_product_complex(spec)
         m1 = match_product_of_chains(spec)
-        m2 = match_product_of_chains(spec, cells=(c for cs in cx.cells.values() for c in cs))
-        assert (m1.up, m1.down, m1.critical, m1.n_cells) == (m2.up, m2.down, m2.critical,
-                                                            m2.n_cells)
+        m2 = match_product_of_chains(spec, cells=cx.cells)
+        assert m2.cells is cx.cells
+        assert (m1.cells, m1.up.by_dim, m1.down.by_dim, m1.critical, m1.n_cells) == (
+            m2.cells, m2.up.by_dim, m2.down.by_dim, m2.critical, m2.n_cells)
 
 
 def test_critical_cells_op():
     m = match_product_of_chains((1, 1, 2))
-    assert critical_cells(m) == {0: m.critical[0], 1: m.critical[1]}
+    crit = critical_cells(m)
+    assert {d: len(v) for d, v in crit.items()} == m.critical_count() == {0: 1, 1: 2}
+    for d, v in crit.items():
+        assert v == tuple(m.cells[d][i] for i in m.critical[d])
+        assert m.critical[d] == tuple(sorted(m.critical[d]))
 
 
 def test_bijection_small():
@@ -131,7 +151,7 @@ def test_bijection_small():
         m = match_product_of_chains(spec)
         from_words = {critical_cellword_from_word(w) for w in enumerate_words(spec)
                       if decompose_descents(w).valid}
-        from_match = {c for v in m.critical.values() for c in v}
+        from_match = {c for v in critical_cells(m).values() for c in v}
         assert from_words == from_match
 
 
@@ -143,9 +163,9 @@ def test_validate_acyclic_and_spec_context():
     assert cert.n_pairs == len(m.up)
     assert set(cert.orders) == {1, 2}
     ctx = SpecMatchContext(spec)
-    for a, b in m.up.items():
+    for a, b in key_partners(m)[0].items():
         assert ctx.up(a) == b and ctx.down(b) == a
-    for v in m.critical.values():
+    for v in critical_cells(m).values():
         for c in v:
             assert ctx.up(c) is None and ctx.down(c) is None
 
@@ -155,20 +175,25 @@ def test_certificate_orders_are_topological():
         cx = chain_product_complex(spec)
         m = match_product_of_chains(spec)
         cert = validate_acyclic(m, cx)
+        up = key_partners(m)[0]
+        assert set(cert.orders) == set(range(1, cx.dim + 1))
         for d, order in cert.orders.items():
-            pos = {cell: k for k, cell in enumerate(order)}
-            assert len(pos) == len(cx.cells[d - 1]) + len(cx.cells[d])
-            for upper in cx.cells[d]:
-                for f, _ in cx.boundary[upper]:
-                    if m.up.get(f) == upper:
-                        assert pos[f] < pos[upper]
+            # node i is the (d-1)-cell i, node n0 + j the d-cell j
+            n0 = len(cx.cells[d - 1])
+            assert sorted(order) == list(range(n0 + len(cx.cells[d])))
+            pos = {node: k for k, node in enumerate(order)}
+            for j, upper in enumerate(cx.cells[d]):
+                for f, _ in cx.faces(d, j):
+                    if up.get(cx.cells[d - 1][f]) == upper:
+                        assert pos[f] < pos[n0 + j]
                     else:
-                        assert pos[upper] < pos[f]
+                        assert pos[n0 + j] < pos[f]
 
 
 def test_validate_acyclic_empty_matching():
     cx = chain_product_complex((1, 1, 1))
-    empty = MorseMatching(spec=None, up={}, down={}, critical={}, n_cells=cx.n_cells())
+    empty = MorseMatching.from_pairs(cx, {})
+    assert critical_cells(empty) == cx.cells
     cert = validate_acyclic(empty, cx)
     assert cert.n_pairs == 0
 
@@ -187,8 +212,8 @@ def square_complex():
 def test_cyclic_matching_rejected():
     cx = square_complex()
     up = {"v0": "e01", "v1": "e12", "v2": "e23", "v3": "e30"}
-    down = {b: a for a, b in up.items()}
-    m = MorseMatching(spec=None, up=up, down=down, critical={}, n_cells=8)
+    m = MorseMatching.from_pairs(cx, up)
+    assert m.critical == {}
     with pytest.raises(AcyclicityError) as err:
         validate_acyclic(m, cx)
     assert len(err.value.cycle) >= 4
@@ -197,9 +222,8 @@ def test_cyclic_matching_rejected():
 def test_acyclic_matching_on_square_accepted():
     cx = square_complex()
     up = {"v1": "e01", "v2": "e12", "v3": "e23"}
-    down = {b: a for a, b in up.items()}
-    m = MorseMatching(spec=None, up=up, down=down,
-                      critical={0: ("v0",), 1: ("e30",)}, n_cells=8)
+    m = MorseMatching.from_pairs(cx, up)
+    assert critical_cells(m) == {0: ("v0",), 1: ("e30",)}
     cert = validate_acyclic(m, cx)
     assert cert.n_pairs == 3
 
@@ -207,8 +231,8 @@ def test_acyclic_matching_on_square_accepted():
 def test_matching_must_lie_in_face_relation():
     cx = square_complex()
     up = {"v2": "e01"}
-    m = MorseMatching(spec=None, up=up, down={"e01": "v2"}, critical={}, n_cells=8)
-    with pytest.raises(ValueError):
+    m = MorseMatching.from_pairs(cx, up)
+    with pytest.raises(ValueError, match="not a cover"):
         validate_acyclic(m, cx)
 
 
@@ -231,14 +255,18 @@ def test_certificate_rejects_swapped_pair():
     m = match_product_of_chains(spec)
     cert = validate_acyclic(m, cx)
     cert.check_matches(m)
+    up, down = key_partners(m)
     upper = parse_cellword("(21)3")
-    old, new = m.down[upper], parse_cellword("123")
-    assert new in m.critical[0] and new in dict(cx.boundary[upper])
-    up = {a: b for a, b in m.up.items() if a != old}
+    old, new = down[upper], parse_cellword("123")
+    assert new in critical_cells(m)[0]
+    assert new in {cx.cells[0][f] for f, _ in cx.faces(*cx.locate(upper))}
+    up = {a: b for a, b in up.items() if a != old}
     up[new] = upper
-    swapped = MorseMatching(spec=m.spec, up=up, down={b: a for a, b in up.items()},
-                            critical={0: (old,), 1: m.critical[1]}, n_cells=m.n_cells)
+    swapped = MorseMatching.from_pairs(cx, up)
+    assert swapped.spec == m.spec
+    assert critical_cells(swapped) == {0: (old,), 1: critical_cells(m)[1]}
     assert len(swapped.up) == cert.n_pairs
+    validate_acyclic(swapped, cx)
     with pytest.raises(ValueError, match="certificate"):
         cert.check_matches(swapped)
     with pytest.raises(ValueError, match="certificate"):
@@ -250,12 +278,46 @@ def test_certificate_requires_partition():
     cx = chain_product_complex(spec)
     m = match_product_of_chains(spec)
     cert = validate_acyclic(m, cx)
-    lower = next(iter(m.up))
-    overlapping = MorseMatching(spec=m.spec, up=m.up, down=m.down,
-                                critical={**m.critical, 0: m.critical[0] + (lower,)},
-                                n_cells=m.n_cells + 1)
-    short = MorseMatching(spec=m.spec, up=m.up, down=m.down,
-                          critical=m.critical, n_cells=m.n_cells + 1)
+    lower = next(i for i, u in enumerate(m.up[0]) if u >= 0)
+    overlapping = dataclasses.replace(m, critical={**m.critical, 0: m.critical[0] + (lower,)},
+                                      n_cells=m.n_cells + 1)
+    short = dataclasses.replace(m, n_cells=m.n_cells + 1)
     for bad in (overlapping, short):
         with pytest.raises(ValueError, match="partition"):
             cert.check_matches(bad)
+
+
+def test_matching_of_another_complex_is_rejected():
+    # indices of Hom(1,1,1,1) read against Hom(2,2) would name the wrong cells
+    m = match_product_of_chains((1, 1, 1, 1))
+    cx = chain_product_complex((1, 1, 1, 1))
+    other = chain_product_complex((2, 2))
+    with pytest.raises(ValueError, match="another cell basis"):
+        validate_acyclic(m, other)
+    cert = validate_acyclic(m, cx)
+    m22 = match_product_of_chains((2, 2), cells=other.cells)
+    with pytest.raises(ValueError, match="another cell basis"):
+        cert.check_matches(m22)
+    with pytest.raises(ValueError, match="another cell basis"):
+        morse_complex(other, m, cert)
+
+
+def test_matching_rejects_cells_of_another_spec():
+    with pytest.raises(ValueError, match="content does not match"):
+        match_product_of_chains((1, 1, 1), cells=chain_product_complex((1, 2)).cells)
+
+
+def test_complex_and_matching_memory_per_cell():
+    # net bytes per cell of the complex and its matching on B_6 (3,690 cells)
+    spec = (1,) * 6
+    chain_product_complex(spec)  # warm caches of the interpreter
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = chain_product_complex(spec)
+        m = match_product_of_chains(spec, cells=cx.cells)
+        net = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert m.n_cells == cx.n_cells() == 3690
+    assert net / cx.n_cells() < 400
