@@ -6,9 +6,10 @@ tuples of sorted tuples.  For a product of chains the complex is cubical and
 cells are keyed by parenthesized multiset permutations (CellWord).
 
 A CellComplex indexes each cell by its position in the tuple cells[d]
-(sorted, for the complexes built here), and stores the boundary of the d-cells as a FaceTable: face
-indices into cells[d - 1] and signs in compressed sparse rows.  The keys are
-kept only to name cells: rendering, digests and per-cell traces.
+(sorted, for the complexes built here), and stores the boundary of the
+d-cells as a FaceTable: face indices into cells[d - 1] and signs in
+compressed sparse rows.  The keys are kept only to name cells: rendering,
+digests and per-cell traces.
 """
 
 from __future__ import annotations
@@ -52,21 +53,9 @@ class CellComplex:
 
     def __init__(self, cells, boundary, spec=None):
         cells = {d: tuple(cells[d]) for d in sorted(cells)}
-        faces = {}
-        for d in cells:
-            if d == 0:
-                continue
-            index = {cell: i for i, cell in enumerate(cells[d - 1])}
-            ptr, idx, sgn = array("i", [0]), array("i"), array("b")
-            for cell in cells[d]:
-                for face, sign in boundary[cell]:
-                    i = index.get(face)
-                    if i is None:
-                        raise ValueError(f"face {face!r} missing from the complex")
-                    idx.append(i)
-                    sgn.append(sign)
-                ptr.append(len(idx))
-            faces[d] = FaceTable(ptr, idx, sgn)
+        faces = {d: _face_table(cells[d], boundary,
+                                {cell: i for i, cell in enumerate(cells[d - 1])})
+                 for d in cells if d}
         self._set(cells, faces, spec)
 
     @classmethod
@@ -111,6 +100,21 @@ class CellComplex:
 
     def __repr__(self):
         return f"CellComplex(f={self.f_vector()})"
+
+
+def _face_table(cells, boundary, lower):
+    """The FaceTable of `cells` from their ((face, sign), ...) in `boundary`;
+    `lower` maps each face key to its index."""
+    ptr, idx, sgn = array("i", [0]), array("i"), array("b")
+    for cell in cells:
+        for face, sign in boundary[cell]:
+            i = lower.get(face)
+            if i is None:
+                raise ValueError(f"face {face!r} missing from the complex")
+            idx.append(i)
+            sgn.append(sign)
+        ptr.append(len(idx))
+    return FaceTable(ptr, idx, sgn)
 
 
 # -- the cubical model for products of chains -------------------------------
@@ -320,13 +324,7 @@ def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
         d += 1
         total += len(level)
         cells[d] = tuple(level)
-        ptr, idx, sgn = array("i", [0]), array("i"), array("b")
-        for X in level:
-            for f, sign in found[X]:
-                idx.append(prev[f])
-                sgn.append(sign)
-            ptr.append(len(idx))
-        faces[d] = FaceTable(ptr, idx, sgn)
+        faces[d] = _face_table(level, found, prev)
     return CellComplex.from_faces(cells, faces)
 
 
