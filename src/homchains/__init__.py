@@ -66,8 +66,8 @@ from .chains import (
     IntegerChainComplex,
     SparseIntMatrix,
     boundary_matrices,
+    check_faces_squared,
     homology,
-    incidence,
     involution_partner,
     morse_complex,
     morse_incidence,

@@ -1,5 +1,6 @@
-"""Integer cellular chain complexes: incidence numbers, boundary matrices,
-Smith-normal-form homology, and Morse-complex incidences via alternating paths.
+"""Integer cellular chain complexes: the d o d = 0 check on face tables,
+boundary matrices, Smith-normal-form homology, and Morse-complex incidences
+via alternating paths.
 
 Cell-word faces and their signs come from words.signed_faces.  Boundary
 matrices and the Morse complex work on cell indices: a complex's face tables
@@ -18,39 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .words import CellWord, release
-
-
-# -- incidence numbers ----------------------------------------------------
-
-
-def _atom_key(a):
-    # ideals (tuples) sort by size then lexicographically; plain ids by value
-    if isinstance(a, tuple):
-        return (len(a), a)
-    return a
-
-
-def incidence(tau, eta):
-    """Signed incidence [tau:eta] between multihoms; 0 unless tau is a facet of eta.
-
-    tau must equal eta except at one coordinate t, where one element was
-    deleted; the sign is (-1)^(t + idx + sum of |eta(j)| over j < t) with
-    coordinates 0-based and idx the deleted element's position within eta(t).
-    """
-    if len(tau) != len(eta):
-        raise ValueError("multihoms of different lengths")
-    diff = [k for k in range(len(eta)) if tuple(tau[k]) != tuple(eta[k])]
-    if len(diff) != 1:
-        return 0
-    t = diff[0]
-    big, small = tuple(eta[t]), tuple(tau[t])
-    if len(big) != len(small) + 1 or not set(small) <= set(big):
-        return 0
-    removed = (set(big) - set(small)).pop()
-    order = sorted(big, key=_atom_key)
-    idx = order.index(removed)
-    before = sum(len(eta[j]) for j in range(t))
-    return -1 if (t + idx + before) % 2 else 1
 
 
 # -- sparse integer matrices ----------------------------------------------
@@ -79,12 +47,6 @@ class SparseIntMatrix:
                 if v:
                     entries[(r, c)] = int(v)
         return cls(nrows, ncols, entries)
-
-    def to_dense(self):
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     @property
     def nnz(self):
@@ -118,13 +80,6 @@ class SparseIntMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return dict(rows)
-
-    def coordinate_lines(self):
-        """Text export: `nrows ncols` then `row col value` per nonzero."""
-        lines = [f"{self.nrows} {self.ncols}"]
-        for (r, c) in sorted(self.entries):
-            lines.append(f"{r} {c} {self.entries[(r, c)]}")
-        return "\n".join(lines)
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -302,14 +257,52 @@ class IntegerChainComplex:
         return tuple(len(self.bases[d]) for d in range(self.dim + 1))
 
     def check_boundary_squared(self):
+        """d o d = 0 by multiplying the matrices: for Morse complexes and
+        hand-built matrices (cell complexes use check_faces_squared)."""
         for d in range(2, self.dim + 1):
             if d in self.mats and (d - 1) in self.mats:
                 if not self.mats[d - 1].mul(self.mats[d]).is_zero():
                     raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
 
 
+def check_faces_squared(cx):
+    """Verify on the face tables of a cell complex that every incidence is
+    +1 or -1, that no cell lists a face twice and that d o d = 0; raises
+    ArithmeticError otherwise.
+
+    A face g of (d-1)-cell f with incidence t is written (g + 1) * t.  Cell
+    by cell, the faces f of a d-cell with incidence s contribute
+    s * (g + 1) * t, and d o d vanishes on it when these contributions
+    cancel: their sorted list is its own negated reverse.
+    """
+    for d in sorted(cx.boundary):
+        ptr, idx, sgn = cx.boundary[d]
+        if not set(sgn) <= {1, -1}:
+            raise ArithmeticError(f"incidence other than +1 or -1 at dimension {d}")
+        signed = None
+        if d >= 2:
+            lptr, lidx, lsgn = cx.boundary[d - 1]
+            signed = {1: array("i", ((g + 1) * t for g, t in zip(lidx, lsgn)))}
+            signed[-1] = array("i", (-v for v in signed[1]))
+        for j in range(len(ptr) - 1):
+            lo, hi = ptr[j], ptr[j + 1]
+            row = idx[lo:hi]
+            if len(set(row)) != hi - lo:
+                raise ArithmeticError(f"repeated facet in boundary at dimension {d}")
+            if signed is None:
+                continue
+            terms = array("i")
+            for f, s in zip(row, sgn[lo:hi]):
+                terms += signed[s][lptr[f]:lptr[f + 1]]
+            terms = sorted(terms)
+            if terms != [-v for v in reversed(terms)]:
+                raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
+
+
 def boundary_matrices(cx):
-    """Assemble the integer boundary matrices of a cell complex and verify d o d = 0."""
+    """Assemble the integer boundary matrices of a cell complex, after
+    check_faces_squared has verified d o d = 0 on its face tables."""
+    check_faces_squared(cx)
     bases = dict(cx.cells)
     mats = {}
     for d in sorted(bases):
@@ -318,13 +311,9 @@ def boundary_matrices(cx):
         ptr, idx, sgn = cx.boundary[d]
         cols = itertools.chain.from_iterable(itertools.repeat(j, ptr[j + 1] - ptr[j])
                                              for j in range(len(bases[d])))
-        entries = dict(zip(zip(idx, cols), sgn))
-        if len(entries) != len(idx):
-            raise ArithmeticError("repeated facet in boundary")
-        mats[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]), entries)
-    icc = IntegerChainComplex(bases, mats)
-    icc.check_boundary_squared()
-    return icc
+        mats[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]),
+                                  zip(zip(idx, cols), sgn))
+    return IntegerChainComplex(bases, mats)
 
 
 @dataclass(frozen=True)
@@ -348,7 +337,14 @@ class HomologyReport:
 
 
 def homology(obj):
-    """Integer homology via Smith normal form of the boundary matrices."""
+    """Integer homology via Smith normal form of the boundary matrices.
+
+    `obj` is an IntegerChainComplex, or a cell complex whose boundary
+    matrices are assembled first.  The command line passes only Morse
+    complexes of certified matchings, which are small; SNF on a whole cell
+    complex is left to the independent cross-checks, verify_fold_consequence
+    and the tests.
+    """
     icc = obj if isinstance(obj, IntegerChainComplex) else boundary_matrices(obj)
     top = icc.dim
     ranks = {}

@@ -1,5 +1,11 @@
 """Command-line frontend: build complexes, run the matching, verify, report.
 
+`report` and the `torsion-free` and `euler` suites of `verify` take homology
+from the Morse complex of the certified matching, after checking d o d = 0 on
+the full complex's face tables; no command runs Smith normal form on the full
+complex.  That stays the independent cross-check of the tests and of
+complexes.verify_fold_consequence.
+
 Exit codes: 0 pass, 1 verification failure or failed internal check,
 2 usage or cap error.
 """
@@ -11,6 +17,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import chains, complexes, euler, morse, posets, words
 
@@ -130,18 +137,36 @@ def cmd_match(args):
     return 0
 
 
-def _complex_and_matching(cfg):
-    """The complex of the chain spec, and the matching run on its cells."""
-    cx = complexes.chain_product_complex(cfg.spec, cap=cfg.max_cells)
-    return cx, morse.match_product_of_chains(cfg.spec, cells=cx.cells)
+class _Run:
+    """The complex of a chain spec and the matching run on its cells, with the
+    acyclicity certificate, Morse complex and homology each built at most once."""
+
+    def __init__(self, cfg):
+        self.cx = complexes.chain_product_complex(cfg.spec, cap=cfg.max_cells)
+        self.matching = morse.match_product_of_chains(cfg.spec, cells=self.cx.cells)
+
+    @cached_property
+    def cert(self):
+        return morse.validate_acyclic(self.matching, self.cx)
+
+    @cached_property
+    def morse_complex(self):
+        return chains.morse_complex(self.cx, self.matching, self.cert)[0]
+
+    @cached_property
+    def homology(self):
+        """Homology of the complex, from its Morse complex, once d o d = 0 is
+        checked on the complex itself."""
+        chains.check_faces_squared(self.cx)
+        return chains.homology(self.morse_complex)
 
 
 def _suite_results(cfg, names):
     """Run verification suites for a chain spec; yields (name, ok, detail)."""
     spec = cfg.spec
-    cx, matching = _complex_and_matching(cfg)
+    run = _Run(cfg)
+    cx, matching = run.cx, run.matching
     results = []
-    cert = hreport = None
     for name in names:
         if name == "cubicality":
             ok = all(complexes.is_cubical(complexes.cellword_to_multihom(cw, spec))
@@ -149,7 +174,7 @@ def _suite_results(cfg, names):
             results.append((name, ok, f"{cx.n_cells()} cells checked"))
         elif name == "acyclicity":
             try:
-                cert = cert or morse.validate_acyclic(matching, cx)
+                run.cert  # raises AcyclicityError on an alternating cycle
                 results.append((name, True, f"{len(matching.up)} pairs"))
             except morse.AcyclicityError as exc:
                 results.append((name, False, str(exc)))
@@ -162,17 +187,14 @@ def _suite_results(cfg, names):
             results.append((name, from_words == from_matching,
                             f"{len(from_matching)} critical cells"))
         elif name == "zero-incidence":
-            cert = cert or morse.validate_acyclic(matching, cx)
-            icc, _ = chains.morse_complex(cx, matching, cert)
-            ok = all(m.is_zero() for m in icc.mats.values())
+            ok = all(m.is_zero() for m in run.morse_complex.mats.values())
             results.append((name, ok, "all Morse boundaries zero" if ok else "nonzero entry"))
         elif name == "torsion-free":
-            hreport = hreport or chains.homology(cx)
+            hreport = run.homology
             results.append((name, hreport.torsion_free, f"betti {hreport.betti}"))
         elif name == "euler":
-            hreport = hreport or chains.homology(cx)
             chi = cx.euler_characteristic()
-            ok = chi == hreport.euler
+            ok = chi == run.homology.euler
             detail = f"chi = {chi}"
             if all(v == 1 for v in spec.i):
                 ok = ok and chi == euler.euler_formula(spec.n)
@@ -205,9 +227,8 @@ def cmd_report(args):
     if cfg.spec is None:
         raise ValueError("report requires --spec")
     spec = cfg.spec
-    cx, matching = _complex_and_matching(cfg)
-    cert = morse.validate_acyclic(matching, cx)
-    hreport = chains.homology(cx)
+    run = _Run(cfg)
+    cx, matching, cert, hreport = run.cx, run.matching, run.cert, run.homology
     payload = {
         "schema": SCHEMA,
         "spec": list(spec.i),

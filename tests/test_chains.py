@@ -1,4 +1,5 @@
-"""Incidence numbers, Smith normal form, homology, and Morse-complex incidences."""
+"""Incidence numbers, the d o d check, Smith normal form, homology, and
+Morse-complex incidences."""
 
 import sys
 
@@ -13,9 +14,9 @@ from homchains import (
     boundary_matrices,
     cellword_to_multihom,
     chain_product_complex,
+    check_faces_squared,
     critical_cells,
     homology,
-    incidence,
     involution_partner,
     match_product_of_chains,
     morse_complex,
@@ -27,6 +28,7 @@ from homchains import (
     validate_acyclic,
 )
 from homchains.chains import _dense_snf, path_weight
+from homchains.complexes import _generic_signed_faces
 from homchains.morse import MorseMatching, SpecMatchContext
 
 
@@ -53,20 +55,25 @@ def test_pair_incidence_opposite_signs():
         assert s_alpha == -s_beta
 
 
+def generic_signs(eta):
+    """The facets of a multihom and their signs under the generic Hom's rule."""
+    return dict(_generic_signed_faces(eta))
+
+
 def test_incidence_worked_example():
     spec = (1,) * 7
     eta = cellword_to_multihom(parse_cellword("(64)5(32)(71)"), spec)
     tau_beta = cellword_to_multihom(parse_cellword("(64)532(71)"), spec)
     tau_alpha = cellword_to_multihom(parse_cellword("(64)523(71)"), spec)
-    assert incidence(tau_beta, eta) == -1
-    assert incidence(tau_alpha, eta) == 1
+    assert generic_signs(eta)[tau_beta] == -1
+    assert generic_signs(eta)[tau_alpha] == 1
 
 
 def test_incidence_non_facet_is_zero():
     spec = (1, 1, 1)
     a = cellword_to_multihom(parse_cellword("123"), spec)
     b = cellword_to_multihom(parse_cellword("213"), spec)
-    assert incidence(a, b) == 0
+    assert generic_signs(b).get(a, 0) == 0
 
 
 @pytest.mark.parametrize("spec", [(1, 1, 1), (2, 2), (1, 1, 2), (1, 1, 1, 1)])
@@ -74,11 +81,11 @@ def test_pair_incidence_agrees_with_multihom_incidence(spec):
     from homchains import enumerate_cellwords
 
     for cw in enumerate_cellwords(spec):
-        eta = cellword_to_multihom(cw, spec)
+        want = generic_signs(cellword_to_multihom(cw, spec))
         got = signed_faces(cw)
-        assert len(got) == 2 * len(cw.pairs)
+        assert len(got) == 2 * len(cw.pairs) == len(want)
         for face, sign in got:
-            assert sign == incidence(cellword_to_multihom(face, spec), eta)
+            assert sign == want[cellword_to_multihom(face, spec)]
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -192,7 +199,9 @@ def test_hexagon_boundary():
     icc = boundary_matrices(cx)
     m = icc.mats[1]
     assert (m.nrows, m.ncols) == (6, 6)
-    dense = m.to_dense()
+    dense = [[0] * m.ncols for _ in range(m.nrows)]
+    for (r, c), v in m.entries.items():
+        dense[r][c] = v
     for j in range(6):
         assert sum(dense[i][j] for i in range(6)) == 0
     assert smith_normal_form(m).rank == 5
@@ -241,6 +250,60 @@ def test_boundary_squared_check_trips_on_bad_signs():
         sgn[k] = abs(sgn[k])  # break the orientation of the first 2-cell
     with pytest.raises(ArithmeticError):
         boundary_matrices(cx)
+
+
+@pytest.mark.parametrize("faces, message", [
+    ((("v", -1), ("v", 1)), "repeated facet"),
+    ((("v", -1), ("w", 2)), "incidence other than"),
+])
+def test_malformed_face_table_is_rejected(faces, message):
+    cx = CellComplex({0: ["v", "w"], 1: ["e"]}, {"v": (), "w": (), "e": faces})
+    with pytest.raises(ArithmeticError, match=message):
+        check_faces_squared(cx)
+    with pytest.raises(ArithmeticError, match=message):
+        boundary_matrices(cx)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(1, 1, 1, 1), (2, 2, 2), (1, 1, 1, 2), (1, 1, 1, 1, 1)]), st.data())
+def test_face_check_agrees_with_matrix_product(spec, data):
+    # flip one sign of a cell of dimension >= 2: both rules must reject the complex
+    cx = chain_product_complex(spec)
+    icc = boundary_matrices(cx)
+    icc.check_boundary_squared()
+    d = data.draw(st.integers(2, cx.dim))
+    ptr, idx, sgn = cx.boundary[d]
+    k = data.draw(st.integers(0, len(sgn) - 1))
+    sgn[k] = -sgn[k]
+    with pytest.raises(ArithmeticError, match=f"boundary squared is nonzero at dimension {d}"):
+        check_faces_squared(cx)
+    j = next(j for j in range(len(ptr) - 1) if ptr[j] <= k < ptr[j + 1])
+    entries = icc.mats[d].entries
+    entries[(idx[k], j)] = -entries[(idx[k], j)]
+    with pytest.raises(ArithmeticError, match="boundary squared is nonzero"):
+        icc.check_boundary_squared()
+
+
+@st.composite
+def small_specs(draw, max_sum=7):
+    """Sorted chain lengths with sum at most max_sum."""
+    rest = draw(st.integers(1, max_sum))
+    parts = []
+    while rest:
+        parts.append(draw(st.integers(1, rest)))
+        rest -= parts[-1]
+    return tuple(sorted(parts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_specs())
+def test_morse_homology_equals_full_homology(spec):
+    cx = chain_product_complex(spec)
+    m = match_product_of_chains(spec, cells=cx.cells)
+    icc, _ = morse_complex(cx, m, validate_acyclic(m, cx))
+    got, want = homology(icc), homology(cx)
+    assert (got.betti, got.torsion, got.euler) == (want.betti, want.torsion, want.euler)
+    assert got.euler == cx.euler_characteristic()
 
 
 # -- Morse incidences -------------------------------------------------------
@@ -345,11 +408,6 @@ def test_paper_alternating_path_involution():
     assert abs(c.t - c_prime.t) == 1
     assert len(c_prime.cells) - len(c.cells) == 2
     assert path_weight(c, ctx) * path_weight(c_prime, ctx) == -1
-
-
-def test_sparse_matrix_coordinate_export():
-    m = SparseIntMatrix.from_dense([[0, 2], [-1, 0]])
-    assert m.coordinate_lines() == "2 2\n0 1 2\n1 0 -1"
 
 
 def _recursion_depth():

@@ -170,6 +170,61 @@ def test_verify_validates_acyclicity_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_builds_one_certificate_and_one_morse_complex(capsys, monkeypatch):
+    from homchains import chains, morse
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    def refuse(cx):
+        raise AssertionError("full boundary matrices assembled")
+
+    monkeypatch.setattr(morse, "validate_acyclic", counting("cert", morse.validate_acyclic))
+    monkeypatch.setattr(chains, "morse_complex", counting("morse", chains.morse_complex))
+    monkeypatch.setattr(chains, "boundary_matrices", refuse)
+    code, out, err = run(capsys, "verify", "--spec", "1,1,2", "--suite",
+                         "zero-incidence,torsion-free,euler")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["zero-incidence: PASS (all Morse boundaries zero)",
+                                "torsion-free: PASS (betti (1, 2, 0))",
+                                "euler: PASS (chi = -1)"]
+    assert sorted(calls) == ["cert", "morse"]
+
+
+def test_report_needs_no_full_boundary_matrices(capsys, monkeypatch):
+    from homchains import chains
+
+    def refuse(cx):
+        raise AssertionError("full boundary matrices assembled")
+
+    monkeypatch.setattr(chains, "boundary_matrices", refuse)
+    code, out, err = run(capsys, "report", "--spec", "1,1,1,1,1")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "report-11111.json").read_text()
+
+
+def test_report_checks_boundary_squared_on_the_full_complex(capsys, monkeypatch):
+    from homchains import complexes
+
+    real = complexes.chain_product_complex
+
+    def corrupted(spec, **kwargs):
+        cx = real(spec, **kwargs)
+        cx.boundary[2].sgn[0] *= -1
+        return cx
+
+    # the Morse complex of B_4 has no 2-cells, so only the full complex shows the fault
+    monkeypatch.setattr(complexes, "chain_product_complex", corrupted)
+    code, out, err = run(capsys, "report", "--spec", "1,1,1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: internal check failed: boundary squared is nonzero at dimension 2\n"
+
+
 def test_euler_command(capsys):
     code, out, _ = run(capsys, "euler", "--n-max", "8", "--format", "json")
     assert code == 0
