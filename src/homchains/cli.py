@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import chains, complexes, euler, morse, posets, words
@@ -26,39 +25,28 @@ SUITES = ("cubicality", "acyclicity", "bijection", "zero-incidence",
           "torsion-free", "euler")
 
 
-@dataclass
-class RunConfig:
-    spec: object = None          # ChainSpec or None
-    poset: object = None         # GradedPoset or None
-    max_cells: int = words.DEFAULT_CAP
-    fmt: str = "table"
-
-    def __post_init__(self):
-        if self.max_cells <= 0:
-            raise ValueError("the cell cap must be positive")
+def _spec(text):
+    """argparse type of --spec: comma-separated chain lengths."""
+    try:
+        return words.ChainSpec(tuple(int(v) for v in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad chain spec {text!r}: {exc}") from None
 
 
-def _config(args):
-    spec = None
-    poset = None
-    if getattr(args, "spec", None):
-        spec = words.ChainSpec(tuple(int(v) for v in args.spec.split(",")))
-    if getattr(args, "poset", None):
-        with open(args.poset) as fh:
-            poset = posets.parse_poset_text(fh.read())
-    if spec is None and poset is None:
-        raise ValueError("one of --spec or --poset is required")
-    if spec is not None and poset is not None:
-        raise ValueError("--spec and --poset are mutually exclusive")
-    return RunConfig(spec=spec, poset=poset,
-                     max_cells=getattr(args, "max_cells", words.DEFAULT_CAP),
-                     fmt=getattr(args, "format", "table"))
+def _poset(path):
+    """argparse type of --poset: the graded poset in a poset file."""
+    try:
+        with open(path) as fh:
+            return posets.parse_poset_text(fh.read())
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _complex_of(cfg):
-    if cfg.spec is not None:
-        return complexes.chain_product_complex(cfg.spec, cap=cfg.max_cells)
-    return complexes.maximal_chain_complex(cfg.poset, cap=cfg.max_cells)
+def _positive(text):
+    """argparse type of a count that must be at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def _emit(payload, fmt, table_lines):
@@ -70,13 +58,15 @@ def _emit(payload, fmt, table_lines):
 
 
 def cmd_build(args):
-    cfg = _config(args)
-    cx = _complex_of(cfg)
+    if args.spec is not None:
+        cx = complexes.chain_product_complex(args.spec, cap=args.max_cells)
+    else:
+        cx = complexes.maximal_chain_complex(args.poset, cap=args.max_cells)
     payload = {"schema": SCHEMA, "f_vector": list(cx.f_vector()), "dim": cx.dim,
                "euler": cx.euler_characteristic()}
-    if cfg.spec is not None:
-        payload["spec"] = list(cfg.spec.i)
-    _emit(payload, cfg.fmt, [
+    if args.spec is not None:
+        payload["spec"] = list(args.spec.i)
+    _emit(payload, args.format, [
         f"f-vector: {cx.f_vector()}",
         f"dimension: {cx.dim}",
         f"euler characteristic: {cx.euler_characteristic()}",
@@ -92,13 +82,10 @@ def _matching_digest(matching):
 
 
 def cmd_match(args):
-    cfg = _config(args)
-    if cfg.spec is None:
-        raise ValueError("match requires --spec")
-    matching = morse.match_product_of_chains(cfg.spec, cap=cfg.max_cells)
+    matching = _Run(args).matching
     payload = {
         "schema": SCHEMA,
-        "spec": list(cfg.spec.i),
+        "spec": list(args.spec.i),
         "cells": matching.n_cells,
         "matched_pairs": len(matching.up),
         "critical": {str(d): k for d, k in matching.critical_count().items()},
@@ -122,7 +109,7 @@ def cmd_match(args):
                      for a, b in matching.pairs())
     if args.emit_trace:
         cell = words.parse_cellword(args.emit_trace)
-        trace = morse.fiber_trace(cfg.spec, cell)
+        trace = morse.fiber_trace(args.spec, cell)
         payload["trace"] = {
             "cell": words.render_cellword(cell),
             "steps": [{"r": r, "s": s, "j": j, "rho": k} for r, s, j, k in trace.steps],
@@ -133,7 +120,7 @@ def cmd_match(args):
         lines.extend("  " + row for row in trace.rows())
         lines.append(f"  outcome: {trace.outcome}"
                      + (f" with {words.render_cellword(trace.partner)}" if trace.partner else ""))
-    _emit(payload, cfg.fmt, lines)
+    _emit(payload, args.format, lines)
     return 0
 
 
@@ -141,9 +128,9 @@ class _Run:
     """The complex of a chain spec and the matching run on its cells, with the
     acyclicity certificate, Morse complex and homology each built at most once."""
 
-    def __init__(self, cfg):
-        self.cx = complexes.chain_product_complex(cfg.spec, cap=cfg.max_cells)
-        self.matching = morse.match_product_of_chains(cfg.spec, cells=self.cx.cells)
+    def __init__(self, args):
+        self.cx = complexes.chain_product_complex(args.spec, cap=args.max_cells)
+        self.matching = morse.match_product_of_chains(self.cx)
 
     @cached_property
     def cert(self):
@@ -161,10 +148,10 @@ class _Run:
         return chains.homology(self.morse_complex)
 
 
-def _suite_results(cfg, names):
+def _suite_results(args, names):
     """Run verification suites for a chain spec; yields (name, ok, detail)."""
-    spec = cfg.spec
-    run = _Run(cfg)
+    spec = args.spec
+    run = _Run(args)
     cx, matching = run.cx, run.matching
     results = []
     for name in names:
@@ -181,7 +168,7 @@ def _suite_results(cfg, names):
         elif name == "bijection":
             from_words = {
                 words.critical_cellword_from_word(w)
-                for w in words.enumerate_words(spec, cap=cfg.max_cells)
+                for w in words.enumerate_words(spec, cap=args.max_cells)
                 if words.decompose_descents(w).valid}
             from_matching = {c for v in morse.critical_cells(matching).values() for c in v}
             results.append((name, from_words == from_matching,
@@ -206,28 +193,22 @@ def _suite_results(cfg, names):
 
 
 def cmd_verify(args):
-    cfg = _config(args)
-    if cfg.spec is None:
-        raise ValueError("verify requires --spec")
     names = SUITES if args.suite == "all" else tuple(args.suite.split(","))
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    results = _suite_results(cfg, names)
-    payload = {"schema": SCHEMA, "spec": list(cfg.spec.i),
+    results = _suite_results(args, names)
+    payload = {"schema": SCHEMA, "spec": list(args.spec.i),
                "results": {name: ok for name, ok, _ in results},
                "details": {name: detail for name, _, detail in results}}
     lines = [f"{name}: {'PASS' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
-    _emit(payload, cfg.fmt, lines)
+    _emit(payload, args.format, lines)
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
 def cmd_report(args):
-    cfg = _config(args)
-    if cfg.spec is None:
-        raise ValueError("report requires --spec")
-    spec = cfg.spec
-    run = _Run(cfg)
+    spec = args.spec
+    run = _Run(args)
     cx, matching, cert, hreport = run.cx, run.matching, run.cert, run.homology
     payload = {
         "schema": SCHEMA,
@@ -263,36 +244,42 @@ def _parser():
                                  description="Homomorphism complexes of maximal chains")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, poset_ok=True):
-        p.add_argument("--spec", help="comma-separated chain lengths, e.g. 2,2,2")
-        if poset_ok:
-            p.add_argument("--poset", help="poset file: `id rank` lines then `lower upper` covers")
-        p.add_argument("--max-cells", type=int, default=words.DEFAULT_CAP)
-        p.add_argument("--format", choices=("json", "table"), default="table")
+    def common(p, fmt=True):
+        p.add_argument("--max-cells", type=_positive, default=words.DEFAULT_CAP)
+        if fmt:
+            p.add_argument("--format", choices=("json", "table"), default="table")
 
+    spec_help = "comma-separated chain lengths, e.g. 2,2,2"
     p = sub.add_parser("build", help="build the complex and print its f-vector")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", type=_spec, help=spec_help)
+    source.add_argument("--poset", type=_poset,
+                        help="poset file: `id rank` lines then `lower upper` covers")
     common(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("match", help="run the discrete Morse matching")
-    common(p, poset_ok=False)
+    p.add_argument("--spec", type=_spec, required=True, help=spec_help)
+    common(p)
     p.add_argument("--emit-critical", action="store_true")
     p.add_argument("--emit-pairs", action="store_true")
     p.add_argument("--emit-trace", metavar="CELL", help="trace one cell, e.g. '(21)1(32)344'")
     p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser("verify", help="run verification suites")
-    common(p, poset_ok=False)
+    p.add_argument("--spec", type=_spec, required=True, help=spec_help)
+    common(p)
     p.add_argument("--suite", default="all",
                    help="comma-separated: " + ", ".join(SUITES) + ", or all")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="emit the JSON report bundle")
-    common(p, poset_ok=False)
+    p.add_argument("--spec", type=_spec, required=True, help=spec_help)
+    common(p, fmt=False)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("euler", help="Euler characteristics of Hom(B_n)")
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=_positive, default=20)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_euler)
 

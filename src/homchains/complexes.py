@@ -8,8 +8,9 @@ cells are keyed by parenthesized multiset permutations (CellWord).
 A CellComplex indexes each cell by its position in the tuple cells[d]
 (sorted, for the complexes built here), and stores the boundary of the
 d-cells as a FaceTable: face indices into cells[d - 1] and signs in
-compressed sparse rows.  The keys are kept only to name cells: rendering,
-digests and per-cell traces.
+compressed sparse rows.  The keys name cells in rendering, digests and
+per-cell traces; cell-word keys also carry the word and pairs that the
+matching classifies.
 """
 
 from __future__ import annotations
@@ -131,9 +132,11 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     enumerate_cellwords yields every dimension in sorted order, all cells of
     one word together, so a cell's index is its word's start in its
     dimension plus the rank of its pair placement among that word's.  A
-    d-cell has 2d faces: its t-th pair released in the alpha order (the
-    word with the pair swapped), then in the beta order (the same word),
-    with the signs of words.signed_faces.
+    d-cell j has 2d faces: its t-th pair released in the alpha order (the
+    word with the pair swapped) at ptr[j] + 2(t - 1), then in the beta
+    order (the same word) right after, with the signs of
+    words.signed_faces.  morse.match_product_of_chains reads each matched
+    partner from this order.
     """
     spec = as_spec(spec)
     cells = [[] for _ in range(spec.ell // 2 + 1)]

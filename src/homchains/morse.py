@@ -13,8 +13,11 @@ carries its own loop state: a cell survives to a loop exactly when every
 earlier loop classified it `b`, so a single left-to-right scan of the loop
 schedule decides each cell independently.
 
-A MorseMatching refers to cells by their index in the cells[d] of its
-complex: per dimension, an array of up-partners and one of
+The matching runs on the complex built by complexes.chain_product_complex:
+a cell that releases a pair takes that pair's beta face from the complex's
+face table as its partner, so the complex is the only owner of cell
+indices.  A MorseMatching refers to cells by their index in the cells[d] of
+its complex: per dimension, an array of up-partners and one of
 down-partners, -1 where a cell is not matched that way, and the sorted
 indices of the critical cells.  Acyclicity is certified by Kahn's algorithm
 on those arrays and the complex's face tables.
@@ -26,15 +29,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .words import (
-    DEFAULT_CAP,
-    CellWord,
-    as_spec,
-    check_content,
-    enumerate_cellwords,
-    signed_faces,
-    word_placements,
-)
+from .words import CellWord, as_spec, check_content, signed_faces
 
 
 def loop_schedule(spec):
@@ -135,7 +130,6 @@ class MorseMatching:
     unmatched d-cells in increasing order, for the dimensions that have any.
     """
 
-    spec: object
     cells: dict = field(repr=False)
     up: Mates       # lower cell -> index of its joined partner
     down: Mates     # upper cell -> index of its released partner
@@ -164,7 +158,7 @@ class MorseMatching:
             free = tuple(i for i in range(len(cs)) if ups[d][i] < 0 and downs[d][i] < 0)
             if free:
                 critical[d] = free
-        return cls(cx.spec, cx.cells, Mates(ups), Mates(downs), critical, cx.n_cells())
+        return cls(cx.cells, Mates(ups), Mates(downs), critical, cx.n_cells())
 
     def critical_count(self):
         return {d: len(v) for d, v in sorted(self.critical.items())}
@@ -177,57 +171,57 @@ class MorseMatching:
                             for i, u in enumerate(mates) if u >= 0))
 
 
-def match_product_of_chains(spec, cap=DEFAULT_CAP, cells=None):
-    """Run the matching over every cell of Hom(spec) and assemble the pairing.
+def match_product_of_chains(cx):
+    """Run the matching over every cell of a built cell-word complex.
 
-    `cells` is the cell basis of a built complex of the spec (its `cells`),
-    when the caller holds one; otherwise the cells are enumerated.  Each
-    cell is simulated independently.  A cell's partner has the same word,
-    so its index is the word's start in the partner's dimension plus the
-    rank of the partner's pair placement.  The assembly asserts that the
-    per-cell outcomes agree (partners pair with each other), so matched and
-    critical cells partition the cell set.
+    `cx` comes from complexes.chain_product_complex, whose d-cell i lists
+    its t-th pair's faces at ptr[i] + 2(t - 1): the alpha release, then the
+    beta release.  Each cell is simulated independently.  A cell that
+    releases its pair at j takes that pair's beta face (same word, pair
+    removed) as its partner; the up arrays are the inverse of the down
+    arrays.  The assembly asserts that the pairing is an involution: the
+    face was classified lower at the same j, no lower cell is claimed
+    twice, and every lower cell is claimed, so matched and critical cells
+    partition the cell set.
     """
-    spec = as_spec(spec)
-    if cells is None:
-        by_dim = defaultdict(list)
-        for cw in enumerate_cellwords(spec, cap=cap):
-            by_dim[cw.dim].append(cw)
-        cells = {d: tuple(by_dim[d]) for d in sorted(by_dim)}
-    else:
-        check_content(cells[0][0], spec)
+    spec = cx.spec
+    if spec is None:
+        raise ValueError("the matching needs the cell-word complex of a chain spec")
+    cells = cx.cells
     up, down = _unmatched(cells), _unmatched(cells)
     critical = defaultdict(list)
-    seen = [0] * len(cells)
-    for w, start, info in word_placements(v.word for v in cells[0]):
-        occ = _occurrences(w, spec.n)
-        for d, (ps, masks) in enumerate(zip(info.by_dim, info.masks)):
-            base = start[d]
-            for r, pairs in enumerate(ps):
-                status, _idx, j = _run_cell(w, pairs, spec.i, occ=occ)
-                if status == "lower":
-                    up[d][base + r] = start[d + 1] + info.rank[masks[r] | 1 << j]
-                elif status == "upper":
-                    down[d][base + r] = start[d - 1] + info.rank[masks[r] & ~(1 << j)]
-                else:
-                    critical[d].append(base + r)
-            seen[d] = base + len(ps)
-    if seen != [len(cells[d]) for d in cells]:
-        raise ValueError("the cells are not those of the spec")
-    up, down = Mates(up), Mates(down)
-    if len(up) != len(down):
+    n_lower = n_pairs = 0
+    word = occ = at = None
+    for d, cs in cells.items():
+        # at[i]: the j at which the lower d-cell i joins, else 0
+        below_at, at = at, array("i", [0]) * len(cs)
+        if d:
+            ptr, idx, _ = cx.boundary[d]
+            below = up[d - 1]
+        for i, cw in enumerate(cs):
+            if cw.word is not word:
+                word, occ = cw.word, _occurrences(cw.word, spec.n)
+            status, _idx, j = _run_cell(word, cw.pairs, spec.i, occ=occ)
+            if status == "lower":
+                at[i] = j
+                n_lower += 1
+            elif status == "upper":
+                f = idx[ptr[i] + 2 * cw.pairs.index(j) + 1]
+                if below_at[f] != j or below[f] >= 0:
+                    raise AssertionError(f"inconsistent pair {cells[d - 1][f]} / {cw}")
+                below[f] = i
+                down[d][i] = f
+                n_pairs += 1
+            else:
+                critical[d].append(i)
+    if n_lower != n_pairs:
         raise AssertionError("matching is not an involution")
-    for d, mates in up.by_dim.items():
-        for i, u in enumerate(mates):
-            if u >= 0 and down[d + 1][u] != i:
-                raise AssertionError(f"inconsistent pair {cells[d][i]} / {cells[d + 1][u]}")
     return MorseMatching(
-        spec=spec,
         cells=cells,
-        up=up,
-        down=down,
+        up=Mates(up),
+        down=Mates(down),
         critical={d: tuple(v) for d, v in sorted(critical.items())},
-        n_cells=sum(len(cs) for cs in cells.values()),
+        n_cells=cx.n_cells(),
     )
 
 
@@ -301,7 +295,7 @@ class SpecMatchContext:
 # -- structural checks ------------------------------------------------------
 
 
-def check_fiber_monotonicity(spec, cx):
+def check_fiber_monotonicity(cx):
     """Counterexample counts for the order-preservation of the fiber maps.
 
     Over every loop and every cover pair with both cells still in the loop's
@@ -309,7 +303,7 @@ def check_fiber_monotonicity(spec, cx):
     count), and within a position fiber class `a` must be inherited downward
     (second count).  Both counts are zero for the matching algorithm.
     """
-    spec = as_spec(spec)
+    spec = cx.spec
     records = {}
     for d, cells in cx.cells.items():
         records[d] = rows = []

@@ -265,6 +265,10 @@ def disjoint_union(ps):
                        chain_blocks=tuple(blocks) if all_chains else None)
 
 
+# J(P) can have 2^|P| elements, so larger P are refused before any is built
+IDEAL_LATTICE_MAX_BASE = 20
+
+
 def _render_ideal(positions):
     if not positions:
         return "{}"
@@ -273,15 +277,15 @@ def _render_ideal(positions):
     return "{" + ",".join(str(p) for p in positions) + "}"
 
 
-def ideal_lattice(P, max_base=20):
+def ideal_lattice(P):
     """The distributive lattice J(P) of lower order ideals of P, ordered by inclusion.
 
     Elements are materialized as bitsets over P and listed in graded
     lexicographic order under the canonical linear extension of P; the rank
     of an ideal is its cardinality.
     """
-    if P.n > max_base:
-        raise CapExceeded(f"|P| = {P.n} exceeds the ideal-lattice guard {max_base}")
+    if P.n > IDEAL_LATTICE_MAX_BASE:
+        raise CapExceeded(f"|P| = {P.n} exceeds the ideal-lattice guard {IDEAL_LATTICE_MAX_BASE}")
     ext = P.linear_extension()
     pos = {el: i for i, el in enumerate(ext)}
     down_masks = [0] * P.n

@@ -278,25 +278,6 @@ def enumerate_words(spec, cap=DEFAULT_CAP):
     yield from gen()
 
 
-def _pair_placements(descents):
-    """All tuples of pairwise non-adjacent positions drawn from the sorted descent list."""
-    out = [()]
-    k = len(descents)
-
-    def rec(start, acc):
-        for idx in range(start, k):
-            p = descents[idx]
-            if acc and p - acc[-1] < 2:
-                continue
-            acc.append(p)
-            out.append(tuple(acc))
-            rec(idx + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return out
-
-
 class Placements(NamedTuple):
     """The pair placements of one descent set, grouped by dimension.
 
@@ -312,12 +293,28 @@ class Placements(NamedTuple):
 
 
 def placements(descents):
-    """The Placements of a sorted tuple of descent positions."""
-    by_dim = []
-    for pairs in _pair_placements(descents):
-        if len(by_dim) == len(pairs):
-            by_dim.append([])
-        by_dim[len(pairs)].append(pairs)
+    """The Placements of a sorted tuple of descent positions.
+
+    A placement is a tuple of pairwise non-adjacent positions drawn from the
+    descents; extending placements with later descents, depth first, lists
+    each dimension in lexicographic order.
+    """
+    by_dim = [[()]]
+    acc = []
+
+    def rec(start):
+        for k in range(start, len(descents)):
+            p = descents[k]
+            if acc and p - acc[-1] < 2:
+                continue
+            acc.append(p)
+            if len(by_dim) == len(acc):
+                by_dim.append([])
+            by_dim[len(acc)].append(tuple(acc))
+            rec(k + 1)
+            acc.pop()
+
+    rec(0)
     masks = tuple(tuple(sum(1 << p for p in pairs) for pairs in ps) for ps in by_dim)
     rank = {m: r for ms in masks for r, m in enumerate(ms)}
     return Placements(descents, tuple(map(tuple, by_dim)), masks, rank)
@@ -347,20 +344,18 @@ def word_placements(words):
 def enumerate_cellwords(spec, cap=DEFAULT_CAP):
     """All cells of Hom(spec): every word with every non-overlapping descent pairing.
 
-    Words come in lexicographic order, and each word's pairings in
-    lexicographic order starting with none, so the cells of each dimension
-    come sorted.
+    Words come in lexicographic order, and each word's pairings by
+    dimension, each dimension in lexicographic order, so the cells of each
+    dimension come sorted.
     """
-    spec = as_spec(spec)
     total = 0
-    for w in enumerate_words(spec, cap=cap):
-        des = sorted(descent_set(w))
-        placements = _pair_placements(des)
-        total += len(placements)
+    for w, _start, info in word_placements(enumerate_words(spec, cap=cap)):
+        total += sum(map(len, info.by_dim))
         if total > cap:
             raise CapExceeded(f"cell enumeration exceeds the cap {cap}")
-        for pairs in placements:
-            yield CellWord(w, pairs)
+        for ps in info.by_dim:
+            for pairs in ps:
+                yield CellWord(w, pairs)
 
 
 # -- critical cells of Hom(r, s, t) ---------------------------------------

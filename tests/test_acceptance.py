@@ -43,7 +43,7 @@ def artifacts(spec):
     """complex, matching, certificate, Morse complex (+censuses), homologies."""
     if spec not in _cache:
         cx = hc.chain_product_complex(spec)
-        matching = hc.match_product_of_chains(spec)
+        matching = hc.match_product_of_chains(cx)
         cert = hc.validate_acyclic(matching, cx)
         icc, censuses = hc.morse_complex(cx, matching, cert, with_census=True)
         _cache[spec] = {
@@ -119,7 +119,7 @@ def test_criterion_04_bijection():
     t0 = time.perf_counter()
     for spec in SPECS8:
         matching = (artifacts(spec)["matching"] if spec in _cache
-                    else hc.match_product_of_chains(spec))
+                    else hc.match_product_of_chains(hc.chain_product_complex(spec)))
         from_words = {}
         for w in hc.enumerate_words(spec):
             dec = hc.decompose_descents(w)
@@ -173,7 +173,7 @@ def test_criterion_07_rst_counts():
             for t in range(s, 7):
                 if r + s + t > 8:
                     continue
-                matching = hc.match_product_of_chains((r, s, t))
+                matching = hc.match_product_of_chains(hc.chain_product_complex((r, s, t)))
                 for k in range(r + 1):
                     assert len(matching.critical.get(k, ())) == hc.count_critical_rst(r, s, t, k)
                     cells = {rst_cell_from_selections(r, s, t, o, w, h)
@@ -223,7 +223,7 @@ def test_criterion_09_claims():
     t0 = time.perf_counter()
     for spec in SPECS7:
         art = artifacts(spec)
-        assert hc.check_fiber_monotonicity(spec, art["cx"]) == (0, 0), spec
+        assert hc.check_fiber_monotonicity(art["cx"]) == (0, 0), spec
         assert hc.check_critical_structure(art["matching"]) == [], spec
     dt = time.perf_counter() - t0
     assert dt < 300.0

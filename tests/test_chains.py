@@ -299,7 +299,7 @@ def small_specs(draw, max_sum=7):
 @given(small_specs())
 def test_morse_homology_equals_full_homology(spec):
     cx = chain_product_complex(spec)
-    m = match_product_of_chains(spec, cells=cx.cells)
+    m = match_product_of_chains(cx)
     icc, _ = morse_complex(cx, m, validate_acyclic(m, cx))
     got, want = homology(icc), homology(cx)
     assert (got.betti, got.torsion, got.euler) == (want.betti, want.torsion, want.euler)
@@ -363,7 +363,7 @@ def test_morse_complex_on_hand_built_circle_matching():
 
 def test_morse_complex_requires_certificate():
     cx = chain_product_complex((1, 1, 1))
-    m = match_product_of_chains((1, 1, 1))
+    m = match_product_of_chains(cx)
     with pytest.raises(ValueError):
         morse_complex(cx, m, None)
 
@@ -371,7 +371,7 @@ def test_morse_complex_requires_certificate():
 def test_morse_complex_homology_matches_full():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1)]:
         cx = chain_product_complex(spec)
-        m = match_product_of_chains(spec)
+        m = match_product_of_chains(cx)
         cert = validate_acyclic(m, cx)
         icc, censuses = morse_complex(cx, m, cert, with_census=True)
         assert all(mat.is_zero() for mat in icc.mats.values())
@@ -426,7 +426,7 @@ def test_morse_complex_census_needs_no_recursion():
     # alternating paths on B_7 run to 17 matched steps; the walk keeps its own stack
     spec = (1,) * 7
     cx = chain_product_complex(spec)
-    m = match_product_of_chains(spec, cells=cx.cells)
+    m = match_product_of_chains(cx)
     cert = validate_acyclic(m, cx)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 10)

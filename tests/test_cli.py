@@ -136,8 +136,30 @@ def test_malformed_spec_usage_error(capsys):
 
 
 def test_missing_input_usage_error(capsys):
-    code, _, err = run(capsys, "build")
-    assert code == 2
+    for command in ("build", "report", "match", "verify"):
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert "--spec" in err and "required" in err
+        assert ("--poset" in err) == (command == "build")
+
+
+ZIGZAG5 = str(Path(__file__).parent / "data" / "zigzag5.poset")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--spec", "1,1", "--poset", ZIGZAG5), "not allowed with argument"),
+    (("report", "--spec", "1,1", "--format", "table"), "unrecognized arguments"),
+    (("report", "--spec", "1,1", "--poset", ZIGZAG5), "unrecognized arguments"),
+    (("match", "--spec", "1,1", "--max-cells", "0"), "'0' is not a positive integer"),
+    (("verify", "--spec", "1,1", "--max-cells", "x"), "'x' is not a positive integer"),
+    (("build", "--poset", "no-such-file.poset"), "No such file"),
+    (("euler", "--n-max", "0"), "'0' is not a positive integer"),
+    (("euler", "--n-max", "-3"), "'-3' is not a positive integer"),
+])
+def test_input_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_report_deterministic(capsys):

@@ -8,6 +8,8 @@ import pytest
 from homchains import (
     AcyclicityError,
     CellComplex,
+    antichain,
+    chain,
     chain_product_complex,
     check_critical_structure,
     check_fiber_monotonicity,
@@ -16,6 +18,8 @@ from homchains import (
     decompose_descents,
     enumerate_words,
     fiber_trace,
+    hom_complex_generic,
+    ideal_lattice,
     loop_schedule,
     match_product_of_chains,
     morse_complex,
@@ -24,6 +28,10 @@ from homchains import (
     validate_acyclic,
 )
 from homchains.morse import MorseMatching, SpecMatchContext
+
+
+def matching_of(spec):
+    return match_product_of_chains(chain_product_complex(spec))
 
 
 def key_partners(m):
@@ -53,7 +61,7 @@ def test_paper_worked_trace():
 
 
 def test_paper_worked_pairing_in_matching():
-    m = match_product_of_chains((2, 2, 2, 2))
+    m = matching_of((2, 2, 2, 2))
     upper = parse_cellword("(21)1(32)344")
     lower = parse_cellword("(21)132344")
     up, down = key_partners(m)
@@ -74,7 +82,7 @@ def test_trace_of_paper_critical_cell():
 
 
 def test_critical_cells_s3():
-    m = match_product_of_chains((1, 1, 1))
+    m = matching_of((1, 1, 1))
     crit = {render_cellword(c) for v in critical_cells(m).values() for c in v}
     assert crit == {"123", "3(21)"}
     assert {w for w in (c.word for v in critical_cells(m).values() for c in v)} == {
@@ -83,24 +91,24 @@ def test_critical_cells_s3():
 
 def test_single_chain_single_critical_vertex():
     for r in (1, 3, 5):
-        m = match_product_of_chains((r,))
+        m = matching_of((r,))
         assert m.critical_count() == {0: 1}
         assert m.n_cells == 1
 
 
 def test_critical_counts_b4():
-    m = match_product_of_chains((1, 1, 1, 1))
+    m = matching_of((1, 1, 1, 1))
     assert m.critical_count() == {0: 1, 1: 7}
 
 
 def test_critical_counts_112():
-    m = match_product_of_chains((1, 1, 2))
+    m = matching_of((1, 1, 2))
     assert m.critical_count() == {0: 1, 1: 2}
 
 
 def test_matched_plus_critical_partitions():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2), (2, 2, 2)]:
-        m = match_product_of_chains(spec)
+        m = matching_of(spec)
         up, down = key_partners(m)
         ncrit = sum(len(v) for v in m.critical.values())
         assert len(m.up) == len(m.down) == len(up) == len(down)
@@ -117,7 +125,7 @@ def test_pairs_respect_fibers():
     from homchains import as_spec
 
     for spec in [(1, 1, 1), (1, 1, 2), (2, 2, 2)]:
-        m = match_product_of_chains(spec)
+        m = matching_of(spec)
         i = as_spec(spec).i
         for a, b in key_partners(m)[0].items():
             ra, rb = [], []
@@ -127,18 +135,8 @@ def test_pairs_respect_fibers():
             assert len(ra) == len(rb)
 
 
-def test_matching_on_given_cells_equals_enumeration():
-    for spec in [(1, 1, 2), (2, 2, 2)]:
-        cx = chain_product_complex(spec)
-        m1 = match_product_of_chains(spec)
-        m2 = match_product_of_chains(spec, cells=cx.cells)
-        assert m2.cells is cx.cells
-        assert (m1.cells, m1.up.by_dim, m1.down.by_dim, m1.critical, m1.n_cells) == (
-            m2.cells, m2.up.by_dim, m2.down.by_dim, m2.critical, m2.n_cells)
-
-
 def test_critical_cells_op():
-    m = match_product_of_chains((1, 1, 2))
+    m = matching_of((1, 1, 2))
     crit = critical_cells(m)
     assert {d: len(v) for d, v in crit.items()} == m.critical_count() == {0: 1, 1: 2}
     for d, v in crit.items():
@@ -148,20 +146,20 @@ def test_critical_cells_op():
 
 def test_bijection_small():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2), (1, 1, 1, 1), (2, 3)]:
-        m = match_product_of_chains(spec)
+        m = matching_of(spec)
         from_words = {critical_cellword_from_word(w) for w in enumerate_words(spec)
                       if decompose_descents(w).valid}
         from_match = {c for v in critical_cells(m).values() for c in v}
         assert from_words == from_match
 
 
-def test_validate_acyclic_and_spec_context():
-    spec = (1, 1, 2)
+@pytest.mark.parametrize("spec", [(1, 1, 2), (2, 2, 2), (1, 2, 3), (3, 3), (1, 1, 1, 1, 1)])
+def test_validate_acyclic_and_spec_context(spec):
     cx = chain_product_complex(spec)
-    m = match_product_of_chains(spec)
+    m = match_product_of_chains(cx)
     cert = validate_acyclic(m, cx)
     assert cert.n_pairs == len(m.up)
-    assert set(cert.orders) == {1, 2}
+    assert set(cert.orders) == set(range(1, cx.dim + 1))
     ctx = SpecMatchContext(spec)
     for a, b in key_partners(m)[0].items():
         assert ctx.up(a) == b and ctx.down(b) == a
@@ -173,7 +171,7 @@ def test_validate_acyclic_and_spec_context():
 def test_certificate_orders_are_topological():
     for spec in [(1, 1, 2), (1, 1, 1, 1), (2, 2, 2)]:
         cx = chain_product_complex(spec)
-        m = match_product_of_chains(spec)
+        m = match_product_of_chains(cx)
         cert = validate_acyclic(m, cx)
         up = key_partners(m)[0]
         assert set(cert.orders) == set(range(1, cx.dim + 1))
@@ -239,12 +237,12 @@ def test_matching_must_lie_in_face_relation():
 def test_fiber_monotonicity_small():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1)]:
         cx = chain_product_complex(spec)
-        assert check_fiber_monotonicity(spec, cx) == (0, 0)
+        assert check_fiber_monotonicity(cx) == (0, 0)
 
 
 def test_critical_structure_small():
     for spec in [(1, 1, 1), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1, 1)]:
-        m = match_product_of_chains(spec)
+        m = matching_of(spec)
         assert check_critical_structure(m) == []
 
 
@@ -252,7 +250,7 @@ def test_certificate_rejects_swapped_pair():
     # Hom(B_3): pair 123 with (21)3 instead of 213; the pair count is unchanged
     spec = (1, 1, 1)
     cx = chain_product_complex(spec)
-    m = match_product_of_chains(spec)
+    m = match_product_of_chains(cx)
     cert = validate_acyclic(m, cx)
     cert.check_matches(m)
     up, down = key_partners(m)
@@ -263,7 +261,6 @@ def test_certificate_rejects_swapped_pair():
     up = {a: b for a, b in up.items() if a != old}
     up[new] = upper
     swapped = MorseMatching.from_pairs(cx, up)
-    assert swapped.spec == m.spec
     assert critical_cells(swapped) == {0: (old,), 1: critical_cells(m)[1]}
     assert len(swapped.up) == cert.n_pairs
     validate_acyclic(swapped, cx)
@@ -276,7 +273,7 @@ def test_certificate_rejects_swapped_pair():
 def test_certificate_requires_partition():
     spec = (1, 1, 1)
     cx = chain_product_complex(spec)
-    m = match_product_of_chains(spec)
+    m = match_product_of_chains(cx)
     cert = validate_acyclic(m, cx)
     lower = next(i for i, u in enumerate(m.up[0]) if u >= 0)
     overlapping = dataclasses.replace(m, critical={**m.critical, 0: m.critical[0] + (lower,)},
@@ -289,22 +286,63 @@ def test_certificate_requires_partition():
 
 def test_matching_of_another_complex_is_rejected():
     # indices of Hom(1,1,1,1) read against Hom(2,2) would name the wrong cells
-    m = match_product_of_chains((1, 1, 1, 1))
     cx = chain_product_complex((1, 1, 1, 1))
+    m = match_product_of_chains(cx)
     other = chain_product_complex((2, 2))
     with pytest.raises(ValueError, match="another cell basis"):
         validate_acyclic(m, other)
     cert = validate_acyclic(m, cx)
-    m22 = match_product_of_chains((2, 2), cells=other.cells)
+    m22 = match_product_of_chains(other)
     with pytest.raises(ValueError, match="another cell basis"):
         cert.check_matches(m22)
     with pytest.raises(ValueError, match="another cell basis"):
         morse_complex(other, m, cert)
 
 
-def test_matching_rejects_cells_of_another_spec():
-    with pytest.raises(ValueError, match="content does not match"):
-        match_product_of_chains((1, 1, 1), cells=chain_product_complex((1, 2)).cells)
+def test_matching_rejects_a_complex_without_a_spec():
+    # Hom(C_3, B_3) built generically: the cells are multihoms, not cell words
+    hexagon = hom_complex_generic(chain(3), ideal_lattice(antichain(3)), "strict")
+    assert hexagon.spec is None
+    with pytest.raises(ValueError, match="chain spec"):
+        match_product_of_chains(hexagon)
+
+
+def test_matching_rejects_swapped_alpha_and_beta_faces():
+    # 1(32) releases its pair to its beta face 132; its alpha face 123 is critical
+    cx = chain_product_complex((1, 1, 1))
+    d, j = cx.locate(parse_cellword("1(32)"))
+    ptr, idx, _ = cx.boundary[d]
+    assert [render_cellword(cx.cells[0][f]) for f in idx[ptr[j]:ptr[j + 1]]] == ["123", "132"]
+    idx[ptr[j]], idx[ptr[j] + 1] = idx[ptr[j] + 1], idx[ptr[j]]
+    with pytest.raises(AssertionError, match="inconsistent pair"):
+        match_product_of_chains(cx)
+
+
+def test_matching_rejects_an_unclaimed_lower_cell(monkeypatch):
+    # report the upper cell 1(32) as critical, leaving its lower partner 132 unclaimed
+    from homchains import morse
+
+    real = morse._run_cell
+
+    def run_cell(word, pairs, spec_i, **kwargs):
+        if (word, pairs) == ((1, 3, 2), (2,)):
+            return "critical", 0, None
+        return real(word, pairs, spec_i, **kwargs)
+
+    monkeypatch.setattr(morse, "_run_cell", run_cell)
+    with pytest.raises(AssertionError, match="not an involution"):
+        matching_of((1, 1, 1))
+
+
+def test_matching_rejects_a_face_claimed_twice():
+    # 1(32) and 2(31) both release the pair at 2; point 2(31)'s beta face at 132 too
+    cx = chain_product_complex((1, 1, 1))
+    d, j = cx.locate(parse_cellword("2(31)"))
+    ptr, idx, _ = cx.boundary[d]
+    assert render_cellword(cx.cells[0][idx[ptr[j] + 1]]) == "231"
+    idx[ptr[j] + 1] = cx.locate(parse_cellword("132"))[1]
+    with pytest.raises(AssertionError, match="inconsistent pair"):
+        match_product_of_chains(cx)
 
 
 def test_complex_and_matching_memory_per_cell():
@@ -315,7 +353,7 @@ def test_complex_and_matching_memory_per_cell():
     try:
         before = tracemalloc.get_traced_memory()[0]
         cx = chain_product_complex(spec)
-        m = match_product_of_chains(spec, cells=cx.cells)
+        m = match_product_of_chains(cx)
         net = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
