@@ -71,6 +71,7 @@ from .chains import (
     involution_partner,
     morse_complex,
     morse_incidence,
+    path_censuses,
     smith_normal_form,
 )
 from .euler import euler_closed_form, euler_formula, euler_recursion, euler_table, f_vector_bn

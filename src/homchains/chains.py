@@ -1,12 +1,15 @@
 """Integer cellular chain complexes: the d o d = 0 check on face tables,
-boundary matrices, Smith-normal-form homology, and Morse-complex incidences
-via alternating paths.
+boundary matrices, Smith-normal-form homology, and the Morse complex of an
+acyclic matching.
 
 Cell-word faces and their signs come from words.signed_faces.  Boundary
 matrices and the Morse complex work on cell indices: a complex's face tables
-and a matching's partner arrays.  Cell keys appear only in the key-level
-oracles (ComplexMatchContext, morse.SpecMatchContext) and in path censuses,
-whose sign-reversing pairing acts on cell words.
+and a matching's partner arrays.  The Morse complex reduces each critical
+cell's boundary along the acyclicity certificate's order and lists no path.
+Alternating paths are walked on cell keys, through the key-level oracles
+(ComplexMatchContext, morse.SpecMatchContext): morse_incidence and
+path_censuses sum their weights and pair them by the sign-reversing
+involution on cell words, an independent account of the same incidences.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from array import array
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -328,13 +331,6 @@ class HomologyReport:
     def torsion_free(self):
         return all(not t for t in self.torsion)
 
-    def to_json_dict(self):
-        return {
-            "betti": list(self.betti),
-            "torsion": [list(t) for t in self.torsion],
-            "euler": self.euler,
-        }
-
 
 def homology(obj):
     """Integer homology via Smith normal form of the boundary matrices.
@@ -363,7 +359,7 @@ def homology(obj):
     return HomologyReport(tuple(betti), tuple(torsion), euler)
 
 
-# -- Morse complex via alternating paths ----------------------------------
+# -- Morse complex, alternating paths and censuses ------------------------
 
 
 @dataclass(frozen=True)
@@ -375,14 +371,6 @@ class AlternatingPath:
     @property
     def t(self):
         return (len(self.cells) - 2) // 2
-
-    @property
-    def source(self):
-        return self.cells[0]
-
-    @property
-    def target(self):
-        return self.cells[-1]
 
 
 class ComplexMatchContext:
@@ -411,24 +399,6 @@ class ComplexMatchContext:
         return None if a < 0 else self.cx.cells[d - 1][a]
 
 
-class _IndexContext:
-    """The oracle between dimensions d and d - 1 on cell indices: facets of
-    d-cells and up-partners of (d-1)-cells."""
-
-    def __init__(self, cx, matching, d):
-        self.table = cx.boundary[d]
-        self.lower_up = matching.up[d - 1]
-
-    def facets(self, j):
-        ptr, idx, sgn = self.table
-        lo, hi = ptr[j], ptr[j + 1]
-        return zip(idx[lo:hi], sgn[lo:hi])
-
-    def up(self, i):
-        u = self.lower_up[i]
-        return None if u < 0 else u
-
-
 def _facet_sign(ctx, face, cell):
     for f, s in ctx.facets(cell):
         if f == face:
@@ -453,21 +423,15 @@ def path_weight(path, ctx):
     return sign
 
 
-def alternating_paths_from(sigma, ctx, targets, reachable=None):
+def alternating_paths_from(sigma, ctx, targets):
     """All alternating paths from sigma to any target, plus direct facet signs.
 
     Returns (paths_by_target, direct_by_target); targets without a path are
-    absent from the first.  When a `reachable` set is given, the walk is
-    pruned to cells from which a target is reachable.  The walk keeps its
-    own stack, so path length is not bounded by the recursion limit; paths
-    come in depth-first order.
+    absent from the first.  The walk keeps its own stack, so path length is
+    not bounded by the recursion limit; paths come in depth-first order.
     """
     paths = {}
     direct = {}
-
-    def walkable(f):
-        return ctx.up(f) is not None and (reachable is None or f in reachable)
-
     # a frame is (trail ending in a matched pair a, u(a); a; iterator over the facets of u(a))
     stack = []
 
@@ -478,7 +442,7 @@ def alternating_paths_from(sigma, ctx, targets, reachable=None):
     for f, sign in ctx.facets(sigma):
         if f in targets:
             direct[f] = direct.get(f, 0) + sign
-        if walkable(f):
+        if ctx.up(f) is not None:
             push((sigma,), f)
             while stack:
                 trail, a, facets = stack[-1]
@@ -487,7 +451,7 @@ def alternating_paths_from(sigma, ctx, targets, reachable=None):
                         continue
                     if g in targets:
                         paths.setdefault(g, []).append(AlternatingPath(trail + (g,)))
-                    elif walkable(g):
+                    elif ctx.up(g) is not None:
                         push(trail, g)
                         break
                 else:
@@ -565,36 +529,36 @@ class PathCensus:
         return len(self.paths)
 
 
-def _build_census(paths, ctx):
-    weights = tuple(path_weight(p, ctx) for p in paths)
-    total = sum(weights)
-    # the sign-reversing pairing is defined on parenthesized-word cells only
-    if paths and not isinstance(paths[0].cells[0], CellWord):
-        return PathCensus(tuple(paths), weights, None, total)
+def _pairing(paths, weights, ctx):
+    """The sign-reversing pairing of the paths by involution_partner, as
+    sorted index pairs, or None when it is not a weight-reversing
+    involution on them."""
     index = {p.cells: k for k, p in enumerate(paths)}
     pairing = []
     seen = set()
-    ok = True
     for k, p in enumerate(paths):
         if k in seen:
             continue
         try:
             q = involution_partner(p, ctx)
+            m = index.get(q.cells)
+            if m is None or m == k or m in seen or involution_partner(q, ctx).cells != p.cells:
+                return None
         except ValueError:
-            ok = False
-            break
-        m = index.get(q.cells)
-        if m is None or m == k or m in seen:
-            ok = False
-            break
-        back = involution_partner(q, ctx)
-        if back.cells != p.cells or weights[k] * weights[m] != -1:
-            ok = False
-            break
-        seen.add(k)
-        seen.add(m)
+            return None
+        if weights[k] * weights[m] != -1:
+            return None
+        seen.update((k, m))
         pairing.append((min(k, m), max(k, m)))
-    return PathCensus(tuple(paths), weights, tuple(sorted(pairing)) if ok else None, total)
+    return tuple(sorted(pairing))
+
+
+def _build_census(paths, ctx):
+    weights = tuple(path_weight(p, ctx) for p in paths)
+    # the sign-reversing pairing is defined on parenthesized-word cells only
+    cell_words = not paths or isinstance(paths[0].cells[0], CellWord)
+    pairing = _pairing(paths, weights, ctx) if cell_words else None
+    return PathCensus(tuple(paths), weights, pairing, sum(weights))
 
 
 def morse_incidence(sigma, tau, ctx):
@@ -616,45 +580,44 @@ def morse_incidence(sigma, tau, ctx):
     return value, _build_census(plist, ctx)
 
 
-def _reachable_to(targets, cx, matching, d):
-    """Indices of the (d-1)-cells from which some target is reachable in the matched digraph."""
-    ptr, idx, _ = cx.boundary[d]
-    down = matching.down[d]
-    # the cofaces of each (d-1)-cell in compressed sparse rows
-    start = [0] * (len(cx.cells[d - 1]) + 1)
-    for f in idx:
-        start[f + 1] += 1
-    for i in range(1, len(start)):
-        start[i] += start[i - 1]
-    fill = start[:-1]
-    cofaces = array("i", [0]) * len(idx)
-    for j in range(len(cx.cells[d])):
-        for f in idx[ptr[j]:ptr[j + 1]]:
-            cofaces[fill[f]] = j
-            fill[f] += 1
-    reach = set(targets)
-    queue = deque(targets)
-    while queue:
-        f = queue.popleft()
-        for u in cofaces[start[f]:start[f + 1]]:
-            a = down[u]
-            if a != f and a >= 0 and a not in reach:
-                reach.add(a)
-                queue.append(a)
-    return reach
+def path_censuses(cx, matching):
+    """The path census of every pair of critical cells (sigma, tau) with
+    dim sigma = dim tau + 1 that at least one alternating path joins, keyed
+    by cell keys, in the order the paths are found.
+
+    The matching must be acyclic; paths are walked on cell keys through
+    ComplexMatchContext.  The census totals are the path parts of the Morse
+    incidences that morse_complex computes by reduction.
+    """
+    ctx = ComplexMatchContext(cx, matching)
+    censuses = {}
+    for d in range(1, cx.dim + 1):
+        targets = {cx.cells[d - 1][i] for i in matching.critical.get(d - 1, ())}
+        if not targets:
+            continue
+        for j in matching.critical.get(d, ()):
+            sigma = cx.cells[d][j]
+            paths, _ = alternating_paths_from(sigma, ctx, targets)
+            for tau, plist in paths.items():
+                censuses[(sigma, tau)] = _build_census(plist, ctx)
+    return censuses
 
 
-def morse_complex(cx, matching, certificate, with_census=False):
-    """The chain complex on critical cells with alternating-path incidences.
+def morse_complex(cx, matching, certificate):
+    """The chain complex on the critical cells of a certified matching.
 
-    Requires the acyclicity certificate produced by validate_acyclic; its
-    homology equals the homology of the underlying complex.  Paths are
-    walked on cell indices.
-
-    Returns (IntegerChainComplex, censuses) where censuses maps
-    (sigma, tau) -> PathCensus, on cell keys, for every critical pair joined
-    by at least one alternating path when with_census is set (else empty
-    dict).
+    Requires the acyclicity certificate produced by validate_acyclic; the
+    homology of the result equals the homology of cx.  The boundary of each
+    critical d-cell sigma is reduced along certificate.orders[d]: the
+    earliest (d-1)-cell a still carrying a nonzero coefficient c is taken
+    off.  A critical a keeps c as the entry at (a, sigma), an a matched
+    downward is dropped, and an a matched up to u is traded for the other
+    faces of u: c a becomes c a - c [a:u] d(u), which adds -c [a:u] [g:u]
+    to each face g != a of u.  The faces of u come after a in the order, so
+    every cell is taken off once, after all its contributions.  Each entry
+    is therefore the direct incidence plus the weights of all alternating
+    paths from sigma to tau, the value of morse_incidence, without listing
+    a path.
     """
     if certificate is None:
         raise ValueError("matching must be validated acyclic first")
@@ -664,30 +627,46 @@ def morse_complex(cx, matching, certificate, with_census=False):
     top = cx.dim
     crit = {d: matching.critical.get(d, ()) for d in range(top + 1)}
     bases = {d: tuple(cx.cells[d][i] for i in crit[d]) for d in range(top + 1)}
-    key_ctx = ComplexMatchContext(cx, matching) if with_census else None
     mats = {}
-    censuses = {}
     for d in range(1, top + 1):
         entries = {}
         row = {tau: r for r, tau in enumerate(crit[d - 1])}
         if row and crit[d]:
-            ctx = _IndexContext(cx, matching, d)
-            reach = _reachable_to(row, cx, matching, d)
+            ptr, idx, sgn = cx.boundary[d]
+            up = matching.up[d - 1]
+            order = certificate.orders[d]
+            pos = array("i", [0]) * len(cx.cells[d - 1])
+            for k, v in enumerate(order):
+                if v < len(pos):
+                    pos[v] = k
             for col, sigma in enumerate(crit[d]):
-                paths, direct = alternating_paths_from(sigma, ctx, row, reachable=reach)
-                acc = dict(direct)
-                for tau, plist in paths.items():
-                    acc[tau] = acc.get(tau, 0) + sum(path_weight(p, ctx) for p in plist)
-                    if with_census:
-                        key_paths = [AlternatingPath(tuple(
-                            cx.cells[d - k % 2][c] for k, c in enumerate(p.cells)))
-                            for p in plist]
-                        censuses[(bases[d][col], cx.cells[d - 1][tau])] = _build_census(
-                            key_paths, key_ctx)
-                for tau, v in acc.items():
-                    if v:
-                        entries[(row[tau], col)] = v
+                coef = {}
+                lo, hi = ptr[sigma], ptr[sigma + 1]
+                for g, s in zip(idx[lo:hi], sgn[lo:hi]):
+                    coef[g] = coef.get(g, 0) + s
+                heap = [pos[g] for g in coef]
+                heapq.heapify(heap)
+                while heap:
+                    a = order[heapq.heappop(heap)]
+                    c = coef.pop(a)
+                    if not c:
+                        continue
+                    if a in row:
+                        entries[(row[a], col)] = c
+                        continue
+                    u = up[a]
+                    if u < 0:
+                        continue  # matched downward
+                    lo, hi = ptr[u], ptr[u + 1]
+                    faces, signs = idx[lo:hi], sgn[lo:hi]
+                    k = -c * signs[faces.index(a)]
+                    for g, t in zip(faces, signs):
+                        if g != a:
+                            if g not in coef:
+                                coef[g] = 0
+                                heapq.heappush(heap, pos[g])
+                            coef[g] += k * t
         mats[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]), entries)
     icc = IntegerChainComplex(bases, mats)
     icc.check_boundary_squared()
-    return icc, censuses
+    return icc

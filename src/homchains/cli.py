@@ -138,7 +138,7 @@ class _Run:
 
     @cached_property
     def morse_complex(self):
-        return chains.morse_complex(self.cx, self.matching, self.cert)[0]
+        return chains.morse_complex(self.cx, self.matching, self.cert)
 
     @cached_property
     def homology(self):
@@ -167,9 +167,8 @@ def _suite_results(args, names):
                 results.append((name, False, str(exc)))
         elif name == "bijection":
             from_words = {
-                words.critical_cellword_from_word(w)
-                for w in words.enumerate_words(spec, cap=args.max_cells)
-                if words.decompose_descents(w).valid}
+                words.critical_cellword_from_word(cw.word)
+                for cw in cx.cells[0] if words.decompose_descents(cw.word).valid}
             from_matching = {c for v in morse.critical_cells(matching).values() for c in v}
             results.append((name, from_words == from_matching,
                             f"{len(from_matching)} critical cells"))

@@ -128,23 +128,28 @@ class FinitePoset:
         return self.covers == tuple((i, i + 1) for i in range(self.n - 1))
 
     def maximal_chains(self, cap=None):
-        """All maximal chains, as tuples of ids, by DFS from the minimal elements."""
+        """All maximal chains, as tuples of ids, by DFS from the minimal elements.
+
+        The walk keeps its own stack, so chain length is not bounded by the
+        recursion limit.
+        """
         chains = []
         up = self.up_covers
-
-        def dfs(x, acc):
-            if not up[x]:
-                chains.append(tuple(acc))
+        acc = []  # the chain so far; stack[k + 1] iterates the up-covers of acc[k]
+        stack = [iter(self.minimals())]
+        while stack:
+            x = next(stack[-1], None)
+            if x is None:
+                stack.pop()
+                if acc:
+                    acc.pop()
+            elif up[x]:
+                acc.append(x)
+                stack.append(iter(up[x]))
+            else:
+                chains.append((*acc, x))
                 if cap is not None and len(chains) > cap:
                     raise CapExceeded(f"more than {cap} maximal chains")
-                return
-            for b in up[x]:
-                acc.append(b)
-                dfs(b, acc)
-                acc.pop()
-
-        for m in self.minimals():
-            dfs(m, [m])
         return chains
 
     def __repr__(self):

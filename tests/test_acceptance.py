@@ -45,13 +45,13 @@ def artifacts(spec):
         cx = hc.chain_product_complex(spec)
         matching = hc.match_product_of_chains(cx)
         cert = hc.validate_acyclic(matching, cx)
-        icc, censuses = hc.morse_complex(cx, matching, cert, with_census=True)
+        icc = hc.morse_complex(cx, matching, cert)
         _cache[spec] = {
             "cx": cx,
             "matching": matching,
             "cert": cert,
             "morse": icc,
-            "censuses": censuses,
+            "censuses": hc.path_censuses(cx, matching),
             "homology": hc.homology(cx),
             "morse_homology": hc.homology(icc),
         }

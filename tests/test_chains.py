@@ -1,27 +1,34 @@
 """Incidence numbers, the d o d check, Smith normal form, homology, and
 Morse-complex incidences."""
 
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homchains import (
+    AcyclicityError,
     AlternatingPath,
     CellComplex,
     ComplexMatchContext,
+    FinitePoset,
     SparseIntMatrix,
     boundary_matrices,
     cellword_to_multihom,
+    chain,
     chain_product_complex,
     check_faces_squared,
     critical_cells,
+    hom_complex_generic,
     homology,
+    ideal_lattice,
     involution_partner,
     match_product_of_chains,
     morse_complex,
     morse_incidence,
     parse_cellword,
+    path_censuses,
     render_cellword,
     signed_faces,
     smith_normal_form,
@@ -300,7 +307,7 @@ def small_specs(draw, max_sum=7):
 def test_morse_homology_equals_full_homology(spec):
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
-    icc, _ = morse_complex(cx, m, validate_acyclic(m, cx))
+    icc = morse_complex(cx, m, validate_acyclic(m, cx))
     got, want = homology(icc), homology(cx)
     assert (got.betti, got.torsion, got.euler) == (want.betti, want.torsion, want.euler)
     assert got.euler == cx.euler_characteristic()
@@ -329,7 +336,7 @@ def test_morse_incidence_with_direct_and_path_terms():
     v_path, census = morse_incidence("e12", "v0", ctx)
     assert v_path == -1 and census.count == 1
     cert = validate_acyclic(m, cx)
-    icc, _ = morse_complex(cx, m, cert)
+    icc = morse_complex(cx, m, cert)
     assert homology(icc).betti == (1, 0) == tuple(homology(cx).betti)
 
 
@@ -340,6 +347,55 @@ def test_morse_incidence_rejects_bad_input():
         morse_incidence("e01", "v0", ctx)  # e01 is matched
     with pytest.raises(ValueError):
         morse_incidence("v0", "v2", ctx)  # dimension mismatch
+
+
+def random_acyclic_matching(cx, rng):
+    """A random acyclic matching of cx: the covers are offered in random
+    order and each is kept when both its cells are free and the matching
+    stays acyclic, until a random number of pairs is reached."""
+    covers = [(cx.cells[d - 1][f], cx.cells[d][j]) for d in range(1, cx.dim + 1)
+              for j in range(len(cx.cells[d])) for f, _ in cx.faces(d, j)]
+    rng.shuffle(covers)
+    want = rng.randint(1, len(covers))
+    up, used = {}, set()
+    for lower, upper in covers:
+        if lower in used or upper in used:
+            continue
+        try:
+            validate_acyclic(MorseMatching.from_pairs(cx, {**up, lower: upper}), cx)
+        except AcyclicityError:
+            continue
+        up[lower] = upper
+        used |= {lower, upper}
+        if len(up) == want:
+            break
+    return MorseMatching.from_pairs(cx, up)
+
+
+def test_morse_complex_equals_path_sums_on_random_matchings():
+    rng = random.Random(20141)
+    zigzag = ideal_lattice(FinitePoset(5, [(0, 1), (2, 1), (2, 3), (4, 3)]))
+    complexes = [chain_product_complex(spec) for spec in [(1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]]
+    complexes.append(hom_complex_generic(chain(5), zigzag, "strict"))
+    n_matchings = n_nonzero = n_by_paths = 0
+    for cx in complexes:
+        for _ in range(60):
+            m = random_acyclic_matching(cx, rng)
+            icc = morse_complex(cx, m, validate_acyclic(m, cx))
+            ctx = ComplexMatchContext(cx, m)
+            by_paths = False
+            for d in range(1, cx.dim + 1):
+                entries = icc.mats[d].entries
+                for c, sigma in enumerate(icc.bases[d]):
+                    for r, tau in enumerate(icc.bases[d - 1]):
+                        value, census = morse_incidence(sigma, tau, ctx)
+                        assert entries.get((r, c), 0) == value
+                        by_paths |= census.total != 0
+            n_matchings += 1
+            n_nonzero += not all(mat.is_zero() for mat in icc.mats.values())
+            n_by_paths += by_paths
+    assert n_matchings >= 200
+    assert 2 * n_nonzero > n_matchings and 2 * n_by_paths > n_matchings
 
 
 def hexagon_fence_matching():
@@ -355,7 +411,7 @@ def hexagon_fence_matching():
 def test_morse_complex_on_hand_built_circle_matching():
     cx, m = hexagon_fence_matching()
     cert = validate_acyclic(m, cx)
-    icc, _ = morse_complex(cx, m, cert)
+    icc = morse_complex(cx, m, cert)
     assert icc.f_vector() == (1, 1)
     assert icc.mats[1].is_zero()  # direct term cancels the long path
     assert homology(icc).betti == (1, 1)
@@ -373,7 +429,8 @@ def test_morse_complex_homology_matches_full():
         cx = chain_product_complex(spec)
         m = match_product_of_chains(cx)
         cert = validate_acyclic(m, cx)
-        icc, censuses = morse_complex(cx, m, cert, with_census=True)
+        icc = morse_complex(cx, m, cert)
+        censuses = path_censuses(cx, m)
         assert all(mat.is_zero() for mat in icc.mats.values())
         h_full = homology(cx)
         h_morse = homology(icc)
@@ -427,14 +484,12 @@ def test_morse_complex_census_needs_no_recursion():
     spec = (1,) * 7
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
-    cert = validate_acyclic(m, cx)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 10)
     try:
-        icc, censuses = morse_complex(cx, m, cert, with_census=True)
+        censuses = path_censuses(cx, m)
     finally:
         sys.setrecursionlimit(limit)
-    assert icc.f_vector() == (1, 351, 350, 0)
-    assert all(mat.is_zero() for mat in icc.mats.values())
+    assert len(critical_cells(m)[1]) == 351 and len(critical_cells(m)[2]) == 350
     assert max(c.paths[k].t for c in censuses.values() for k in range(c.count)) == 17
     assert all(c.pairing is not None and c.total == 0 for c in censuses.values())

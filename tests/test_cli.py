@@ -56,6 +56,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
     ("build-zigzag5.json",
      ("build", "--poset", str(Path(__file__).parent / "data" / "zigzag5.poset"),
       "--format", "json")),
+    ("report-111111.json", ("report", "--spec", "1,1,1,1,1,1")),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = run(capsys, *argv)

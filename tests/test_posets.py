@@ -74,6 +74,29 @@ def test_product_maximal_chain_count():
     assert sorted(g.maximal_chains()) == sorted(brute_maximal_chains(g))
 
 
+def test_maximal_chains_need_no_recursion():
+    # one chain of 1501 elements, deeper than the default recursion limit
+    assert chain(1500).maximal_chains() == [tuple(range(1501))]
+
+
+def test_maximal_chains_depth_first_order_and_cap():
+    g = disjoint_union([product([chain(1), chain(2)]), chain(1)])
+    up = g.up_covers
+
+    def extend(acc):
+        if not up[acc[-1]]:
+            return [tuple(acc)]
+        return [c for b in up[acc[-1]] for c in extend(acc + [b])]
+
+    want = [c for m in g.minimals() for c in extend([m])]
+    assert len(want) == 4
+    assert g.maximal_chains() == want
+    assert sorted(want) == sorted(brute_maximal_chains(g))
+    assert g.maximal_chains(cap=4) == want
+    with pytest.raises(CapExceeded):
+        g.maximal_chains(cap=3)
+
+
 def test_product_empty_errors():
     with pytest.raises(ValueError):
         product([])
