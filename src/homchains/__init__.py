@@ -40,6 +40,7 @@ from .words import (
 )
 from .complexes import (
     CellComplex,
+    cellword_multihoms,
     cellword_to_multihom,
     chain_product_complex,
     hom_complex_generic,

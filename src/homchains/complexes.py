@@ -15,6 +15,7 @@ matching classifies.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -170,44 +171,65 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     return CellComplex.from_faces(cells, faces, spec=spec)
 
 
+def _word_ideals(cw, spec):
+    """The vertex image of cw's word and the joined coordinate at each position.
+
+    With I_p the ideal of the first p letters, returns ((I_0,), ..., (I_ell,))
+    and a list whose entry p (1 <= p <= ell - 1) is (I_{p-1} plus the
+    element of letter p + 1, I_p): the coordinate of a pair at p.
+    """
+    check_content(cw, spec)
+    nxt = [0, *itertools.accumulate(spec.i[:-1], initial=0)]
+    elems, ideal, ideals = [], [], [()]
+    for t in cw.word:
+        nxt[t] += 1
+        elems.append(nxt[t])
+        bisect.insort(ideal, nxt[t])
+        ideals.append(tuple(ideal))
+    joined = [None]
+    for prev, cur, e in zip(ideals, ideals[1:], elems[1:]):
+        k = bisect.bisect(prev, e)
+        joined.append((prev[:k] + (e,) + prev[k:], cur))
+    return tuple((v,) for v in ideals), joined
+
+
+def cellword_multihoms(cells, spec):
+    """The cellword_to_multihom image of each cell word, in order.
+
+    A cell's image is its word's vertex image with coordinate p replaced by
+    the joined coordinate at p for each of its pairs; the word's ideals are
+    rebuilt only when the word changes, so cells should come grouped by
+    word, as in each dimension of chain_product_complex, or in all its
+    dimensions merged by word.
+    """
+    spec = as_spec(spec)
+    ell = spec.ell
+    word = None
+    for cw in cells:
+        if cw.word != word:
+            word = cw.word
+            vertex, joined = _word_ideals(cw, spec)
+        image = list(vertex)
+        for p in cw.pairs:
+            if not 0 < p < ell:
+                raise ValueError(f"pair position {p} out of range")
+            image[p] = joined[p]
+        yield tuple(image)
+
+
 def cellword_to_multihom(cw, spec):
     """The ideal chain in J of a disjoint union of chains encoded by a cell word.
 
     Ideals are rendered as sorted tuples of 1-based positions under the block
     linear extension (all of chain 1 bottom-to-top, then chain 2, ...); the
-    s-th occurrence of letter t contributes position offset_t + s.
+    s-th occurrence of letter t is position i_1 + ... + i_{t-1} + s.
+    Coordinate p is (I_p,) for I_p the ideal of the first p letters, except
+    that a pair at p makes it (I_{p-1} plus the element of letter p + 1,
+    I_p).  Each pair sets its own coordinate, so overlapping pairs give
+    adjacent doubled coordinates, which is_cubical rejects.  This is the
+    one-cell case of cellword_multihoms.
     """
-    spec = as_spec(spec)
-    check_content(cw, spec)
-    offsets = [0] * (spec.n + 1)
-    for t in range(2, spec.n + 1):
-        offsets[t] = offsets[t - 1] + spec.i[t - 2]
-    seen = [0] * (spec.n + 1)
-    pairset = set(cw.pairs)
-    ideal = []
-    assign = [(tuple(ideal),)]
-    p = 1
-    ell = spec.ell
-    while p <= ell:
-        if p in pairset:
-            beta, alpha = cw.word[p - 1], cw.word[p]
-            eb = offsets[beta] + seen[beta] + 1
-            ea = offsets[alpha] + seen[alpha] + 1
-            lo = tuple(sorted(ideal + [ea]))
-            hi = tuple(sorted(ideal + [eb]))
-            assign.append((lo, hi))
-            ideal = sorted(ideal + [ea, eb])
-            assign.append((tuple(ideal),))
-            seen[beta] += 1
-            seen[alpha] += 1
-            p += 2
-        else:
-            t = cw.word[p - 1]
-            ideal = sorted(ideal + [offsets[t] + seen[t] + 1])
-            assign.append((tuple(ideal),))
-            seen[t] += 1
-            p += 1
-    return tuple(assign)
+    return next(cellword_multihoms((cw,), spec))
 
 
 # -- generic homomorphism complexes -----------------------------------------
@@ -367,11 +389,19 @@ def is_cubical(X):
 
     Every coordinate has 1 or 2 elements and no two doubled coordinates are
     adjacent; every cell of Hom(C_m, L) has this shape for a distributive
-    lattice L.
+    lattice L.  The coordinates are read once, stopping at the first that
+    breaks the rule.
     """
-    sizes = [len(c) for c in X]
-    return (all(s in (1, 2) for s in sizes)
-            and not any(a == 2 == b for a, b in zip(sizes, sizes[1:])))
+    doubled = False
+    for c in X:
+        n = len(c)
+        if n == 1:
+            doubled = False
+        elif n == 2 and not doubled:
+            doubled = True
+        else:
+            return False
+    return True
 
 
 def _assert_cubical(cx):

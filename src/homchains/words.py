@@ -108,17 +108,11 @@ def _render_letter(x):
 
 
 def render_cellword(cw):
-    out = []
-    pairset = set(cw.pairs)
-    p = 1
-    ell = len(cw.word)
-    while p <= ell:
-        if p in pairset:
-            out.append("(" + _render_letter(cw.word[p - 1]) + _render_letter(cw.word[p]) + ")")
-            p += 2
-        else:
-            out.append(_render_letter(cw.word[p - 1]))
-            p += 1
+    """The cell word as text: one token per letter, each pair in parentheses."""
+    out = list(map(_render_letter, cw.word))
+    for p in cw.pairs:
+        out[p - 1] = "(" + out[p - 1]
+        out[p] += ")"
     return "".join(out)
 
 

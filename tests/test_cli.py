@@ -57,6 +57,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
      ("build", "--poset", str(Path(__file__).parent / "data" / "zigzag5.poset"),
       "--format", "json")),
     ("report-111111.json", ("report", "--spec", "1,1,1,1,1,1")),
+    ("verify-2223.txt", ("verify", "--suite", "cubicality,acyclicity,bijection,zero-incidence",
+                         "--spec", "2,2,2,3")),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = run(capsys, *argv)

@@ -11,6 +11,7 @@ from homchains import (
     FinitePoset,
     GradedPoset,
     antichain,
+    cellword_multihoms,
     cellword_to_multihom,
     chain,
     chain_product_complex,
@@ -123,6 +124,58 @@ def test_faces_example():
     assert signed_faces(parse_cellword("123")) == ()
     got = {(render_cellword(f), sign) for f, sign in signed_faces(parse_cellword("(21)"))}
     assert got == {("12", -1), ("21", 1)}
+
+
+def _reference_multihom(cw, spec):
+    # the map walked position by position, rebuilding the ideal chain per cell
+    offsets = [0] * (len(spec) + 1)
+    for t in range(2, len(spec) + 1):
+        offsets[t] = offsets[t - 1] + spec[t - 2]
+    seen = [0] * (len(spec) + 1)
+    ideal = []
+    assign = [(tuple(ideal),)]
+    p = 1
+    while p <= sum(spec):
+        if p in cw.pairs:
+            beta, alpha = cw.word[p - 1], cw.word[p]
+            eb = offsets[beta] + seen[beta] + 1
+            ea = offsets[alpha] + seen[alpha] + 1
+            assign.append((tuple(sorted(ideal + [ea])), tuple(sorted(ideal + [eb]))))
+            ideal = sorted(ideal + [ea, eb])
+            assign.append((tuple(ideal),))
+            seen[beta] += 1
+            seen[alpha] += 1
+            p += 2
+        else:
+            t = cw.word[p - 1]
+            ideal = sorted(ideal + [offsets[t] + seen[t] + 1])
+            assign.append((tuple(ideal),))
+            seen[t] += 1
+            p += 1
+    return tuple(assign)
+
+
+@pytest.mark.parametrize("spec", [(1, 1, 1, 1, 1), (1, 2, 3), (2, 2, 2), (3, 3)])
+def test_bulk_map_equals_per_position_reference(spec):
+    cx = chain_product_complex(spec)
+    for cells in cx.cells.values():
+        want = [_reference_multihom(cw, spec) for cw in cells]
+        assert list(cellword_multihoms(cells, spec)) == want
+        assert [cellword_to_multihom(cw, spec) for cw in cells] == want
+
+
+def test_overlapping_pairs_map_to_a_non_cubical_cell():
+    # each pair sets its own coordinate, so the second pair is not dropped
+    mh = cellword_to_multihom(CellWord((3, 2, 1), (1, 2)), (1, 1, 1))
+    assert [len(c) for c in mh] == [1, 2, 2, 1]
+    assert not is_cubical(mh)
+
+
+def test_bulk_map_rejects_bad_input():
+    with pytest.raises(ValueError, match="content"):
+        list(cellword_multihoms([parse_cellword("12"), parse_cellword("112")], (1, 1)))
+    with pytest.raises(ValueError, match="out of range"):
+        cellword_to_multihom(CellWord((2, 1), (2,)), (1, 1))
 
 
 def test_cubical_size_pattern():
@@ -264,6 +317,9 @@ def test_is_cubical():
     assert is_cubical(((0,), (1, 2), (3,), (4, 5)))
     assert not is_cubical(((0,), (1, 2, 3), (4,)))
     assert not is_cubical(((0,), (1, 2), (3, 4), (5,)))
+    assert is_cubical(())
+    assert not is_cubical(((),))
+    assert not is_cubical(((0,), (1, 2), (3, 4, 5)))
 
 
 def test_f_vector_matches_formula():
