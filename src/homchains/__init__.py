@@ -64,9 +64,6 @@ from .chains import (
     AlternatingPath,
     ComplexMatchContext,
     HomologyReport,
-    IntegerChainComplex,
-    SparseIntMatrix,
-    boundary_matrices,
     check_faces_squared,
     homology,
     involution_partner,

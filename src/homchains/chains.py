@@ -1,13 +1,13 @@
-"""Integer cellular chain complexes: the d o d = 0 check on face tables,
-boundary matrices, Smith-normal-form homology, and the Morse complex of an
-acyclic matching.
+"""Integer cellular chain complexes: the d o d = 0 checks on face tables,
+Smith-normal-form homology, and the Morse complex of an acyclic matching.
 
-Cell-word faces and their signs come from words.signed_faces.  Boundary
-matrices and the Morse complex work on cell indices: a complex's face tables
-and a matching's partner arrays.  The Morse complex reduces each critical
-cell's boundary along the acyclicity certificate's order and lists no path.
-Alternating paths are walked on cell keys, through the key-level oracles
-(ComplexMatchContext, morse.SpecMatchContext): morse_incidence and
+A boundary is always a FaceTable (complexes.FaceTable): Smith normal form
+reads its rows straight from the table, and the Morse complex is a
+CellComplex whose tables hold its integer incidences.  Cell-word faces and
+their signs come from words.signed_faces.  The Morse complex reduces each
+critical cell's boundary along the acyclicity certificate's order and lists
+no path.  Alternating paths are walked on cell keys, through the key-level
+oracles (ComplexMatchContext, morse.SpecMatchContext): morse_incidence and
 path_censuses sum their weights and pair them by the sign-reversing
 involution on cell words, an independent account of the same incidences.
 """
@@ -15,77 +15,13 @@ involution on cell words, an independent account of the same incidences.
 from __future__ import annotations
 
 import heapq
-import itertools
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .complexes import CellComplex, FaceTable
 from .words import CellWord, release
-
-
-# -- sparse integer matrices ----------------------------------------------
-
-
-class SparseIntMatrix:
-    """Integer matrix stored as {(row, col): value}; exact arithmetic throughout."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = dict(entries) if entries else {}
-
-    @classmethod
-    def from_dense(cls, rows):
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = int(v)
-        return cls(nrows, ncols, entries)
-
-    @property
-    def nnz(self):
-        return len(self.entries)
-
-    def is_zero(self):
-        return not self.entries
-
-    def mul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        by_col = defaultdict(list)
-        for (r, c), v in other.entries.items():
-            by_col[c].append((r, v))
-        rows_of = defaultdict(list)
-        for (r, c), v in self.entries.items():
-            rows_of[c].append((r, v))
-        entries = {}
-        for c, col in by_col.items():
-            acc = defaultdict(int)
-            for k, v in col:
-                for r, w in rows_of.get(k, ()):
-                    acc[r] += v * w
-            for r, v in acc.items():
-                if v:
-                    entries[(r, c)] = v
-        return SparseIntMatrix(self.nrows, other.ncols, entries)
-
-    def row_dicts(self):
-        rows = defaultdict(dict)
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return dict(rows)
-
-    def __repr__(self):
-        return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -197,8 +133,26 @@ def _dense_snf(A):
     return out
 
 
+def _row_dicts(matrix):
+    """{row: {col: value}} of a FaceTable, whose column j lists the faces of
+    cell j, or of a dense matrix given as a list of rows."""
+    rows = defaultdict(dict)
+    if isinstance(matrix, FaceTable):
+        ptr, idx, sgn = matrix
+        for j in range(len(ptr) - 1):
+            for k in range(ptr[j], ptr[j + 1]):
+                rows[idx[k]][j] = sgn[k]
+    else:
+        for r, row in enumerate(matrix):
+            for c, v in enumerate(row):
+                if v:
+                    rows[r][c] = int(v)
+    return dict(rows)
+
+
 def smith_normal_form(matrix):
-    """Invariant factors d_1 | d_2 | ... (nonzero only) and the rank.
+    """Invariant factors d_1 | d_2 | ... (nonzero only) and the rank of a
+    FaceTable (rows are the faces, columns the cells) or of a dense matrix.
 
     Unit pivots are eliminated sparsely, cheapest first: a lazy min-heap
     holds every +-1 entry keyed by its Markowitz cost (row length - 1) *
@@ -208,10 +162,7 @@ def smith_normal_form(matrix):
     factor 1.  Once no +-1 entry is left, the residue is reduced densely; its
     factors are positive and already form a divisibility chain.
     """
-    if isinstance(matrix, SparseIntMatrix):
-        rowdata = matrix.row_dicts()
-    else:
-        rowdata = SparseIntMatrix.from_dense(matrix).row_dicts()
+    rowdata = _row_dicts(matrix)
     cols = defaultdict(set)
     for r, row in rowdata.items():
         for c in row:
@@ -243,29 +194,6 @@ def smith_normal_form(matrix):
 
 
 # -- chain complexes ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegerChainComplex:
-    """Per-dimension integer boundary matrices over canonical cell bases."""
-
-    bases: dict  # dim -> tuple of cell keys
-    mats: dict   # dim -> SparseIntMatrix mapping dim-cells to (dim-1)-cells
-
-    @property
-    def dim(self):
-        return max(self.bases) if self.bases else -1
-
-    def f_vector(self):
-        return tuple(len(self.bases[d]) for d in range(self.dim + 1))
-
-    def check_boundary_squared(self):
-        """d o d = 0 by multiplying the matrices: for Morse complexes and
-        hand-built matrices (cell complexes use check_faces_squared)."""
-        for d in range(2, self.dim + 1):
-            if d in self.mats and (d - 1) in self.mats:
-                if not self.mats[d - 1].mul(self.mats[d]).is_zero():
-                    raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
 
 
 def check_faces_squared(cx):
@@ -302,21 +230,28 @@ def check_faces_squared(cx):
                 raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
 
 
-def boundary_matrices(cx):
-    """Assemble the integer boundary matrices of a cell complex, after
-    check_faces_squared has verified d o d = 0 on its face tables."""
-    check_faces_squared(cx)
-    bases = dict(cx.cells)
-    mats = {}
-    for d in sorted(bases):
-        if d == 0:
-            continue
+def _check_squared(cx):
+    """Verify d o d = 0 on face tables with any integer incidences, as a
+    Morse complex has; raises ArithmeticError otherwise, and when a cell
+    lists a face twice.  Cell by cell, the incidence products along each
+    face's own faces are summed per (d-2)-cell and must all vanish.
+    """
+    for d in sorted(cx.boundary):
         ptr, idx, sgn = cx.boundary[d]
-        cols = itertools.chain.from_iterable(itertools.repeat(j, ptr[j + 1] - ptr[j])
-                                             for j in range(len(bases[d])))
-        mats[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]),
-                                  zip(zip(idx, cols), sgn))
-    return IntegerChainComplex(bases, mats)
+        lower = cx.boundary.get(d - 1)
+        for j in range(len(ptr) - 1):
+            lo, hi = ptr[j], ptr[j + 1]
+            if len(set(idx[lo:hi])) != hi - lo:
+                raise ArithmeticError(f"repeated facet in boundary at dimension {d}")
+            if lower is None:
+                continue
+            lptr, lidx, lsgn = lower
+            acc = defaultdict(int)
+            for f, s in zip(idx[lo:hi], sgn[lo:hi]):
+                for k in range(lptr[f], lptr[f + 1]):
+                    acc[lidx[k]] += s * lsgn[k]
+            if any(acc.values()):
+                raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
 
 
 @dataclass(frozen=True)
@@ -332,27 +267,26 @@ class HomologyReport:
         return all(not t for t in self.torsion)
 
 
-def homology(obj):
-    """Integer homology via Smith normal form of the boundary matrices.
+def homology(cx):
+    """Integer homology of a CellComplex via Smith normal form of its face tables.
 
-    `obj` is an IntegerChainComplex, or a cell complex whose boundary
-    matrices are assembled first.  The command line passes only Morse
-    complexes of certified matchings, which are small; SNF on a whole cell
-    complex is left to the independent cross-checks, verify_fold_consequence
-    and the tests.
+    d o d = 0 is checked first, by the integer rule of _check_squared.  The
+    command line passes only Morse complexes of certified matchings, which
+    are small; SNF on a whole cell complex is left to the independent
+    cross-checks, verify_fold_consequence and the tests.
     """
-    icc = obj if isinstance(obj, IntegerChainComplex) else boundary_matrices(obj)
-    top = icc.dim
+    _check_squared(cx)
+    top = cx.dim
     ranks = {}
     factors = {}
     for d in range(1, top + 1):
-        snf = smith_normal_form(icc.mats[d])
+        snf = smith_normal_form(cx.boundary[d])
         ranks[d] = snf.rank
         factors[d] = snf.factors
     betti = []
     torsion = []
     for d in range(top + 1):
-        nd = len(icc.bases[d])
+        nd = len(cx.cells[d])
         betti.append(nd - ranks.get(d, 0) - ranks.get(d + 1, 0))
         torsion.append(tuple(f for f in factors.get(d + 1, ()) if f > 1))
     euler = sum((-1) ** d * b for d, b in enumerate(betti))
@@ -604,20 +538,22 @@ def path_censuses(cx, matching):
 
 
 def morse_complex(cx, matching, certificate):
-    """The chain complex on the critical cells of a certified matching.
+    """The chain complex on the critical cells of a certified matching, as a
+    CellComplex keyed by the critical cells' keys.
 
     Requires the acyclicity certificate produced by validate_acyclic; the
     homology of the result equals the homology of cx.  The boundary of each
     critical d-cell sigma is reduced along certificate.orders[d]: the
     earliest (d-1)-cell a still carrying a nonzero coefficient c is taken
-    off.  A critical a keeps c as the entry at (a, sigma), an a matched
+    off.  A critical a keeps c as the incidence of a in sigma's face table
+    (written in the order taken off, nonzero entries only), an a matched
     downward is dropped, and an a matched up to u is traded for the other
     faces of u: c a becomes c a - c [a:u] d(u), which adds -c [a:u] [g:u]
     to each face g != a of u.  The faces of u come after a in the order, so
     every cell is taken off once, after all its contributions.  Each entry
     is therefore the direct incidence plus the weights of all alternating
     paths from sigma to tau, the value of morse_incidence, without listing
-    a path.
+    a path.  homology checks d o d = 0 on the result before its SNF.
     """
     if certificate is None:
         raise ValueError("matching must be validated acyclic first")
@@ -626,10 +562,10 @@ def morse_complex(cx, matching, certificate):
         raise ValueError("matching was built on another cell basis")
     top = cx.dim
     crit = {d: matching.critical.get(d, ()) for d in range(top + 1)}
-    bases = {d: tuple(cx.cells[d][i] for i in crit[d]) for d in range(top + 1)}
-    mats = {}
+    cells = {d: tuple(cx.cells[d][i] for i in crit[d]) for d in crit}
+    tables = {}
     for d in range(1, top + 1):
-        entries = {}
+        mptr, midx, msgn = array("i", [0]) * (len(crit[d]) + 1), array("i"), []
         row = {tau: r for r, tau in enumerate(crit[d - 1])}
         if row and crit[d]:
             ptr, idx, sgn = cx.boundary[d]
@@ -652,7 +588,8 @@ def morse_complex(cx, matching, certificate):
                     if not c:
                         continue
                     if a in row:
-                        entries[(row[a], col)] = c
+                        midx.append(row[a])
+                        msgn.append(c)
                         continue
                     u = up[a]
                     if u < 0:
@@ -666,7 +603,6 @@ def morse_complex(cx, matching, certificate):
                                 coef[g] = 0
                                 heapq.heappush(heap, pos[g])
                             coef[g] += k * t
-        mats[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]), entries)
-    icc = IntegerChainComplex(bases, mats)
-    icc.check_boundary_squared()
-    return icc
+                mptr[col + 1] = len(midx)
+        tables[d] = FaceTable(mptr, midx, msgn)
+    return CellComplex.from_faces(cells, tables)

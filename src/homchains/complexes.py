@@ -1,9 +1,10 @@
 """Homomorphism complexes of posets and the cubical cell-word model for chain products.
 
-A cell of Hom_M(A, B) is a tuple of nonempty subsets of B, one per element
-of A, all of whose representative systems lie in M; cells are keyed by
-tuples of sorted tuples.  For a product of chains the complex is cubical and
-cells are keyed by parenthesized multiset permutations (CellWord).
+A cell of Hom(A, B) is a tuple of nonempty subsets of B, one per element
+of A, all of whose representative systems are strictly order-preserving
+maps A -> B; cells are keyed by tuples of sorted tuples.  For a product of
+chains the complex is cubical and cells are keyed by parenthesized multiset
+permutations (CellWord).
 
 A CellComplex indexes each cell by its position in the tuple cells[d]
 (sorted, for the complexes built here), and stores the boundary of the
@@ -24,24 +25,31 @@ from typing import NamedTuple
 from .posets import CapExceeded, GradedPoset, _bits, chain, delete_element, find_folds
 from .words import (
     DEFAULT_CAP,
+    CellWord,
     as_spec,
     check_content,
-    enumerate_cellwords,
+    enumerate_words,
     word_placements,
 )
-from . import chains as _chains
 
 
 class FaceTable(NamedTuple):
-    """The faces of the d-cells in compressed sparse rows.
+    """The faces of the d-cells in compressed sparse rows: the only boundary
+    representation, read by the d o d checks and by Smith normal form.
 
     Cell j has the (d-1)-cells idx[ptr[j]:ptr[j + 1]] as its faces, with
-    incidence numbers sgn[ptr[j]:ptr[j + 1]].
+    incidence numbers sgn[ptr[j]:ptr[j + 1]].  In a cell complex they are
+    +1 or -1; in a Morse complex (chains.morse_complex) sgn is a list of
+    nonzero integers of any size.
     """
 
     ptr: array  # 'i', one more entry than there are d-cells
     idx: array  # 'i', indices into cells[d - 1]
-    sgn: array  # 'b', +1 or -1
+    sgn: array  # 'b', +1 or -1; a list of ints in a Morse complex
+
+    @property
+    def nnz(self):
+        return len(self.idx)
 
 
 class CellComplex:
@@ -130,23 +138,24 @@ def _sign_block(d):
 def chain_product_complex(spec, cap=DEFAULT_CAP):
     """Hom of a product of chains, built directly from parenthesized words.
 
-    enumerate_cellwords yields every dimension in sorted order, all cells of
-    one word together, so a cell's index is its word's start in its
-    dimension plus the rank of its pair placement among that word's.  A
-    d-cell j has 2d faces: its t-th pair released in the alpha order (the
-    word with the pair swapped) at ptr[j] + 2(t - 1), then in the beta
-    order (the same word) right after, with the signs of
-    words.signed_faces.  morse.match_product_of_chains reads each matched
-    partner from this order.
+    word_placements lists the words in lexicographic order with their pair
+    placements by dimension, each dimension in lexicographic order, so the
+    cells of each dimension come sorted, all cells of one word together,
+    and a cell's index is its word's start in its dimension plus the rank
+    of its pair placement among that word's.  A d-cell j has 2d faces: its
+    t-th pair released in the alpha order (the word with the pair swapped)
+    at ptr[j] + 2(t - 1), then in the beta order (the same word) right
+    after, with the signs of words.signed_faces.  morse.match_product_of_chains
+    reads each matched partner from this order.
     """
     spec = as_spec(spec)
     cells = [[] for _ in range(spec.ell // 2 + 1)]
-    for cw in enumerate_cellwords(spec, cap=cap):
-        cells[cw.dim].append(cw)
+    table = {}  # word -> (start index per dimension, placements of its descents)
+    for w, start, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
+        table[w] = (start, info)
+        for d, ps in enumerate(info.by_dim):
+            cells[d].extend(CellWord(w, pairs) for pairs in ps)
     cells = {d: tuple(cs) for d, cs in enumerate(cells) if cs}
-    # word -> (start index per dimension, placements of its descents)
-    table = {w: (start, info)
-             for w, start, info in word_placements(v.word for v in cells[0])}
     idx = {d: array("i") for d in cells if d}
     for w, (start, info) in table.items():
         alpha = {}
@@ -265,50 +274,47 @@ def _strict_maps(A, B, cap):
     out = []
     f = [None] * A.n
 
-    def rec(k):
+    def candidates(k):
+        """The values f[order[k]] may take; once f is complete, records it
+        and offers none."""
         if k == len(order):
             if len(out) == cap:
                 raise CapExceeded(f"more than {cap} homomorphisms")
             out.append(tuple(f))
-            return
+            return iter(())
         x = order[k]
         allowed = fits[x]
         for a in A.down_covers[x]:
             allowed &= B.above(f[a])
-        for b in _bits(allowed):
-            f[x] = b
-            rec(k + 1)
-        f[x] = None
+        return _bits(allowed)
 
-    rec(0)
+    # stack[k] iterates the values of f[order[k]], so the depth of A is not
+    # bounded by the recursion limit
+    stack = [candidates(0)]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+        else:
+            f[order[len(stack) - 1]] = b
+            stack.append(candidates(len(stack)))
     return out
 
 
-def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
-    """Hom_M(A, B): all multihoms whose representative systems lie in M.
+def hom_complex_generic(A, B, cap=DEFAULT_CAP):
+    """Hom(A, B): all multihoms whose representative systems are strictly
+    order-preserving maps A -> B.
 
-    `maps` is either 'strict' (strictly order-preserving maps) or a predicate
-    on tuples indexed by A's ids.  Cells are built bottom-up: vertices are
-    the homomorphisms, and a candidate cell enters when all its facets are
-    present (equivalent to the representative-system condition); the facets
-    found by that check become the cell's boundary, so each candidate is
-    signed once.  For strict maps, coordinate i only tries the elements of B
-    above every element of each down-cover's coordinate and below every
-    element of each up-cover's coordinate (B's above/below masks); the facet
-    check still admits every cell.
+    Cells are built bottom-up: vertices are the strict maps, and a candidate
+    cell enters when all its facets are present (equivalent to the
+    representative-system condition); the facets found by that check become
+    the cell's boundary, so each candidate is signed once.  Coordinate i
+    only tries the elements of B above every element of each down-cover's
+    coordinate and below every element of each up-cover's coordinate (B's
+    above/below masks); the facet check still admits every cell.
     """
-    if callable(maps):
-        if B.n ** A.n > cap:
-            raise CapExceeded(f"|B|^|A| = {B.n}^{A.n} exceeds the cap {cap}")
-        verts = [f for f in itertools.product(range(B.n), repeat=A.n) if maps(f)]
-        if len(verts) > cap:
-            raise CapExceeded(f"{len(verts)} homomorphisms exceed the cap {cap}")
-    elif maps == "strict":
-        verts = _strict_maps(A, B, cap)
-    else:
-        raise ValueError("maps must be 'strict' or a predicate")
+    verts = _strict_maps(A, B, cap)
     m = A.n
-    strict = not callable(maps)
     full = (1 << B.n) - 1
     level = sorted(tuple((f[i],) for i in range(m)) for f in verts)
     cells = {0: tuple(level)}
@@ -322,13 +328,12 @@ def hom_complex_generic(A, B, maps="strict", cap=DEFAULT_CAP):
         for X in level:
             for i in range(m):
                 allowed = full
-                if strict:
-                    for a in A.down_covers[i]:
-                        for x in X[a]:
-                            allowed &= B.above(x)
-                    for a in A.up_covers[i]:
-                        for y in X[a]:
-                            allowed &= B.below(y)
+                for a in A.down_covers[i]:
+                    for x in X[a]:
+                        allowed &= B.above(x)
+                for a in A.up_covers[i]:
+                    for y in X[a]:
+                        allowed &= B.below(y)
                 for b in X[i]:
                     allowed &= ~(1 << b)
                 for b in _bits(allowed):
@@ -378,7 +383,7 @@ def maximal_chain_complex(P, cap=DEFAULT_CAP):
     spec = getattr(P, "chain_spec", None)
     if spec is not None and all(a <= b for a, b in zip(spec, spec[1:])):
         return chain_product_complex(as_spec(spec), cap=cap)
-    cx = hom_complex_generic(chain(P.top_rank), P, maps="strict", cap=cap)
+    cx = hom_complex_generic(chain(P.top_rank), P, cap=cap)
     if getattr(P, "ideal_masks", None) is not None or spec is not None:
         _assert_cubical(cx)
     return cx
@@ -435,9 +440,11 @@ def verify_fold_consequence(Q, P, x, cap=DEFAULT_CAP):
     witnesses = tuple(y for xx, y in find_folds(P) if xx == x)
     if not witnesses:
         raise ValueError(f"removing element {x} is not a fold of P")
-    before = _chains.homology(hom_complex_generic(Q, P, maps="strict", cap=cap))
+    from .chains import homology  # chains builds on this module
+
+    before = homology(hom_complex_generic(Q, P, cap=cap))
     P2, _ = delete_element(P, x)
-    after = _chains.homology(hom_complex_generic(Q, P2, maps="strict", cap=cap))
+    after = homology(hom_complex_generic(Q, P2, cap=cap))
     width = max(len(before.betti), len(after.betti))
 
     def pad(t, fill):

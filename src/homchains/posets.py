@@ -164,7 +164,7 @@ class GradedPoset(FinitePoset):
     """
 
     def __init__(self, n, covers, rank, labels=None, chain_blocks=None,
-                 chain_spec=None, ideal_masks=None, base=None):
+                 chain_spec=None, ideal_masks=None):
         super().__init__(n, covers, labels=labels, chain_blocks=chain_blocks)
         self.rank = tuple(int(r) for r in rank)
         if len(self.rank) != self.n:
@@ -184,7 +184,6 @@ class GradedPoset(FinitePoset):
         self.chain_spec = chain_spec
         # ideal_masks maps lattice element -> bitmask of base-poset elements.
         self.ideal_masks = ideal_masks
-        self.base = base
 
     @property
     def top_rank(self):
@@ -318,7 +317,7 @@ def ideal_lattice(P):
     if P.chain_blocks is not None and all(len(b) >= 1 for b in P.chain_blocks):
         spec = tuple(len(b) for b in P.chain_blocks)
     return GradedPoset(len(masks), covers, rank=ranks, labels=labels,
-                       chain_spec=spec, ideal_masks=tuple(masks), base=P)
+                       chain_spec=spec, ideal_masks=tuple(masks))
 
 
 # -- folds ----------------------------------------------------------------

@@ -248,28 +248,29 @@ def critical_cellword_from_word(word):
 
 
 def enumerate_words(spec, cap=DEFAULT_CAP):
-    """All multiset permutations for the spec, lexicographically."""
+    """All multiset permutations for the spec, lexicographically.
+
+    Steps from the sorted word by the next-permutation rule (Knuth's
+    Algorithm L): swap the last ascent's left letter with the last letter
+    greater than it, then reverse the suffix after it.  Nothing recurses,
+    so the word length is not bounded by the recursion limit.
+    """
     spec = as_spec(spec)
     if spec.multinomial() > cap:
         raise CapExceeded(f"{spec.multinomial()} words exceed the cap {cap}")
-    counts = list(spec.i)
-    n = spec.n
-    ell = spec.ell
-    prefix = []
-
-    def gen():
-        if len(prefix) == ell:
-            yield tuple(prefix)
+    w = list(spec.sorted_word())
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for letter in range(1, n + 1):
-            if counts[letter - 1]:
-                counts[letter - 1] -= 1
-                prefix.append(letter)
-                yield from gen()
-                prefix.pop()
-                counts[letter - 1] += 1
-
-    yield from gen()
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = w[:i:-1]
 
 
 class Placements(NamedTuple):
@@ -314,21 +315,26 @@ def placements(descents):
     return Placements(descents, tuple(map(tuple, by_dim)), masks, rank)
 
 
-def word_placements(words):
+def word_placements(words, cap=DEFAULT_CAP):
     """(word, start, Placements of its descents) for each word, in order.
 
     start[d] counts the cells of dimension d of the words before this one,
     which is where this word's d-cells begin in the sorted cells of Hom(spec)
     when `words` are all the words of the spec in lexicographic order.
-    Words with the same descent set share one Placements.
+    Words with the same descent set share one Placements.  Raises
+    CapExceeded before the word whose cells take the total past `cap`.
     """
     memo = {}
     count = []
+    total = 0
     for w in words:
         des = tuple(p for p in range(1, len(w)) if w[p - 1] > w[p])
         info = memo.get(des)
         if info is None:
             info = memo[des] = placements(des)
+        total += sum(map(len, info.by_dim))
+        if total > cap:
+            raise CapExceeded(f"cell enumeration exceeds the cap {cap}")
         count.extend([0] * (len(info.by_dim) - len(count)))
         yield w, tuple(count), info
         for d, ps in enumerate(info.by_dim):
@@ -342,11 +348,7 @@ def enumerate_cellwords(spec, cap=DEFAULT_CAP):
     dimension, each dimension in lexicographic order, so the cells of each
     dimension come sorted.
     """
-    total = 0
-    for w, _start, info in word_placements(enumerate_words(spec, cap=cap)):
-        total += sum(map(len, info.by_dim))
-        if total > cap:
-            raise CapExceeded(f"cell enumeration exceeds the cap {cap}")
+    for w, _start, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
         for ps in info.by_dim:
             for pairs in ps:
                 yield CellWord(w, pairs)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import homchains as hc
-from homchains.chains import ComplexMatchContext
+from homchains.chains import ComplexMatchContext, _check_squared
 
 
 def partitions_up_to(nmax):
@@ -45,15 +45,15 @@ def artifacts(spec):
         cx = hc.chain_product_complex(spec)
         matching = hc.match_product_of_chains(cx)
         cert = hc.validate_acyclic(matching, cx)
-        icc = hc.morse_complex(cx, matching, cert)
+        mc = hc.morse_complex(cx, matching, cert)
         _cache[spec] = {
             "cx": cx,
             "matching": matching,
             "cert": cert,
-            "morse": icc,
+            "morse": mc,
             "censuses": hc.path_censuses(cx, matching),
             "homology": hc.homology(cx),
-            "morse_homology": hc.homology(icc),
+            "morse_homology": hc.homology(mc),
         }
     return _cache[spec]
 
@@ -94,7 +94,7 @@ def test_criterion_02_b4():
     assert art["matching"].critical_count() == {0: 1, 1: 7}
     h = art["homology"]
     assert h.betti == (1, 7, 0) and h.torsion_free and h.euler == -6
-    assert all(m.is_zero() for m in art["morse"].mats.values())
+    assert not any(t.idx for t in art["morse"].boundary.values())
     dt = time.perf_counter() - t0
     assert dt < 5.0
     print(f"criterion 2: PASS - Hom(B_4): f=(24,36,6), chi=-6, critical (1,7), "
@@ -140,7 +140,7 @@ def test_criterion_05_optimality():
     total_paths = 0
     for spec in SPECS7:
         art = artifacts(spec)
-        assert all(m.is_zero() for m in art["morse"].mats.values()), spec
+        assert not any(t.idx for t in art["morse"].boundary.values()), spec
         for census in art["censuses"].values():
             assert census.total == 0
             assert census.pairing is not None, spec
@@ -236,13 +236,14 @@ def test_criterion_10_boundary_squared():
     checked = 0
     for spec in SPECS7:
         art = artifacts(spec)
-        icc = hc.boundary_matrices(art["cx"])
-        icc.check_boundary_squared()
-        art["morse"].check_boundary_squared()
+        hc.check_faces_squared(art["cx"])
+        _check_squared(art["cx"])
+        _check_squared(art["morse"])
         checked += 1
-    hexagon = hc.hom_complex_generic(hc.chain(3), hc.ideal_lattice(hc.antichain(3)), "strict")
-    hc.boundary_matrices(hexagon).check_boundary_squared()
-    grid = hc.hom_complex_generic(hc.chain(4), hc.product_of_chains((2, 2)), "strict")
-    hc.boundary_matrices(grid).check_boundary_squared()
+    hexagon = hc.hom_complex_generic(hc.chain(3), hc.ideal_lattice(hc.antichain(3)))
+    grid = hc.hom_complex_generic(hc.chain(4), hc.product_of_chains((2, 2)))
+    for cx in (hexagon, grid):
+        hc.check_faces_squared(cx)
+        _check_squared(cx)
     dt = time.perf_counter() - t0
     print(f"criterion 10: PASS - boundary squared is zero on {checked + 2} complexes ({dt:.1f}s)")

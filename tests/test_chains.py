@@ -13,8 +13,6 @@ from homchains import (
     CellComplex,
     ComplexMatchContext,
     FinitePoset,
-    SparseIntMatrix,
-    boundary_matrices,
     cellword_to_multihom,
     chain,
     chain_product_complex,
@@ -34,8 +32,8 @@ from homchains import (
     smith_normal_form,
     validate_acyclic,
 )
-from homchains.chains import _dense_snf, path_weight
-from homchains.complexes import _generic_signed_faces
+from homchains.chains import _check_squared, _dense_snf, path_weight
+from homchains.complexes import FaceTable, _generic_signed_faces
 from homchains.morse import MorseMatching, SpecMatchContext
 
 
@@ -143,10 +141,34 @@ def sparse_rows(draw, max_rows=10, max_cols=12):
                          min_size=m, max_size=m))
 
 
+def face_table(rows):
+    """The FaceTable whose column j lists the nonzero entries of column j of rows."""
+    ptr, idx, sgn = [0], [], []
+    for col in zip(*rows):
+        for i, v in enumerate(col):
+            if v:
+                idx.append(i)
+                sgn.append(v)
+        ptr.append(len(idx))
+    return FaceTable(ptr, idx, sgn)
+
+
+def dense(table, nrows):
+    """The face table as a dense matrix with one row per face."""
+    ptr, idx, sgn = table
+    out = [[0] * (len(ptr) - 1) for _ in range(nrows)]
+    for j in range(len(ptr) - 1):
+        for k in range(ptr[j], ptr[j + 1]):
+            out[idx[k]][j] = sgn[k]
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(sparse_rows())
 def test_snf_sparse_against_sympy(rows):
-    assert list(smith_normal_form(rows).factors) == sympy_factors(rows)
+    got = smith_normal_form(rows)
+    assert list(got.factors) == sympy_factors(rows)
+    assert smith_normal_form(face_table(rows)) == got
 
 
 @settings(max_examples=80, deadline=None)
@@ -195,48 +217,46 @@ def test_snf_unit_elimination_leaves_residue(rows, factors):
     got = smith_normal_form(rows)
     assert got.factors == factors
     assert list(got.factors) == sympy_factors(rows)
-    assert smith_normal_form(SparseIntMatrix.from_dense(rows)) == got
+    assert smith_normal_form(face_table(rows)) == got
 
 
-# -- boundary matrices and homology ----------------------------------------
+# -- face tables and homology -----------------------------------------------
 
 
 def test_hexagon_boundary():
     cx = chain_product_complex((1, 1, 1))
-    icc = boundary_matrices(cx)
-    m = icc.mats[1]
-    assert (m.nrows, m.ncols) == (6, 6)
-    dense = [[0] * m.ncols for _ in range(m.nrows)]
-    for (r, c), v in m.entries.items():
-        dense[r][c] = v
+    m = dense(cx.boundary[1], len(cx.cells[0]))
+    assert (len(m), len(m[0])) == (6, 6)
     for j in range(6):
-        assert sum(dense[i][j] for i in range(6)) == 0
-    assert smith_normal_form(m).rank == 5
+        assert sum(m[i][j] for i in range(6)) == 0
+    assert smith_normal_form(cx.boundary[1]).rank == 5
 
 
 def test_b4_boundary_shapes_and_square():
     cx = chain_product_complex((1, 1, 1, 1))
-    icc = boundary_matrices(cx)
-    assert (icc.mats[1].nrows, icc.mats[1].ncols) == (24, 36)
-    assert (icc.mats[2].nrows, icc.mats[2].ncols) == (36, 6)
-    assert icc.mats[1].mul(icc.mats[2]).is_zero()
+    d1 = dense(cx.boundary[1], len(cx.cells[0]))
+    d2 = dense(cx.boundary[2], len(cx.cells[1]))
+    assert (len(d1), len(d1[0])) == (24, 36)
+    assert (len(d2), len(d2[0])) == (36, 6)
+    assert all(sum(a * b for a, b in zip(row, col)) == 0 for row in d1 for col in zip(*d2))
 
 
 def test_b6_boundary_snf_ranks_pinned():
-    icc = boundary_matrices(chain_product_complex((1,) * 6))
-    assert icc.f_vector() == (720, 1800, 1080, 90)
+    cx = chain_product_complex((1,) * 6)
+    assert cx.f_vector() == (720, 1800, 1080, 90)
     ranks = {}
-    for d, m in icc.mats.items():
-        snf = smith_normal_form(m)
+    for d, table in cx.boundary.items():
+        snf = smith_normal_form(table)
         assert set(snf.factors) == {1}
         ranks[d] = snf.rank
     assert ranks == {1: 719, 2: 970, 3: 90}
 
 
 def test_single_vertex_no_matrices():
-    icc = boundary_matrices(chain_product_complex((3,)))
-    assert icc.f_vector() == (1,)
-    assert icc.mats == {}
+    cx = chain_product_complex((3,))
+    assert cx.f_vector() == (1,)
+    assert cx.boundary == {}
+    assert homology(cx).betti == (1,)
 
 
 def test_homology_values():
@@ -255,8 +275,10 @@ def test_boundary_squared_check_trips_on_bad_signs():
     ptr, _idx, sgn = cx.boundary[2]
     for k in range(ptr[0], ptr[1]):
         sgn[k] = abs(sgn[k])  # break the orientation of the first 2-cell
-    with pytest.raises(ArithmeticError):
-        boundary_matrices(cx)
+    with pytest.raises(ArithmeticError, match="boundary squared is nonzero at dimension 2"):
+        check_faces_squared(cx)
+    with pytest.raises(ArithmeticError, match="boundary squared is nonzero at dimension 2"):
+        homology(cx)
 
 
 @pytest.mark.parametrize("faces, message", [
@@ -267,8 +289,17 @@ def test_malformed_face_table_is_rejected(faces, message):
     cx = CellComplex({0: ["v", "w"], 1: ["e"]}, {"v": (), "w": (), "e": faces})
     with pytest.raises(ArithmeticError, match=message):
         check_faces_squared(cx)
-    with pytest.raises(ArithmeticError, match=message):
-        boundary_matrices(cx)
+
+
+def test_homology_rejects_repeated_facets_and_takes_integer_incidences():
+    # a face listed twice would be read as one matrix entry, so SNF never sees it
+    cx = CellComplex({0: ["v", "w"], 1: ["e"]}, {"v": (), "w": (), "e": (("v", -1), ("v", 1))})
+    with pytest.raises(ArithmeticError, match="repeated facet"):
+        homology(cx)
+    # incidences of +-2, as a Morse complex may have: Z/2 torsion in dimension 0
+    cx = CellComplex({0: ["v", "w"], 1: ["e"]}, {"v": (), "w": (), "e": (("v", 2), ("w", -2))})
+    h = homology(cx)
+    assert (h.betti, h.torsion) == ((1, 0), ((2,), ()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -276,19 +307,16 @@ def test_malformed_face_table_is_rejected(faces, message):
 def test_face_check_agrees_with_matrix_product(spec, data):
     # flip one sign of a cell of dimension >= 2: both rules must reject the complex
     cx = chain_product_complex(spec)
-    icc = boundary_matrices(cx)
-    icc.check_boundary_squared()
+    check_faces_squared(cx)
+    _check_squared(cx)
     d = data.draw(st.integers(2, cx.dim))
-    ptr, idx, sgn = cx.boundary[d]
+    sgn = cx.boundary[d].sgn
     k = data.draw(st.integers(0, len(sgn) - 1))
     sgn[k] = -sgn[k]
     with pytest.raises(ArithmeticError, match=f"boundary squared is nonzero at dimension {d}"):
         check_faces_squared(cx)
-    j = next(j for j in range(len(ptr) - 1) if ptr[j] <= k < ptr[j + 1])
-    entries = icc.mats[d].entries
-    entries[(idx[k], j)] = -entries[(idx[k], j)]
-    with pytest.raises(ArithmeticError, match="boundary squared is nonzero"):
-        icc.check_boundary_squared()
+    with pytest.raises(ArithmeticError, match=f"boundary squared is nonzero at dimension {d}"):
+        _check_squared(cx)
 
 
 @st.composite
@@ -307,8 +335,8 @@ def small_specs(draw, max_sum=7):
 def test_morse_homology_equals_full_homology(spec):
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
-    icc = morse_complex(cx, m, validate_acyclic(m, cx))
-    got, want = homology(icc), homology(cx)
+    mc = morse_complex(cx, m, validate_acyclic(m, cx))
+    got, want = homology(mc), homology(cx)
     assert (got.betti, got.torsion, got.euler) == (want.betti, want.torsion, want.euler)
     assert got.euler == cx.euler_characteristic()
 
@@ -336,8 +364,9 @@ def test_morse_incidence_with_direct_and_path_terms():
     v_path, census = morse_incidence("e12", "v0", ctx)
     assert v_path == -1 and census.count == 1
     cert = validate_acyclic(m, cx)
-    icc = morse_complex(cx, m, cert)
-    assert homology(icc).betti == (1, 0) == tuple(homology(cx).betti)
+    mc = morse_complex(cx, m, cert)
+    assert dense(mc.boundary[1], 2) == [[-1], [1]]
+    assert homology(mc).betti == (1, 0) == tuple(homology(cx).betti)
 
 
 def test_morse_incidence_rejects_bad_input():
@@ -376,23 +405,24 @@ def test_morse_complex_equals_path_sums_on_random_matchings():
     rng = random.Random(20141)
     zigzag = ideal_lattice(FinitePoset(5, [(0, 1), (2, 1), (2, 3), (4, 3)]))
     complexes = [chain_product_complex(spec) for spec in [(1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]]
-    complexes.append(hom_complex_generic(chain(5), zigzag, "strict"))
+    complexes.append(hom_complex_generic(chain(5), zigzag))
     n_matchings = n_nonzero = n_by_paths = 0
     for cx in complexes:
         for _ in range(60):
             m = random_acyclic_matching(cx, rng)
-            icc = morse_complex(cx, m, validate_acyclic(m, cx))
+            mc = morse_complex(cx, m, validate_acyclic(m, cx))
             ctx = ComplexMatchContext(cx, m)
             by_paths = False
             for d in range(1, cx.dim + 1):
-                entries = icc.mats[d].entries
-                for c, sigma in enumerate(icc.bases[d]):
-                    for r, tau in enumerate(icc.bases[d - 1]):
+                entries = dense(mc.boundary[d], len(mc.cells[d - 1]))
+                assert 0 not in mc.boundary[d].sgn
+                for c, sigma in enumerate(mc.cells[d]):
+                    for r, tau in enumerate(mc.cells[d - 1]):
                         value, census = morse_incidence(sigma, tau, ctx)
-                        assert entries.get((r, c), 0) == value
+                        assert entries[r][c] == value
                         by_paths |= census.total != 0
             n_matchings += 1
-            n_nonzero += not all(mat.is_zero() for mat in icc.mats.values())
+            n_nonzero += any(t.idx for t in mc.boundary.values())
             n_by_paths += by_paths
     assert n_matchings >= 200
     assert 2 * n_nonzero > n_matchings and 2 * n_by_paths > n_matchings
@@ -411,10 +441,12 @@ def hexagon_fence_matching():
 def test_morse_complex_on_hand_built_circle_matching():
     cx, m = hexagon_fence_matching()
     cert = validate_acyclic(m, cx)
-    icc = morse_complex(cx, m, cert)
-    assert icc.f_vector() == (1, 1)
-    assert icc.mats[1].is_zero()  # direct term cancels the long path
-    assert homology(icc).betti == (1, 1)
+    mc = morse_complex(cx, m, cert)
+    assert isinstance(mc, CellComplex)
+    assert mc.f_vector() == (1, 1)
+    assert mc.cells == {0: (parse_cellword("123"),), 1: (parse_cellword("1(32)"),)}
+    assert not mc.boundary[1].idx  # direct term cancels the long path
+    assert homology(mc).betti == (1, 1)
 
 
 def test_morse_complex_requires_certificate():
@@ -429,11 +461,11 @@ def test_morse_complex_homology_matches_full():
         cx = chain_product_complex(spec)
         m = match_product_of_chains(cx)
         cert = validate_acyclic(m, cx)
-        icc = morse_complex(cx, m, cert)
+        mc = morse_complex(cx, m, cert)
         censuses = path_censuses(cx, m)
-        assert all(mat.is_zero() for mat in icc.mats.values())
+        assert not any(t.idx for t in mc.boundary.values())
         h_full = homology(cx)
-        h_morse = homology(icc)
+        h_morse = homology(mc)
         assert h_full.betti == h_morse.betti
         assert h_full.torsion_free and h_morse.torsion_free
         for census in censuses.values():

@@ -44,6 +44,22 @@ def test_build_poset_file(tmp_path, capsys):
     assert json.loads(out)["f_vector"] == [6, 6, 1]
 
 
+def test_build_long_chain_spec(capsys):
+    # words of length 1,501: enumeration must not recurse once per letter
+    code, out, err = run(capsys, "build", "--spec", "1,1500")
+    assert (code, err) == (0, "")
+    assert "f-vector: (1501, 1500)" in out
+
+
+def test_build_poset_long_chain(tmp_path, capsys):
+    # Hom(C_1199, C_1199): the strict-map search must not recurse once per element
+    path = tmp_path / "chain1200.poset"
+    path.write_text(format_poset_text(product_of_chains((1199,))))
+    code, out, err = run(capsys, "build", "--poset", str(path))
+    assert (code, err) == (0, "")
+    assert "f-vector: (1,)" in out
+
+
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -195,6 +211,29 @@ def test_verify_validates_acyclicity_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def refuse_snf_on_the_full_complex(monkeypatch):
+    """Make Smith normal form fail on any face table of a complex that
+    chain_product_complex built; returns the list of the tables it ran on."""
+    from homchains import chains, complexes
+
+    built, seen = [], []
+    real_build, real_snf = complexes.chain_product_complex, chains.smith_normal_form
+
+    def build(spec, **kwargs):
+        built.append(real_build(spec, **kwargs))
+        return built[-1]
+
+    def snf(table):
+        if any(table is t for cx in built for t in cx.boundary.values()):
+            raise AssertionError("Smith normal form on the full complex")
+        seen.append(table)
+        return real_snf(table)
+
+    monkeypatch.setattr(complexes, "chain_product_complex", build)
+    monkeypatch.setattr(chains, "smith_normal_form", snf)
+    return seen
+
+
 def test_verify_builds_one_certificate_and_one_morse_complex(capsys, monkeypatch):
     from homchains import chains, morse
 
@@ -206,12 +245,9 @@ def test_verify_builds_one_certificate_and_one_morse_complex(capsys, monkeypatch
             return real(*args, **kwargs)
         return wrapper
 
-    def refuse(cx):
-        raise AssertionError("full boundary matrices assembled")
-
     monkeypatch.setattr(morse, "validate_acyclic", counting("cert", morse.validate_acyclic))
     monkeypatch.setattr(chains, "morse_complex", counting("morse", chains.morse_complex))
-    monkeypatch.setattr(chains, "boundary_matrices", refuse)
+    snf_tables = refuse_snf_on_the_full_complex(monkeypatch)
     code, out, err = run(capsys, "verify", "--spec", "1,1,2", "--suite",
                          "zero-incidence,torsion-free,euler")
     assert (code, err) == (0, "")
@@ -219,18 +255,26 @@ def test_verify_builds_one_certificate_and_one_morse_complex(capsys, monkeypatch
                                 "torsion-free: PASS (betti (1, 2, 0))",
                                 "euler: PASS (chi = -1)"]
     assert sorted(calls) == ["cert", "morse"]
+    assert len(snf_tables) == 2  # the Morse complex's d_1 and d_2
 
 
 def test_report_needs_no_full_boundary_matrices(capsys, monkeypatch):
-    from homchains import chains
-
-    def refuse(cx):
-        raise AssertionError("full boundary matrices assembled")
-
-    monkeypatch.setattr(chains, "boundary_matrices", refuse)
+    snf_tables = refuse_snf_on_the_full_complex(monkeypatch)
     code, out, err = run(capsys, "report", "--spec", "1,1,1,1,1")
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "report-11111.json").read_text()
+    assert snf_tables and all(t.nnz == 0 for t in snf_tables)
+
+
+def test_snf_guard_trips_on_the_full_complex(capsys, monkeypatch):
+    # a report that took homology from the full complex must fail the guard
+    from homchains import cli
+
+    refuse_snf_on_the_full_complex(monkeypatch)
+    monkeypatch.setattr(cli._Run, "morse_complex", property(lambda run: run.cx))
+    code, out, err = run(capsys, "report", "--spec", "1,1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: internal check failed: Smith normal form on the full complex\n"
 
 
 def test_report_checks_boundary_squared_on_the_full_complex(capsys, monkeypatch):
@@ -266,13 +310,13 @@ def test_cap_exceeded_exit_code(capsys):
 def test_internal_check_failure_is_one_line(capsys, monkeypatch):
     from homchains import chains, morse
 
-    def bad_square(self):
+    def bad_square(cx):
         raise ArithmeticError("boundary squared is nonzero at dimension 2")
 
     def bad_assembly(spec, **kwargs):
         raise AssertionError("matching is not an involution")
 
-    monkeypatch.setattr(chains.IntegerChainComplex, "check_boundary_squared", bad_square)
+    monkeypatch.setattr(chains, "_check_squared", bad_square)
     code, out, err = run(capsys, "report", "--spec", "1,1,1")
     assert (code, out) == (1, "")
     assert err == "error: internal check failed: boundary squared is nonzero at dimension 2\n"

@@ -48,24 +48,14 @@ def zigzag_ideal_lattice(n):
 
 
 def test_hexagon_generic():
-    hx = hom_complex_generic(chain(3), ideal_lattice(antichain(3)), "strict")
+    hx = hom_complex_generic(chain(3), ideal_lattice(antichain(3)))
     assert hx.f_vector() == (6, 6)
     h = homology(hx)
     assert h.betti == (1, 1) and h.torsion_free
 
 
-def test_generic_full_product_for_all_maps():
-    # vacuous condition: the whole prodsimplicial product, top cell (B, ..., B)
-    A = chain(1)
-    B = antichain(2)
-    cx = hom_complex_generic(A, B, maps=lambda f: True)
-    assert cx.n_cells() == 9  # (2^2 - 1)^2 nonempty-subset pairs
-    top = ((0, 1), (0, 1))
-    assert top in cx.cells[2]
-
-
 def test_generic_single_strict_map():
-    cx = hom_complex_generic(chain(1), chain(1), "strict")
+    cx = hom_complex_generic(chain(1), chain(1))
     assert cx.f_vector() == (1,)
 
 
@@ -113,6 +103,26 @@ def test_multihom_round_trip(spec):
     back = {cellword_to_multihom(cw, spec): cw for cw in cws}
     assert all(back[cellword_to_multihom(cw, spec)] == cw for cw in cws)
     assert len(back) == len(cws)
+
+
+def test_chain_product_complex_places_each_word_once(monkeypatch):
+    from homchains import words
+
+    spec = (1, 2, 2)
+    cws = list(enumerate_cellwords(spec))
+    seen = []
+    real = words.word_placements
+
+    def recording(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            seen.append(item[0])
+            yield item
+
+    monkeypatch.setattr(words, "word_placements", recording)
+    monkeypatch.setattr(complexes, "word_placements", recording)
+    cx = chain_product_complex(spec)
+    assert len(seen) == len(set(seen)) == 30
+    assert cx.cells == {d: tuple(c for c in cws if c.dim == d) for d in (0, 1, 2)}
 
 
 def test_faces_example():
@@ -187,7 +197,7 @@ def test_cubical_size_pattern():
 @pytest.mark.parametrize("spec", [(1, 1), (2, 2), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 2, 3)])
 def test_generic_equals_cellword_enumeration(spec):
     P = product_of_chains(spec)
-    gx = hom_complex_generic(chain(sum(spec)), P, "strict")
+    gx = hom_complex_generic(chain(sum(spec)), P)
     wx = maximal_chain_complex(P)
     assert gx.f_vector() == wx.f_vector()
     wcells = _cellwords_as_product_cells(wx, spec)
@@ -277,7 +287,7 @@ def test_generic_matches_definition(A, B, monkeypatch):
 def test_cellword_model_is_the_generic_hom(spec):
     # J of a disjoint union of chains; bit b of an ideal's mask is block position b + 1
     P = ideal_lattice(disjoint_union([chain(i - 1) for i in spec]))
-    gx = hom_complex_generic(chain(sum(spec)), P, "strict")
+    gx = hom_complex_generic(chain(sum(spec)), P)
     ideal = [tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
              for mask in P.ideal_masks]
 
@@ -295,7 +305,7 @@ def test_cellword_model_is_the_generic_hom(spec):
     assert len(model) == wx.n_cells()
     assert model == generic
     assert all(is_cubical(X) for X in model)
-    product_hom = hom_complex_generic(chain(sum(spec)), product_of_chains(spec), "strict")
+    product_hom = hom_complex_generic(chain(sum(spec)), product_of_chains(spec))
     assert product_hom.f_vector() == wx.f_vector()
 
 
@@ -310,7 +320,7 @@ def test_generic_branch_on_a_distributive_lattice():
 
 def test_assert_cubical_rejects_m3():
     with pytest.raises(AssertionError, match=r"\(\(0,\), \(1, 2, 3\), \(4,\)\)"):
-        _assert_cubical(hom_complex_generic(chain(2), M3, "strict"))
+        _assert_cubical(hom_complex_generic(chain(2), M3))
 
 
 def test_is_cubical():
@@ -345,11 +355,15 @@ def test_closure_under_faces():
 def test_complex_cap():
     with pytest.raises(CapExceeded):
         chain_product_complex((1,) * 6, cap=100)
+    # Hom(B_4) has 66 cells
+    assert chain_product_complex((1, 1, 1, 1), cap=66).n_cells() == 66
+    with pytest.raises(CapExceeded, match="cell enumeration exceeds the cap 65"):
+        chain_product_complex((1, 1, 1, 1), cap=65)
     with pytest.raises(CapExceeded):
-        hom_complex_generic(chain(3), ideal_lattice(antichain(3)), "strict", cap=4)
+        hom_complex_generic(chain(3), ideal_lattice(antichain(3)), cap=4)
     # the hexagon has 6 vertices: the first edge already exceeds a cap of 6
     with pytest.raises(CapExceeded, match="cell count exceeds the cap 6"):
-        hom_complex_generic(chain(3), ideal_lattice(antichain(3)), "strict", cap=6)
+        hom_complex_generic(chain(3), ideal_lattice(antichain(3)), cap=6)
 
 
 def test_strict_maps_fail_fast_at_the_cap():

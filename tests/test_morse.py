@@ -301,7 +301,7 @@ def test_matching_of_another_complex_is_rejected():
 
 def test_matching_rejects_a_complex_without_a_spec():
     # Hom(C_3, B_3) built generically: the cells are multihoms, not cell words
-    hexagon = hom_complex_generic(chain(3), ideal_lattice(antichain(3)), "strict")
+    hexagon = hom_complex_generic(chain(3), ideal_lattice(antichain(3)))
     assert hexagon.spec is None
     with pytest.raises(ValueError, match="chain spec"):
         match_product_of_chains(hexagon)

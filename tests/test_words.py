@@ -122,6 +122,12 @@ def test_enumerate_words_lexicographic():
     assert ws == sorted(ws)
 
 
+@pytest.mark.parametrize("spec", [(1,), (3,), (1, 1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 1, 3)])
+def test_enumerate_words_are_the_sorted_multiset_permutations(spec):
+    want = sorted(set(itertools.permutations(ChainSpec(spec).sorted_word())))
+    assert list(enumerate_words(spec)) == want
+
+
 def test_enumerate_words_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_words((1,) * 8, cap=100))
