@@ -13,9 +13,7 @@ Exit codes: 0 pass, 1 verification failure or failed internal check,
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
-import operator
 import sys
 from functools import cached_property
 
@@ -75,24 +73,32 @@ def cmd_build(args):
     return 0
 
 
-def _matching_digest(matching):
+def _rendered_pairs(matching):
+    """The matched pairs as rendered (lower, upper) cell words, streamed in order."""
+    render = words.render_cellword
+    return ((render(a), render(b)) for a, b in matching.pairs())
+
+
+def _matching_digest(pairs):
+    """sha256 of the rendered matched pairs, one `lower->upper` line each."""
     import hashlib  # loads OpenSSL, several MiB that only digests need
 
     h = hashlib.sha256()
-    for a, b in matching.pairs():
-        h.update(f"{words.render_cellword(a)}->{words.render_cellword(b)}\n".encode())
+    for a, b in pairs:
+        h.update(f"{a}->{b}\n".encode())
     return h.hexdigest()
 
 
 def cmd_match(args):
     matching = _Run(args).matching
+    pairs = list(_rendered_pairs(matching)) if args.emit_pairs else None
     payload = {
         "schema": SCHEMA,
         "spec": list(args.spec.i),
         "cells": matching.n_cells,
         "matched_pairs": len(matching.up),
         "critical": {str(d): k for d, k in matching.critical_count().items()},
-        "digest": _matching_digest(matching),
+        "digest": _matching_digest(pairs if pairs is not None else _rendered_pairs(matching)),
     }
     lines = [f"cells: {matching.n_cells}",
              f"matched pairs: {len(matching.up)}",
@@ -105,11 +111,9 @@ def cmd_match(args):
             str(d): [words.render_cellword(c) for c in v] for d, v in critical.items()}
         for d, v in critical.items():
             lines.append(f"dim {d}: " + " ".join(words.render_cellword(c) for c in v))
-    if args.emit_pairs:
-        payload["pairs"] = [[words.render_cellword(a), words.render_cellword(b)]
-                            for a, b in matching.pairs()]
-        lines.extend(f"{words.render_cellword(a)} <-> {words.render_cellword(b)}"
-                     for a, b in matching.pairs())
+    if pairs is not None:
+        payload["pairs"] = [list(pair) for pair in pairs]
+        lines.extend(f"{a} <-> {b}" for a, b in pairs)
     if args.emit_trace:
         cell = words.parse_cellword(args.emit_trace)
         trace = morse.fiber_trace(args.spec, cell)
@@ -159,9 +163,9 @@ def _suite_results(args, names):
     results = []
     for name in names:
         if name == "cubicality":
-            # every dimension is sorted, so merging them by word keeps each
-            # word's cells together and its ideals are built once
-            by_word = heapq.merge(*cx.cells.values(), key=operator.attrgetter("word"))
+            # each word is visited once, with its cells of every dimension,
+            # so its ideals are built once
+            by_word = cx.word_table.cells_by_word()
             ok = all(map(complexes.is_cubical, complexes.cellword_multihoms(by_word, spec)))
             results.append((name, ok, f"{cx.n_cells()} cells checked"))
         elif name == "acyclicity":
@@ -172,8 +176,8 @@ def _suite_results(args, names):
                 results.append((name, False, str(exc)))
         elif name == "bijection":
             from_words = {
-                words.critical_cellword_from_word(cw.word)
-                for cw in cx.cells[0] if words.decompose_descents(cw.word).valid}
+                words.critical_cellword_from_word(w)
+                for w in cx.word_table.words if words.decompose_descents(w).valid}
             from_matching = {c for v in morse.critical_cells(matching).values() for c in v}
             results.append((name, from_words == from_matching,
                             f"{len(from_matching)} critical cells"))
@@ -223,7 +227,8 @@ def cmd_report(args):
         "betti": list(hreport.betti),
         "torsion": [list(t) for t in hreport.torsion],
         "euler": hreport.euler,
-        "matching": {"pairs": len(matching.up), "digest": _matching_digest(matching)},
+        "matching": {"pairs": len(matching.up),
+                     "digest": _matching_digest(_rendered_pairs(matching))},
         "acyclic": cert is not None,
     }
     print(json.dumps(payload, sort_keys=True))

@@ -2,23 +2,29 @@
 
 A cell of Hom(A, B) is a tuple of nonempty subsets of B, one per element
 of A, all of whose representative systems are strictly order-preserving
-maps A -> B; cells are keyed by tuples of sorted tuples.  For a product of
-chains the complex is cubical and cells are keyed by parenthesized multiset
-permutations (CellWord).
+maps A -> B; the generic complexes key cells by tuples of sorted tuples.
+For a product of chains the complex is cubical and a cell is a
+parenthesized multiset permutation (CellWord): a word plus a placement of
+pairs among its descents.
 
-A CellComplex indexes each cell by its position in the tuple cells[d]
+A CellComplex indexes each cell by its position in the sequence cells[d]
 (sorted, for the complexes built here), and stores the boundary of the
 d-cells as a FaceTable: face indices into cells[d - 1] and signs in
-compressed sparse rows.  The keys name cells in rendering, digests and
-per-cell traces; cell-word keys also carry the word and pairs that the
-matching classifies.
+compressed sparse rows.  The generic complexes keep cells[d] as a tuple of
+keys.  A spec complex keeps its cells implicit: a WordTable stores each
+word once, with its shared Placements and its start in each dimension,
+and cells[d] is a WordCells view over it that builds a CellWord only when
+one is read.  The keys name cells in rendering, digests and per-cell
+traces.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,7 +64,8 @@ class CellComplex:
     `cells` maps each dimension to its cell keys, and `boundary` maps each
     cell of dimension >= 1 to its ((face, sign), ...); the keys are turned
     into indices once, here.  Builders that already hold indices use
-    from_faces.
+    from_faces.  `word_table` is the WordTable behind the cells of a spec
+    complex, and None for every other complex.
     """
 
     def __init__(self, cells, boundary, spec=None):
@@ -66,19 +73,20 @@ class CellComplex:
         faces = {d: _face_table(cells[d], boundary,
                                 {cell: i for i, cell in enumerate(cells[d - 1])})
                  for d in cells if d}
-        self._set(cells, faces, spec)
+        self._set(cells, faces, spec, None)
 
     @classmethod
-    def from_faces(cls, cells, faces, spec=None):
-        """A complex from cell tuples and a FaceTable per dimension >= 1."""
+    def from_faces(cls, cells, faces, spec=None, word_table=None):
+        """A complex from cell sequences and a FaceTable per dimension >= 1."""
         cx = cls.__new__(cls)
-        cx._set(cells, faces, spec)
+        cx._set(cells, faces, spec, word_table)
         return cx
 
-    def _set(self, cells, faces, spec):
+    def _set(self, cells, faces, spec, word_table):
         self.cells = cells
         self.boundary = faces
         self.spec = spec
+        self.word_table = word_table
         self._where = None
 
     @property
@@ -103,7 +111,11 @@ class CellComplex:
         return tuple(zip(idx[lo:hi], sgn[lo:hi]))
 
     def locate(self, cell):
-        """(dimension, index) of a cell key; the key index is built on first use."""
+        """(dimension, index) of a cell key, or KeyError.  A spec complex
+        computes it from its word table; any other builds a key index on
+        first use."""
+        if self.word_table is not None:
+            return self.word_table.locate(cell)
         if self._where is None:
             self._where = {c: (d, i) for d, cs in self.cells.items() for i, c in enumerate(cs)}
         return self._where[cell]
@@ -130,6 +142,90 @@ def _face_table(cells, boundary, lower):
 # -- the cubical model for products of chains -------------------------------
 
 
+class WordTable:
+    """The words of a spec complex, each stored once.
+
+    words lists them in lexicographic order, placements[k] is the shared
+    Placements of word k's descents, and starts[d][k] is the index in
+    cells[d] of word k's first d-cell, for each dimension d of the complex.
+    A cell's index is its word's start plus the rank of its pair placement.
+    """
+
+    def __init__(self, words, placements, starts):
+        self.words = words
+        self.placements = placements
+        self.starts = starts
+
+    def locate(self, cell):
+        """(dimension, index) of a cell word: a bisect on the words, then the
+        rank of its pair mask.  Raises KeyError for a key that is not a
+        cell of the complex."""
+        try:
+            word, pairs = cell
+            k = bisect.bisect_left(self.words, word)
+            if self.words[k] == word:
+                info = self.placements[k]
+                d, r = len(pairs), info.rank[sum(1 << p for p in pairs)]
+                if info.by_dim[d][r] == pairs:
+                    return d, self.starts[d][k] + r
+        except (LookupError, TypeError, ValueError):  # not a cell word of this complex
+            pass
+        raise KeyError(cell)
+
+    def cells_by_word(self):
+        """Every cell as a CellWord, word by word, each word's cells by
+        dimension: the order of words.enumerate_cellwords."""
+        for w, info in zip(self.words, self.placements):
+            for ps in info.by_dim:
+                for pairs in ps:
+                    yield CellWord(w, pairs)
+
+
+class WordCells(Sequence):
+    """The d-cells of a spec complex: a read-only sequence of CellWord keys
+    over its WordTable, which builds a key only when one is read.
+
+    Cell i belongs to the last word whose start is at most i, and is that
+    word's placement i - start in Placements.by_dim[d].  Iteration goes word
+    by word, and a WordCells equals any sequence of the same keys.
+    """
+
+    __slots__ = ("table", "d", "_starts", "_n")
+
+    def __init__(self, table, d, n):
+        self.table = table
+        self.d = d
+        self._starts = table.starts[d]
+        self._n = n
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("cell index out of range")
+        starts, table = self._starts, self.table
+        k = bisect.bisect_right(starts, i) - 1
+        return CellWord(table.words[k], table.placements[k].by_dim[self.d][i - starts[k]])
+
+    def __iter__(self):
+        d = self.d
+        for w, info in zip(self.table.words, self.table.placements):
+            if d < len(info.by_dim):
+                for pairs in info.by_dim[d]:
+                    yield CellWord(w, pairs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self):
+        return f"WordCells(d={self.d}, n={self._n})"
+
+
 def _sign_block(d):
     # words.signed_faces: the t-th pair (1-based) gives alpha (-1)^t, then beta -(-1)^t
     return array("b", [s for t in range(1, d + 1) for s in ((-1) ** t, -((-1) ** t))])
@@ -142,42 +238,51 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     placements by dimension, each dimension in lexicographic order, so the
     cells of each dimension come sorted, all cells of one word together,
     and a cell's index is its word's start in its dimension plus the rank
-    of its pair placement among that word's.  A d-cell j has 2d faces: its
+    of its pair placement among that word's.  The cells stay implicit: the
+    complex keeps a WordTable and a WordCells view per dimension.  The
+    alpha face of a pair lies in the word with that pair swapped, found by
+    a bisect on the words before it.  A d-cell j has 2d faces: its
     t-th pair released in the alpha order (the word with the pair swapped)
     at ptr[j] + 2(t - 1), then in the beta order (the same word) right
     after, with the signs of words.signed_faces.  morse.match_product_of_chains
     reads each matched partner from this order.
     """
     spec = as_spec(spec)
-    cells = [[] for _ in range(spec.ell // 2 + 1)]
-    table = {}  # word -> (start index per dimension, placements of its descents)
+    words, infos = [], []
+    starts = [array("i") for _ in range(spec.ell // 2 + 1)]
     for w, start, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
-        table[w] = (start, info)
-        for d, ps in enumerate(info.by_dim):
-            cells[d].extend(CellWord(w, pairs) for pairs in ps)
-    cells = {d: tuple(cs) for d, cs in enumerate(cells) if cs}
-    idx = {d: array("i") for d in cells if d}
-    for w, (start, info) in table.items():
+        words.append(w)
+        infos.append(info)
+        for d, out in enumerate(starts):
+            out.append(start[d] if d < len(start) else 0)
+    last = infos[-1].by_dim
+    sizes = [out[-1] + (len(last[d]) if d < len(last) else 0) for d, out in enumerate(starts)]
+    table = WordTable(words, infos, {d: starts[d] for d, n in enumerate(sizes) if n})
+    idx = {d: array("i") for d in table.starts if d}
+    for k, (w, info) in enumerate(zip(words, infos)):
         alpha = {}
         for p in info.descents:
             v = list(w)
             v[p - 1], v[p] = v[p], v[p - 1]
-            alpha[p] = table[tuple(v)]
+            a = bisect.bisect_left(words, tuple(v), 0, k)
+            alpha[p] = (a, infos[a])
         for d in range(1, len(info.by_dim)):
             out = idx[d]
-            beta_start = start[d - 1]
+            lower = starts[d - 1]
+            beta_start = lower[k]
             for ps, m in zip(info.by_dim[d], info.masks[d]):
                 for p in ps:
                     q = m & ~(1 << p)
-                    a_start, a_info = alpha[p]
-                    out.append(a_start[d - 1] + a_info.rank[q])
+                    a, a_info = alpha[p]
+                    out.append(lower[a] + a_info.rank[q])
                     out.append(beta_start + info.rank[q])
     faces = {}
     for d, out in idx.items():
-        n = len(cells[d])
+        n = sizes[d]
         faces[d] = FaceTable(array("i", range(0, 2 * d * n + 1, 2 * d)), out,
                              _sign_block(d) * n)
-    return CellComplex.from_faces(cells, faces, spec=spec)
+    cells = {d: WordCells(table, d, sizes[d]) for d in table.starts}
+    return CellComplex.from_faces(cells, faces, spec=spec, word_table=table)
 
 
 def _word_ideals(cw, spec):

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def f_vector_bn(n, k):
@@ -49,11 +48,9 @@ def euler_closed_form(n):
     q, r = divmod(n, 4)
     if r == 3:
         return 0
-    x = Fraction(-1, 4) ** q * math.factorial(n)
-    if r == 2:
-        x /= 2
-    assert x.denominator == 1
-    return int(x)
+    num, den = (-1) ** q * math.factorial(n), 4 ** q * (2 if r == 2 else 1)
+    assert num % den == 0
+    return num // den
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,23 @@ carries its own loop state: a cell survives to a loop exactly when every
 earlier loop classified it `b`, so a single left-to-right scan of the loop
 schedule decides each cell independently.
 
-The matching runs on the complex built by complexes.chain_product_complex:
-a cell that releases a pair takes that pair's beta face from the complex's
+The matching runs on the complex built by complexes.chain_product_complex,
+whose cells are implicit: it walks the complex's word table, each word's
+placements in turn, and builds a cell key only for an error message.  A
+cell that releases a pair takes that pair's beta face from the complex's
 face table as its partner, so the complex is the only owner of cell
 indices.  A MorseMatching refers to cells by their index in the cells[d] of
 its complex: per dimension, an array of up-partners and one of
 down-partners, -1 where a cell is not matched that way, and the sorted
-indices of the critical cells.  Acyclicity is certified by Kahn's algorithm
-on those arrays and the complex's face tables.
+indices of the critical cells.  Keys are read from cells[d] only for the
+cells that are printed: the critical cells and the streamed matched pairs.
+Acyclicity is certified by Kahn's algorithm on those arrays and the
+complex's face tables, with the order kept in an array('i').
 """
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -164,11 +169,23 @@ class MorseMatching:
         return {d: len(v) for d, v in sorted(self.critical.items())}
 
     def pairs(self):
-        """The matched pairs as (lower, upper) cell keys, in canonical order."""
+        """The matched pairs as (lower, upper) cell keys, streamed in sorted order.
+
+        Each cells[d] must be sorted, as in every complex built by
+        complexes.  Each dimension then lists its pairs sorted by their lower
+        cell, no lower cell has two partners, and merging the dimensions
+        gives the sorted order of all pairs.
+        """
         cells = self.cells
-        return tuple(sorted((cells[d][i], cells[d + 1][u])
-                            for d, mates in self.up.by_dim.items()
-                            for i, u in enumerate(mates) if u >= 0))
+
+        def stream(d, mates):
+            upper = cells[d + 1]
+            for cell, u in zip(cells[d], mates):
+                if u >= 0:
+                    yield cell, upper[u]
+
+        return heapq.merge(*(stream(d, mates) for d, mates in self.up.by_dim.items()
+                             if d + 1 in cells))
 
 
 def match_product_of_chains(cx):
@@ -176,44 +193,49 @@ def match_product_of_chains(cx):
 
     `cx` comes from complexes.chain_product_complex, whose d-cell i lists
     its t-th pair's faces at ptr[i] + 2(t - 1): the alpha release, then the
-    beta release.  Each cell is simulated independently.  A cell that
-    releases its pair at j takes that pair's beta face (same word, pair
-    removed) as its partner; the up arrays are the inverse of the down
-    arrays.  The assembly asserts that the pairing is an involution: the
-    face was classified lower at the same j, no lower cell is claimed
-    twice, and every lower cell is claimed, so matched and critical cells
-    partition the cell set.
+    beta release.  Each dimension walks the words of the complex's word
+    table, and each word's d-placements, so cell i is a word and a pair
+    tuple, never a stored key.  Each cell is simulated independently.  A
+    cell that releases its pair at j takes that pair's beta face (same
+    word, pair removed) as its partner; the up arrays are the inverse of
+    the down arrays.  The assembly asserts that the pairing is an
+    involution: the face was classified lower at the same j, no lower cell
+    is claimed twice, and every lower cell is claimed, so matched and
+    critical cells partition the cell set.
     """
-    spec = cx.spec
-    if spec is None:
+    spec, table = cx.spec, cx.word_table
+    if spec is None or table is None:
         raise ValueError("the matching needs the cell-word complex of a chain spec")
     cells = cx.cells
     up, down = _unmatched(cells), _unmatched(cells)
     critical = defaultdict(list)
     n_lower = n_pairs = 0
-    word = occ = at = None
+    at = None
     for d, cs in cells.items():
         # at[i]: the j at which the lower d-cell i joins, else 0
         below_at, at = at, array("i", [0]) * len(cs)
         if d:
             ptr, idx, _ = cx.boundary[d]
             below = up[d - 1]
-        for i, cw in enumerate(cs):
-            if cw.word is not word:
-                word, occ = cw.word, _occurrences(cw.word, spec.n)
-            status, _idx, j = _run_cell(word, cw.pairs, spec.i, occ=occ)
-            if status == "lower":
-                at[i] = j
-                n_lower += 1
-            elif status == "upper":
-                f = idx[ptr[i] + 2 * cw.pairs.index(j) + 1]
-                if below_at[f] != j or below[f] >= 0:
-                    raise AssertionError(f"inconsistent pair {cells[d - 1][f]} / {cw}")
-                below[f] = i
-                down[d][i] = f
-                n_pairs += 1
-            else:
-                critical[d].append(i)
+        for word, info, start in zip(table.words, table.placements, table.starts[d]):
+            if d >= len(info.by_dim):
+                continue
+            occ = _occurrences(word, spec.n)
+            for i, pairs in enumerate(info.by_dim[d], start):
+                status, _idx, j = _run_cell(word, pairs, spec.i, occ=occ)
+                if status == "lower":
+                    at[i] = j
+                    n_lower += 1
+                elif status == "upper":
+                    f = idx[ptr[i] + 2 * pairs.index(j) + 1]
+                    if below_at[f] != j or below[f] >= 0:
+                        raise AssertionError(f"inconsistent pair {cells[d - 1][f]} / "
+                                             f"{CellWord(word, pairs)}")
+                    below[f] = i
+                    down[d][i] = f
+                    n_pairs += 1
+                else:
+                    critical[d].append(i)
     if n_lower != n_pairs:
         raise AssertionError("matching is not an involution")
     return MorseMatching(
@@ -458,8 +480,9 @@ def validate_acyclic(matching, cx):
                 n_matched += 1
         if n_matched != len(lo_up) - lo_up.count(-1):
             raise ValueError(f"up and down partners disagree between dimensions {d - 1} and {d}")
-        # Kahn's algorithm, lower cells first, so the result is deterministic
-        order = [v for v in range(len(indeg)) if not indeg[v]]
+        # Kahn's algorithm, lower cells first, so the result is deterministic;
+        # iterating an array sees the nodes appended during the loop
+        order = array("i", (v for v in range(len(indeg)) if not indeg[v]))
         for v in order:
             if v < n0:
                 u = lo_up[v]
@@ -478,7 +501,7 @@ def validate_acyclic(matching, cx):
                             order.append(f)
         if len(order) != len(indeg):
             raise AcyclicityError(_extract_cycle(cx, matching, d, indeg))
-        orders[d] = array("i", order)
+        orders[d] = order
     return MatchingCertificate(orders, len(matching.up), _pairs_fingerprint(matching),
                                matching.cells)
 

@@ -1,6 +1,7 @@
 """Command-line frontend: subcommands, exit codes, deterministic reports."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
      ("build", "--poset", str(Path(__file__).parent / "data" / "zigzag5.poset"),
       "--format", "json")),
     ("report-111111.json", ("report", "--spec", "1,1,1,1,1,1")),
+    ("report-1111111.json", ("report", "--spec", "1,1,1,1,1,1,1")),
     ("verify-2223.txt", ("verify", "--suite", "cubicality,acyclicity,bijection,zero-incidence",
                          "--spec", "2,2,2,3")),
 ])
@@ -80,6 +82,23 @@ def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text()
+
+
+def test_report_heap_peak_per_cell(capsys):
+    # the heap peak of a whole B_6 report (3,690 cells), digest included
+    argv = ["report", "--spec", "1,1,1,1,1,1"]
+    main(argv)  # warm caches of the interpreter
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "report-111111.json").read_text()
+    assert peak / 3690 < 110
 
 
 def test_build_zigzag5_data_file(capsys):

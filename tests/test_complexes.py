@@ -352,6 +352,47 @@ def test_closure_under_faces():
                         assert 0 <= face2 < len(cx.cells[d - 2])
 
 
+@pytest.mark.parametrize("spec", [(1, 1, 1), (2, 2, 2), (1, 2, 3)])
+def test_spec_cells_are_a_sequence_of_cell_words(spec):
+    cx = chain_product_complex(spec)
+    cws = list(enumerate_cellwords(spec))
+    assert sorted(cx.cells) == sorted({cw.dim for cw in cws})
+    for d, cells in cx.cells.items():
+        want = tuple(cw for cw in cws if cw.dim == d)
+        assert tuple(cells) == want
+        assert cells == want and want == cells and cells == list(want)
+        assert cells != want[:-1]
+        assert cells != want[::-1] or len(want) == 1
+        for i, cw in enumerate(want):
+            assert cells[i] == cw
+            assert cx.locate(cells[i]) == (d, i)
+            assert cw in cells
+        assert cells[-1] == want[-1] and cells[-len(want)] == want[0]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                cells[i]
+
+
+def test_spec_complex_locate_rejects_foreign_keys():
+    cx = chain_product_complex((1, 2, 3))
+    missing = [
+        CellWord((1, 2, 2, 3, 3, 3), (1,)),   # no descent at 1
+        CellWord((2, 1, 2, 3, 3, 3), (2,)),   # 1 < 2 at 2
+        CellWord((3, 2, 1, 2, 3, 3), (1, 2)),  # overlapping pairs
+        CellWord((3, 2, 3, 1, 2, 3), (3, 1)),  # pairs out of order
+        CellWord((1, 1, 2, 3, 3, 3), ()),     # content of another spec
+        CellWord((3, 3, 3, 3, 2, 1), ()),     # past the last word
+        ((1, 2, 2, 3, 3, 3),),                # not a (word, pairs) key
+        "123",
+    ]
+    for key in missing:
+        with pytest.raises(KeyError):
+            cx.locate(key)
+        assert key not in cx.cells[0]
+    assert CellWord((3, 2, 3, 1, 2, 3), (1, 3)) not in cx.cells[0]
+    assert cx.locate(CellWord((3, 2, 3, 1, 2, 3), (1, 3)))[0] == 2
+
+
 def test_complex_cap():
     with pytest.raises(CapExceeded):
         chain_product_complex((1,) * 6, cap=100)

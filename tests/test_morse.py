@@ -358,4 +358,4 @@ def test_complex_and_matching_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert m.n_cells == cx.n_cells() == 3690
-    assert net / cx.n_cells() < 400
+    assert net / cx.n_cells() < 120
