@@ -197,9 +197,9 @@ def smith_normal_form(matrix):
 
 
 def check_faces_squared(cx):
-    """Verify on the face tables of a cell complex that every incidence is
-    +1 or -1, that no cell lists a face twice and that d o d = 0; raises
-    ArithmeticError otherwise.
+    """Verify on the face tables of a cell complex that every face index is
+    in range, every incidence +1 or -1, no cell lists a face twice and
+    d o d = 0; raises ArithmeticError otherwise.
 
     A face g of (d-1)-cell f with incidence t is written (g + 1) * t.  Cell
     by cell, the faces f of a d-cell with incidence s contribute
@@ -208,6 +208,8 @@ def check_faces_squared(cx):
     """
     for d in sorted(cx.boundary):
         ptr, idx, sgn = cx.boundary[d]
+        if idx and not (min(idx) >= 0 and max(idx) < len(cx.cells[d - 1])):
+            raise ArithmeticError(f"face index out of range at dimension {d}")
         if not set(sgn) <= {1, -1}:
             raise ArithmeticError(f"incidence other than +1 or -1 at dimension {d}")
         signed = None

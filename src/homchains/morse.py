@@ -10,31 +10,36 @@ that pair; cells never classified `a` are critical.
 
 Rather than materializing the shrinking domains of the fiber maps, each cell
 carries its own loop state: a cell survives to a loop exactly when every
-earlier loop classified it `b`, so a single left-to-right scan of the loop
-schedule decides each cell independently.
+earlier loop classified it `b`.  Only the pairs vary between the cells of a
+word, so a word's schedule (_schedule) keeps the loops that pass (2), its
+descents, with the word half of (1), and a cell's pair bitmask decides its
+outcome against it (_classify).  Words share schedules, and with them their
+descents and every outcome, so the matching classifies each distinct
+schedule's placements once: 210 schedules serve the 5,040 words of B_7, 727
+the 7,560 of (2,2,2,3), 733 the 40,320 of B_8 and 2,781 the 362,880 of B_9,
+whose 4.74 million cells take 55,126 classifications.
 
 The matching runs on the complex built by complexes.chain_product_complex,
-whose cells are implicit: it walks the complex's word table, each word's
-placements in turn, and builds a cell key only for an error message.  A
-cell that releases a pair takes that pair's beta face from the complex's
-face table as its partner, so the complex is the only owner of cell
-indices.  A MorseMatching refers to cells by their index in the cells[d] of
-its complex: per dimension, an array of up-partners and one of
-down-partners, -1 where a cell is not matched that way, and the sorted
+whose cells are implicit: it walks the complex's word table once, each word
+with its placements of every dimension, and builds a cell key only for an
+error message.  A cell that releases a pair takes that pair's beta face
+from the complex's face table as its partner, so the complex is the only
+owner of cell indices.  A MorseMatching refers to cells by their index in
+the cells[d] of its complex: per dimension, an array of up-partners and one
+of down-partners, -1 where a cell is not matched that way, and the sorted
 indices of the critical cells.  Keys are read from cells[d] only for the
-cells that are printed: the critical cells and the streamed matched pairs.
-Acyclicity is certified by Kahn's algorithm on those arrays and the
-complex's face tables, with the order kept in an array('i').
+critical cells, which are printed.  Acyclicity is certified by Kahn's
+algorithm on those arrays and the complex's face tables, with the order
+kept in an array('i').
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .words import CellWord, as_spec, check_content, signed_faces
+from .words import CellWord, as_spec, check_content, descent_set, signed_faces
 
 
 def loop_schedule(spec):
@@ -44,61 +49,53 @@ def loop_schedule(spec):
                  for s in range(spec.i[r - 1], 0, -1))
 
 
-def _occurrences(word, n):
-    occ = [None] + [[] for _ in range(n)]
-    for p, letter in enumerate(word, start=1):
-        occ[letter].append(p)
-    return occ
+def _schedule(word, descents):
+    """The loops of a word that can classify a cell `a`, in processing order.
 
-
-def _part_array(ell, pairs):
-    # 0 free, 1 joined with the right neighbor, 2 joined with the left
-    part = bytearray(ell + 2)
-    for p in pairs:
-        part[p] = 1
-        part[p + 1] = 2
-    return part
-
-
-def _run_cell(word, pairs, spec_i, record=None, occ=None):
-    """Scan the loop schedule for one cell.
-
-    Returns (status, loop_index, j) with status 'lower' (matched upward by
-    joining the entries at j, j + 1), 'upper' (matched downward by releasing
-    the pair at j) or 'critical' (j is None).  When `record` is a list it
-    receives (r, s, j, klass) rows.  `occ` is _occurrences(word, n), for
-    callers that scan many cells of one word.
+    Loop (r, s) looks at the position j of the s-th r and passes (2), a
+    right neighbor below r, exactly when j is a descent; every other loop
+    classifies every cell `b`.  So the schedule lists the descents j by
+    their letter r = word[j - 1] from n down, equal letters from the right,
+    each as the character chr(2j + left), with `left` the word half of (1):
+    j is 1 or the letter left of j is <= r.  A str holds a schedule in one
+    object; tuples kept as cache keys would stay in the tuple free lists.
     """
-    ell = len(word)
-    n = len(spec_i)
-    if occ is None:
-        occ = _occurrences(word, n)
-    part = _part_array(ell, pairs)
-    idx = 0
-    for r in range(n, 0, -1):
-        for s in range(spec_i[r - 1], 0, -1):
-            j = occ[r][s - 1]
-            klass = "b"
-            if j < ell and word[j] < r:                      # (2) right neighbor below r
-                pj = part[j]
-                if pj == 0 and part[j + 1] == 0 or pj == 1:  # (3) both free or joined together
-                    if j == 1 or part[j - 1] != 0 or word[j - 2] <= r:  # (1)
-                        klass = "a"
-            if record is not None:
-                record.append((r, s, j, klass))
-            if klass == "a":
-                return ("lower" if part[j] == 0 else "upper"), idx, j
-            idx += 1
-    return "critical", idx, None
+    return "".join(chr(2 * j + (j == 1 or word[j - 2] <= r))
+                   for r, j in sorted(((word[j - 1], j) for j in descents), reverse=True))
 
 
-def _partner(cell, status, j):
-    """The matched partner of a cell word, from its _run_cell outcome."""
-    if status == "lower":
-        return CellWord(cell.word, tuple(sorted(cell.pairs + (j,))))
-    if status == "upper":
-        return CellWord(cell.word, tuple(p for p in cell.pairs if p != j))
-    return None
+def _classify(schedule, mask):
+    """The outcome of a cell with pair bitmask `mask` (bit p for a pair at p).
+
+    j when the first loop of the schedule that classifies it `a` finds the
+    entries at j, j + 1 free (matched upward by joining them), -j when it
+    finds them joined (matched downward by releasing the pair at j), and 0
+    when no loop does (critical).
+    """
+    for c in schedule:
+        j, left = ord(c) >> 1, ord(c) & 1
+        if ((mask >> j & 1 or not mask >> (j - 1) & 7)  # (3) both free or joined together
+                and (left or mask >> (j - 2) & 3)):     # (1) left neighbor joined or <= r
+            return -j if mask >> j & 1 else j
+    return 0
+
+
+def _trace(word, pairs, spec):
+    """A cell's outcome (_classify) and its (r, s, j, klass) row for each
+    loop it reaches: every loop up to the one that classifies it `a`."""
+    out = _classify(_schedule(word, descent_set(word)), sum(1 << p for p in pairs))
+    rows = []
+    for r, s in loop_schedule(spec):
+        j = [p for p, x in enumerate(word, start=1) if x == r][s - 1]
+        rows.append((r, s, j, "a" if j == abs(out) else "b"))
+        if j == abs(out):
+            break
+    return out, rows
+
+
+def _partner(cell, out):
+    """The matched partner of a cell word: its pair at |out| joined or released."""
+    return CellWord(cell.word, tuple(sorted(set(cell.pairs) ^ {abs(out)}))) if out else None
 
 
 class Mates:
@@ -168,40 +165,19 @@ class MorseMatching:
     def critical_count(self):
         return {d: len(v) for d, v in sorted(self.critical.items())}
 
-    def pairs(self):
-        """The matched pairs as (lower, upper) cell keys, streamed in sorted order.
-
-        Each cells[d] must be sorted, as in every complex built by
-        complexes.  Each dimension then lists its pairs sorted by their lower
-        cell, no lower cell has two partners, and merging the dimensions
-        gives the sorted order of all pairs.
-        """
-        cells = self.cells
-
-        def stream(d, mates):
-            upper = cells[d + 1]
-            for cell, u in zip(cells[d], mates):
-                if u >= 0:
-                    yield cell, upper[u]
-
-        return heapq.merge(*(stream(d, mates) for d, mates in self.up.by_dim.items()
-                             if d + 1 in cells))
-
 
 def match_product_of_chains(cx):
     """Run the matching over every cell of a built cell-word complex.
 
     `cx` comes from complexes.chain_product_complex, whose d-cell i lists
     its t-th pair's faces at ptr[i] + 2(t - 1): the alpha release, then the
-    beta release.  Each dimension walks the words of the complex's word
-    table, and each word's d-placements, so cell i is a word and a pair
-    tuple, never a stored key.  Each cell is simulated independently.  A
-    cell that releases its pair at j takes that pair's beta face (same
-    word, pair removed) as its partner; the up arrays are the inverse of
-    the down arrays.  The assembly asserts that the pairing is an
-    involution: the face was classified lower at the same j, no lower cell
-    is claimed twice, and every lower cell is claimed, so matched and
-    critical cells partition the cell set.
+    beta release.  A cell is a word and a pair placement, never a stored
+    key.  A cell that releases its pair at j takes that pair's beta face
+    (same word, pair removed) as its partner, and the up arrays invert the
+    down arrays.  The assembly asserts an involution: the face is a cell of
+    the same word classified lower at the same j, no lower cell is claimed
+    twice, and every lower cell is claimed, so matched and critical cells
+    partition the cell set.
     """
     spec, table = cx.spec, cx.word_table
     if spec is None or table is None:
@@ -209,33 +185,35 @@ def match_product_of_chains(cx):
     cells = cx.cells
     up, down = _unmatched(cells), _unmatched(cells)
     critical = defaultdict(list)
+    # a schedule's outcomes, dimension by dimension, from offsets[schedule] on:
+    # one array, since an object per schedule leaves its small-object pages behind
+    outcomes, offsets = array("i"), {}
     n_lower = n_pairs = 0
-    at = None
-    for d, cs in cells.items():
-        # at[i]: the j at which the lower d-cell i joins, else 0
-        below_at, at = at, array("i", [0]) * len(cs)
-        if d:
-            ptr, idx, _ = cx.boundary[d]
-            below = up[d - 1]
-        for word, info, start in zip(table.words, table.placements, table.starts[d]):
-            if d >= len(info.by_dim):
-                continue
-            occ = _occurrences(word, spec.n)
-            for i, pairs in enumerate(info.by_dim[d], start):
-                status, _idx, j = _run_cell(word, pairs, spec.i, occ=occ)
-                if status == "lower":
-                    at[i] = j
+    for k, (word, info) in enumerate(zip(table.words, table.placements)):
+        schedule = _schedule(word, info.descents)
+        end = offsets.get(schedule)
+        if end is None:
+            end = offsets[schedule] = len(outcomes)
+            outcomes.extend([_classify(schedule, m) for ms in info.masks for m in ms])
+        for d, ms in enumerate(info.masks):
+            row, start = outcomes[end:end + len(ms)], table.starts[d][k]
+            end += len(ms)
+            for i, out in enumerate(row, start):
+                if out > 0:
                     n_lower += 1
-                elif status == "upper":
-                    f = idx[ptr[i] + 2 * pairs.index(j) + 1]
-                    if below_at[f] != j or below[f] >= 0:
-                        raise AssertionError(f"inconsistent pair {cells[d - 1][f]} / "
-                                             f"{CellWord(word, pairs)}")
-                    below[f] = i
+                elif not out:
+                    critical[d].append(i)
+                else:
+                    pairs = info.by_dim[d][i - start]
+                    ptr, idx, _ = cx.boundary[d]
+                    f = idx[ptr[i] + 2 * pairs.index(-out) + 1]
+                    if not (0 <= f - base < len(at) and at[f - base] == -out
+                            and up[d - 1][f] < 0):
+                        raise AssertionError(f"inconsistent pair: {CellWord(word, pairs)} / {f}")
+                    up[d - 1][f] = i
                     down[d][i] = f
                     n_pairs += 1
-                else:
-                    critical[d].append(i)
+            at, base = row, start  # the outcomes and first cell one dimension down
     if n_lower != n_pairs:
         raise AssertionError("matching is not an involution")
     return MorseMatching(
@@ -271,19 +249,16 @@ def fiber_trace(spec, cell):
     """Full per-loop trace of one cell, mirroring the worked-example format."""
     spec = as_spec(spec)
     check_content(cell, spec)
-    record = []
-    status, idx, j = _run_cell(cell.word, cell.pairs, spec.i, record=record)
-    if status == "critical":
-        return FiberTrace(cell, tuple(record), "critical", None, None)
-    r, s, _, _ = record[-1]
-    return FiberTrace(cell, tuple(record), "matched", _partner(cell, status, j), (r, s))
+    out, rows = _trace(cell.word, cell.pairs, spec)
+    return FiberTrace(cell, tuple(rows), "matched" if out else "critical",
+                      _partner(cell, out), rows[-1][:2] if out else None)
 
 
 class SpecMatchContext:
     """Facet/matching oracle for Hom(spec) that never materializes the complex.
 
     Cells are CellWord keys.  Faces and their signs come from
-    words.signed_faces; matched partners come from per-cell simulation.
+    words.signed_faces; matched partners come from each cell's outcome.
     Suitable for alternating-path computations in complexes too large to
     store.
     """
@@ -295,8 +270,7 @@ class SpecMatchContext:
     def _outcome(self, cell):
         got = self._cache.get(cell)
         if got is None:
-            got = _run_cell(cell.word, cell.pairs, self.spec.i)
-            self._cache[cell] = got
+            got = self._cache[cell] = _trace(cell.word, cell.pairs, self.spec)[0]
         return got
 
     def facets(self, cell):
@@ -306,12 +280,12 @@ class SpecMatchContext:
         return cell.dim
 
     def up(self, cell):
-        status, _, j = self._outcome(cell)
-        return _partner(cell, status, j) if status == "lower" else None
+        out = self._outcome(cell)
+        return _partner(cell, out) if out > 0 else None
 
     def down(self, cell):
-        status, _, j = self._outcome(cell)
-        return _partner(cell, status, j) if status == "upper" else None
+        out = self._outcome(cell)
+        return _partner(cell, out) if out < 0 else None
 
 
 # -- structural checks ------------------------------------------------------
@@ -326,13 +300,8 @@ def check_fiber_monotonicity(cx):
     (second count).  Both counts are zero for the matching algorithm.
     """
     spec = cx.spec
-    records = {}
-    for d, cells in cx.cells.items():
-        records[d] = rows = []
-        for cw in cells:
-            rec = []
-            _run_cell(cw.word, cw.pairs, spec.i, record=rec)
-            rows.append(rec)
+    records = {d: [_trace(cw.word, cw.pairs, spec)[1] for cw in cells]
+               for d, cells in cx.cells.items()}
     bad_phi = 0
     bad_rho = 0
     for d in range(1, cx.dim + 1):
@@ -359,8 +328,6 @@ def check_critical_structure(matching):
     descent is free again; consecutive free entries are weakly increasing and
     every pair is preceded by a larger free entry.
     """
-    from .words import descent_set
-
     bad = []
     for cells in critical_cells(matching).values():
         for cw in cells:
@@ -456,8 +423,9 @@ def validate_acyclic(matching, cx):
     other covers downward: a d-cell's successors are its faces other than
     its matched face, and a (d-1)-cell's only successor is its up-partner.
     A topological order of each digraph, found by Kahn's algorithm, is
-    returned as the certificate.  A matching built on another cell basis
-    raises ValueError, and an alternating cycle raises AcyclicityError.
+    returned as the certificate.  A matching built on another cell basis or
+    a face index outside cells[d - 1] raises ValueError, and an alternating
+    cycle raises AcyclicityError.
     """
     if not _same_basis(matching.cells, cx.cells):
         raise ValueError("matching was built on another cell basis")
@@ -466,6 +434,8 @@ def validate_acyclic(matching, cx):
         ptr, idx, _ = cx.boundary[d]
         lo_up, hi_down = matching.up[d - 1], matching.down[d]
         n0 = len(cx.cells[d - 1])
+        if idx and not (min(idx) >= 0 and max(idx) < n0):
+            raise ValueError(f"face index out of range at dimension {d}")
         indeg = array("i", [0]) * (n0 + len(cx.cells[d]))
         for f in idx:
             indeg[f] += 1

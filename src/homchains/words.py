@@ -109,8 +109,12 @@ def _render_letter(x):
 
 def render_cellword(cw):
     """The cell word as text: one token per letter, each pair in parentheses."""
-    out = list(map(_render_letter, cw.word))
-    for p in cw.pairs:
+    return _parenthesize(list(map(_render_letter, cw.word)), cw.pairs)
+
+
+def _parenthesize(out, pairs):
+    """The rendered letters `out` joined, each pair in parentheses; changes `out`."""
+    for p in pairs:
         out[p - 1] = "(" + out[p - 1]
         out[p] += ")"
     return "".join(out)

@@ -291,6 +291,25 @@ def test_malformed_face_table_is_rejected(faces, message):
         check_faces_squared(cx)
 
 
+def test_face_index_out_of_range_is_rejected():
+    # every entry of the Hom(B_4) face tables, pointed below and past cells[d - 1]
+    cx = chain_product_complex((1, 1, 1, 1))
+    m = match_product_of_chains(cx)
+    for d, table in cx.boundary.items():
+        idx = table.idx
+        for k in range(len(idx)):
+            kept = idx[k]
+            for bad in (-1, len(cx.cells[d - 1])):
+                idx[k] = bad
+                with pytest.raises(ArithmeticError, match="out of range"):
+                    check_faces_squared(cx)
+                with pytest.raises(ValueError, match="out of range"):
+                    validate_acyclic(m, cx)
+            idx[k] = kept
+    check_faces_squared(cx)
+    validate_acyclic(m, cx)
+
+
 def test_homology_rejects_repeated_facets_and_takes_integer_incidences():
     # a face listed twice would be read as one matrix entry, so SNF never sees it
     cx = CellComplex({0: ["v", "w"], 1: ["e"]}, {"v": (), "w": (), "e": (("v", -1), ("v", 1))})

@@ -1,5 +1,6 @@
 """Command-line frontend: subcommands, exit codes, deterministic reports."""
 
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,13 @@ import pytest
 
 from homchains.cli import main
 from homchains.posets import format_poset_text
-from homchains import product_of_chains
+from homchains import (
+    chain_product_complex,
+    match_product_of_chains,
+    parse_cellword,
+    product_of_chains,
+    render_cellword,
+)
 
 
 def run(capsys, *argv):
@@ -77,11 +84,40 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
     ("verify-2223.txt", ("verify", "--suite", "cubicality,acyclicity,bijection,zero-incidence",
                          "--spec", "2,2,2,3")),
     ("report-1111111.json", ("report", "--spec", "1,1,1,1,1,1,1")),
+    ("match-2223.json", ("match", "--spec", "2,2,2,3", "--format", "json")),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("spec", ["1,1,1,1,1", "1,1,1,1,1,1", "2,2,2", "2,2,3", "1,2,3"])
+def test_matching_digest_is_sha256_of_sorted_rendered_pairs(capsys, spec):
+    # the digest the CLI streams word by word equals one built from sorted cell keys
+    cx = chain_product_complex(tuple(map(int, spec.split(","))))
+    m = match_product_of_chains(cx)
+    pairs = sorted((cx.cells[d][i], cx.cells[d + 1][u])
+                   for d, mates in m.up.by_dim.items() for i, u in enumerate(mates) if u >= 0)
+    lines = "".join(f"{render_cellword(a)}->{render_cellword(b)}\n" for a, b in pairs)
+    code, out, _ = run(capsys, "match", "--spec", spec, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["digest"] == hashlib.sha256(lines.encode()).hexdigest()
+    code, out, _ = run(capsys, "report", "--spec", spec)
+    assert json.loads(out)["matching"]["digest"] == hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_pair_stream_rejects_a_partner_outside_the_word():
+    # point the lower cell 132 at the 1-cell 2(31) of the next word
+    from homchains.cli import _matched_pairs
+
+    cx = chain_product_complex((1, 1, 1))
+    m = match_product_of_chains(cx)
+    i = cx.locate(parse_cellword("132"))[1]
+    assert render_cellword(cx.cells[1][m.up[0][i]]) == "1(32)"
+    m.up[0][i] = cx.locate(parse_cellword("2(31)"))[1]
+    with pytest.raises(AssertionError, match="outside the word 132"):
+        list(_matched_pairs(cx, m))
 
 
 def test_report_heap_peak_per_cell(capsys):

@@ -9,6 +9,7 @@ from homchains import (
     AcyclicityError,
     CellComplex,
     antichain,
+    as_spec,
     chain,
     chain_product_complex,
     check_critical_structure,
@@ -27,7 +28,7 @@ from homchains import (
     render_cellword,
     validate_acyclic,
 )
-from homchains.morse import MorseMatching, SpecMatchContext
+from homchains.morse import MorseMatching, SpecMatchContext, _trace
 
 
 def matching_of(spec):
@@ -121,18 +122,80 @@ def test_matched_plus_critical_partitions():
 
 def test_pairs_respect_fibers():
     # matched cells share the loop and position at which they were classified
-    from homchains.morse import _run_cell
-    from homchains import as_spec
-
     for spec in [(1, 1, 1), (1, 1, 2), (2, 2, 2)]:
         m = matching_of(spec)
-        i = as_spec(spec).i
         for a, b in key_partners(m)[0].items():
-            ra, rb = [], []
-            _run_cell(a.word, a.pairs, i, record=ra)
-            _run_cell(b.word, b.pairs, i, record=rb)
+            ra = _trace(a.word, a.pairs, as_spec(spec))[1]
+            rb = _trace(b.word, b.pairs, as_spec(spec))[1]
             assert ra[-1][:3] == rb[-1][:3]  # same (r, s, j)
             assert len(ra) == len(rb)
+
+
+# -- the per-cell rule the matching's schedules and classification replace --
+
+
+def _occurrences(word, n):
+    occ = [None] + [[] for _ in range(n)]
+    for p, letter in enumerate(word, start=1):
+        occ[letter].append(p)
+    return occ
+
+
+def _part_array(ell, pairs):
+    # 0 free, 1 joined with the right neighbor, 2 joined with the left
+    part = bytearray(ell + 2)
+    for p in pairs:
+        part[p] = 1
+        part[p + 1] = 2
+    return part
+
+
+def _run_cell(word, pairs, spec_i, record=None, occ=None):
+    """Scan the loop schedule for one cell: (status, loop_index, j) with
+    status 'lower', 'upper' or 'critical' (j is None); `record` receives
+    (r, s, j, klass) rows."""
+    ell = len(word)
+    n = len(spec_i)
+    if occ is None:
+        occ = _occurrences(word, n)
+    part = _part_array(ell, pairs)
+    idx = 0
+    for r in range(n, 0, -1):
+        for s in range(spec_i[r - 1], 0, -1):
+            j = occ[r][s - 1]
+            klass = "b"
+            if j < ell and word[j] < r:                      # (2) right neighbor below r
+                pj = part[j]
+                if pj == 0 and part[j + 1] == 0 or pj == 1:  # (3) both free or joined together
+                    if j == 1 or part[j - 1] != 0 or word[j - 2] <= r:  # (1)
+                        klass = "a"
+            if record is not None:
+                record.append((r, s, j, klass))
+            if klass == "a":
+                return ("lower" if part[j] == 0 else "upper"), idx, j
+            idx += 1
+    return "critical", idx, None
+
+
+@pytest.mark.parametrize("spec", [(1, 1, 1, 1, 1), (2, 2, 2), (1, 2, 3), (2, 2, 3), (3, 3, 3)])
+def test_matching_agrees_with_the_per_cell_rule(spec):
+    cx = chain_product_complex(spec)
+    m = match_product_of_chains(cx)
+    spec_i = as_spec(spec).i
+    critical = {(d, i) for d, v in m.critical.items() for i in v}
+    for d, cells in cx.cells.items():
+        for i, cell in enumerate(cells):
+            record = []
+            status, _, j = _run_cell(cell.word, cell.pairs, spec_i, record=record)
+            if status == "lower":
+                partner = cx.cells[d + 1][m.up[d][i]]
+                assert partner == (cell.word, tuple(sorted(cell.pairs + (j,))))
+            elif status == "upper":
+                partner = cx.cells[d - 1][m.down[d][i]]
+                assert partner == (cell.word, tuple(p for p in cell.pairs if p != j))
+            else:
+                assert (d, i) in critical
+            assert fiber_trace(spec, cell).steps == tuple(record)
 
 
 def test_critical_cells_op():
@@ -319,17 +382,16 @@ def test_matching_rejects_swapped_alpha_and_beta_faces():
 
 
 def test_matching_rejects_an_unclaimed_lower_cell(monkeypatch):
-    # report the upper cell 1(32) as critical, leaving its lower partner 132 unclaimed
+    # classify the upper cell 1(32) as critical, leaving its lower partner 132 unclaimed
     from homchains import morse
 
-    real = morse._run_cell
+    real = morse._classify
+    schedule = morse._schedule((1, 3, 2), (2,))
 
-    def run_cell(word, pairs, spec_i, **kwargs):
-        if (word, pairs) == ((1, 3, 2), (2,)):
-            return "critical", 0, None
-        return real(word, pairs, spec_i, **kwargs)
+    def classify(sched, mask):
+        return 0 if (sched, mask) == (schedule, 1 << 2) else real(sched, mask)
 
-    monkeypatch.setattr(morse, "_run_cell", run_cell)
+    monkeypatch.setattr(morse, "_classify", classify)
     with pytest.raises(AssertionError, match="not an involution"):
         matching_of((1, 1, 1))
 
