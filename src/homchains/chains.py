@@ -234,12 +234,15 @@ def check_faces_squared(cx):
 
 def _check_squared(cx):
     """Verify d o d = 0 on face tables with any integer incidences, as a
-    Morse complex has; raises ArithmeticError otherwise, and when a cell
-    lists a face twice.  Cell by cell, the incidence products along each
-    face's own faces are summed per (d-2)-cell and must all vanish.
+    Morse complex has; raises ArithmeticError otherwise, and when a face
+    index is out of range or a cell lists a face twice.  Cell by cell, the
+    incidence products along each face's own faces are summed per
+    (d-2)-cell and must all vanish.
     """
     for d in sorted(cx.boundary):
         ptr, idx, sgn = cx.boundary[d]
+        if idx and not (min(idx) >= 0 and max(idx) < len(cx.cells[d - 1])):
+            raise ArithmeticError(f"face index out of range at dimension {d}")
         lower = cx.boundary.get(d - 1)
         for j in range(len(ptr) - 1):
             lo, hi = ptr[j], ptr[j + 1]
@@ -545,14 +548,16 @@ def morse_complex(cx, matching, certificate):
 
     Requires the acyclicity certificate produced by validate_acyclic; the
     homology of the result equals the homology of cx.  The boundary of each
-    critical d-cell sigma is reduced along certificate.orders[d]: the
+    critical d-cell sigma is reduced along the pair order of
+    certificate.orders[d], then along the other (d-1)-cells by index: the
     earliest (d-1)-cell a still carrying a nonzero coefficient c is taken
     off.  A critical a keeps c as the incidence of a in sigma's face table
-    (written in the order taken off, nonzero entries only), an a matched
-    downward is dropped, and an a matched up to u is traded for the other
-    faces of u: c a becomes c a - c [a:u] d(u), which adds -c [a:u] [g:u]
-    to each face g != a of u.  The faces of u come after a in the order, so
-    every cell is taken off once, after all its contributions.  Each entry
+    (written in row order, nonzero entries only), an a matched downward is
+    dropped, and an a matched up to u is traded for the other faces of u:
+    c a becomes c a - c [a:u] d(u), which adds -c [a:u] [g:u] to each face
+    g != a of u.  A face of u that is matched up comes after a in the pair
+    order, and every other face after all pairs, so every cell is taken
+    off once, after all its contributions.  Each entry
     is therefore the direct incidence plus the weights of all alternating
     paths from sigma to tau, the value of morse_incidence, without listing
     a path.  homology checks d o d = 0 on the result before its SNF.
@@ -573,10 +578,12 @@ def morse_complex(cx, matching, certificate):
             ptr, idx, sgn = cx.boundary[d]
             up = matching.up[d - 1]
             order = certificate.orders[d]
-            pos = array("i", [0]) * len(cx.cells[d - 1])
-            for k, v in enumerate(order):
-                if v < len(pos):
-                    pos[v] = k
+            n = len(order)
+            # a pair's lower cell is taken off at its rank in the order, every
+            # other (d-1)-cell g after all pairs, at n + g
+            pos = array("i", range(n, n + len(cx.cells[d - 1])))
+            for k, a in enumerate(order):
+                pos[a] = k
             for col, sigma in enumerate(crit[d]):
                 coef = {}
                 lo, hi = ptr[sigma], ptr[sigma + 1]
@@ -585,7 +592,8 @@ def morse_complex(cx, matching, certificate):
                 heap = [pos[g] for g in coef]
                 heapq.heapify(heap)
                 while heap:
-                    a = order[heapq.heappop(heap)]
+                    key = heapq.heappop(heap)
+                    a = order[key] if key < n else key - n
                     c = coef.pop(a)
                     if not c:
                         continue

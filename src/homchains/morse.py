@@ -29,8 +29,9 @@ the cells[d] of its complex: per dimension, an array of up-partners and one
 of down-partners, -1 where a cell is not matched that way, and the sorted
 indices of the critical cells.  Keys are read from cells[d] only for the
 critical cells, which are printed.  Acyclicity is certified by Kahn's
-algorithm on those arrays and the complex's face tables, with the order
-kept in an array('i').
+algorithm on the matched pairs alone, through those arrays and the
+complex's face tables: the certificate keeps, per dimension, the pairs'
+lower cells in a topological order, in an array('i').
 """
 
 from __future__ import annotations
@@ -370,7 +371,8 @@ def _same_basis(a, b):
 
 
 def _pairs_fingerprint(matching):
-    return hash(b"".join(matching.up[d].tobytes() for d in sorted(matching.cells)))
+    # one dimension's bytes at a time, so no copy of every up array is held at once
+    return hash(tuple(hash(matching.up[d].tobytes()) for d in sorted(matching.cells)))
 
 
 def _is_partition(matching):
@@ -393,15 +395,16 @@ def _is_partition(matching):
 
 @dataclass(frozen=True)
 class MatchingCertificate:
-    """Per dimension pair, a topological order of the matched cover digraph.
+    """Per dimension pair, a topological order of the matched pairs.
 
-    orders[d] lists the (d-1)-cells by their index i and the d-cells j as
-    len(cells[d - 1]) + j.  The certificate is bound to the cell basis and
-    to the matched pairs it was issued for, through a fingerprint of the up
+    orders[d] lists, once each, the (d-1)-cells a matched up to a d-cell
+    u(a), by index, so that a comes before every other face of u(a) that is
+    matched up.  The certificate is bound to the cell basis and to the
+    matched pairs it was issued for, through a fingerprint of the up
     arrays' bytes; check_matches rejects any other matching.
     """
 
-    orders: dict  # d -> array('i') of node numbers
+    orders: dict  # d -> array('i') of the lower cells of the pairs
     n_pairs: int
     fingerprint: int
     cells: dict = field(repr=False, compare=False)
@@ -419,13 +422,14 @@ class MatchingCertificate:
 def validate_acyclic(matching, cx):
     """Certify that a matching on a complex is acyclic (Patchwork-compatible).
 
-    Per adjacent dimension pair, matched covers are oriented upward and all
-    other covers downward: a d-cell's successors are its faces other than
-    its matched face, and a (d-1)-cell's only successor is its up-partner.
-    A topological order of each digraph, found by Kahn's algorithm, is
-    returned as the certificate.  A matching built on another cell basis or
-    a face index outside cells[d - 1] raises ValueError, and an alternating
-    cycle raises AcyclicityError.
+    Per adjacent dimension pair, matched covers point up and all others
+    down.  A (d-1)-cell's only way up is to its partner, so an alternating
+    cycle runs through matched pairs alone: the digraph has one node per
+    pair (a, u(a)) and an arc to (b, u(b)) for each face b != a of u(a)
+    that is matched up.  Its topological order by Kahn's algorithm is the
+    certificate.  Another cell basis, a face index outside cells[d - 1], a
+    pair that is no cover or partners that disagree raise ValueError, and
+    an alternating cycle raises AcyclicityError.
     """
     if not _same_basis(matching.cells, cx.cells):
         raise ValueError("matching was built on another cell basis")
@@ -436,40 +440,32 @@ def validate_acyclic(matching, cx):
         n0 = len(cx.cells[d - 1])
         if idx and not (min(idx) >= 0 and max(idx) < n0):
             raise ValueError(f"face index out of range at dimension {d}")
-        indeg = array("i", [0]) * (n0 + len(cx.cells[d]))
-        for f in idx:
-            indeg[f] += 1
+        # indeg[b]: the matched d-cells u that have b as a face other than their partner
+        indeg = array("i", [0]) * n0
         n_matched = 0
-        for j, i in enumerate(hi_down):
-            if i >= 0:
-                if lo_up[i] != j or i not in idx[ptr[j]:ptr[j + 1]]:
-                    raise ValueError(f"matched pair {cx.cells[d - 1][i]} / {cx.cells[d][j]} "
+        for u, a in enumerate(hi_down):
+            if a >= 0:
+                faces = idx[ptr[u]:ptr[u + 1]]
+                if lo_up[a] != u or a not in faces:
+                    raise ValueError(f"matched pair {cx.cells[d - 1][a]} / {cx.cells[d][u]} "
                                      "is not a cover in the complex")
-                indeg[i] -= 1
-                indeg[n0 + j] = 1
+                for b in faces:
+                    indeg[b] += 1
+                indeg[a] -= 1
                 n_matched += 1
         if n_matched != len(lo_up) - lo_up.count(-1):
             raise ValueError(f"up and down partners disagree between dimensions {d - 1} and {d}")
-        # Kahn's algorithm, lower cells first, so the result is deterministic;
-        # iterating an array sees the nodes appended during the loop
-        order = array("i", (v for v in range(len(indeg)) if not indeg[v]))
-        for v in order:
-            if v < n0:
-                u = lo_up[v]
-                if u >= 0:
-                    u += n0
-                    indeg[u] -= 1
-                    if not indeg[u]:
-                        order.append(u)
-            else:
-                j = v - n0
-                m = hi_down[j]
-                for f in idx[ptr[j]:ptr[j + 1]]:
-                    if f != m:
-                        indeg[f] -= 1
-                        if not indeg[f]:
-                            order.append(f)
-        if len(order) != len(indeg):
+        # Kahn's algorithm from the sources in index order, so the result is
+        # deterministic; iterating an array sees the pairs appended during the loop
+        order = array("i", (a for a, u in enumerate(lo_up) if u >= 0 and not indeg[a]))
+        for a in order:
+            u = lo_up[a]
+            for b in idx[ptr[u]:ptr[u + 1]]:
+                if b != a and lo_up[b] >= 0:
+                    indeg[b] -= 1
+                    if not indeg[b]:
+                        order.append(b)
+        if len(order) != n_matched:
             raise AcyclicityError(_extract_cycle(cx, matching, d, indeg))
         orders[d] = order
     return MatchingCertificate(orders, len(matching.up), _pairs_fingerprint(matching),
@@ -477,29 +473,21 @@ def validate_acyclic(matching, cx):
 
 
 def _extract_cycle(cx, matching, d, indeg):
-    # every un-eliminated node keeps an un-eliminated predecessor, so walking
-    # predecessors from any of them must close a cycle
+    """An alternating cycle a_1, u(a_1), a_2, u(a_2), ... among the pairs
+    Kahn's algorithm left over, with a_(i+1) a face of u(a_i).  Each of them
+    keeps a predecessor among them, so walking predecessors closes a cycle."""
     ptr, idx, _ = cx.boundary[d]
-    lo_up, hi_down = matching.up[d - 1], matching.down[d]
-    n0 = len(cx.cells[d - 1])
-    remaining = [v for v in range(len(indeg)) if indeg[v] > 0]
-    preds = defaultdict(list)
-    for v in remaining:
-        if v < n0:
-            succ = [n0 + lo_up[v]] if lo_up[v] >= 0 else []
-        else:
-            j = v - n0
-            succ = [f for f in idx[ptr[j]:ptr[j + 1]] if f != hi_down[j]]
-        for w in succ:
-            if indeg[w] > 0:
-                preds[w].append(v)
-    node = remaining[0]
-    seen = {}
-    path = []
+    lo_up = matching.up[d - 1]
+    pred = {}
+    for a, u in enumerate(lo_up):
+        if u >= 0 and indeg[a] > 0:
+            for b in idx[ptr[u]:ptr[u + 1]]:
+                if b != a and lo_up[b] >= 0 and indeg[b] > 0:
+                    pred.setdefault(b, a)
+    node, seen = next(iter(pred)), {}  # node -> its step on the walk
     while node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        node = preds[node][0]
-    cycle = path[seen[node]:]
+        seen[node] = len(seen)
+        node = pred[node]
+    cycle = list(seen)[seen[node]:]
     cycle.reverse()
-    return [cx.cells[d - 1][v] if v < n0 else cx.cells[d][v - n0] for v in cycle]
+    return [c for a in cycle for c in (cx.cells[d - 1][a], cx.cells[d][lo_up[a]])]

@@ -303,10 +303,13 @@ def test_face_index_out_of_range_is_rejected():
                 idx[k] = bad
                 with pytest.raises(ArithmeticError, match="out of range"):
                     check_faces_squared(cx)
+                with pytest.raises(ArithmeticError, match="out of range"):
+                    _check_squared(cx)
                 with pytest.raises(ValueError, match="out of range"):
                     validate_acyclic(m, cx)
             idx[k] = kept
     check_faces_squared(cx)
+    _check_squared(cx)
     validate_acyclic(m, cx)
 
 
@@ -397,13 +400,19 @@ def test_morse_incidence_rejects_bad_input():
         morse_incidence("v0", "v2", ctx)  # dimension mismatch
 
 
+def shuffled_covers(cx, rng):
+    """Every (face, cell) pair of cx, as cell keys, in random order."""
+    covers = [(cx.cells[d - 1][f], cx.cells[d][j]) for d in range(1, cx.dim + 1)
+              for j in range(len(cx.cells[d])) for f, _ in cx.faces(d, j)]
+    rng.shuffle(covers)
+    return covers
+
+
 def random_acyclic_matching(cx, rng):
     """A random acyclic matching of cx: the covers are offered in random
     order and each is kept when both its cells are free and the matching
     stays acyclic, until a random number of pairs is reached."""
-    covers = [(cx.cells[d - 1][f], cx.cells[d][j]) for d in range(1, cx.dim + 1)
-              for j in range(len(cx.cells[d])) for f, _ in cx.faces(d, j)]
-    rng.shuffle(covers)
+    covers = shuffled_covers(cx, rng)
     want = rng.randint(1, len(covers))
     up, used = {}, set()
     for lower, upper in covers:

@@ -1,6 +1,7 @@
 """The matching algorithm, fiber traces, acyclicity validation."""
 
 import dataclasses
+import random
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from homchains import (
     AcyclicityError,
     CellComplex,
+    FinitePoset,
     antichain,
     as_spec,
     chain,
@@ -29,6 +31,7 @@ from homchains import (
     validate_acyclic,
 )
 from homchains.morse import MorseMatching, SpecMatchContext, _trace
+from test_chains import random_acyclic_matching, shuffled_covers
 
 
 def matching_of(spec):
@@ -236,19 +239,20 @@ def test_certificate_orders_are_topological():
         cx = chain_product_complex(spec)
         m = match_product_of_chains(cx)
         cert = validate_acyclic(m, cx)
-        up = key_partners(m)[0]
         assert set(cert.orders) == set(range(1, cx.dim + 1))
+        n_arcs = 0
         for d, order in cert.orders.items():
-            # node i is the (d-1)-cell i, node n0 + j the d-cell j
-            n0 = len(cx.cells[d - 1])
-            assert sorted(order) == list(range(n0 + len(cx.cells[d])))
-            pos = {node: k for k, node in enumerate(order)}
-            for j, upper in enumerate(cx.cells[d]):
-                for f, _ in cx.faces(d, j):
-                    if up.get(cx.cells[d - 1][f]) == upper:
-                        assert pos[f] < pos[n0 + j]
-                    else:
-                        assert pos[n0 + j] < pos[f]
+            # each (d-1)-cell matched up is listed once, and before every
+            # other face of its partner that is matched up
+            up = m.up[d - 1]
+            assert sorted(order) == [a for a, u in enumerate(up) if u >= 0]
+            pos = {a: k for k, a in enumerate(order)}
+            for a in order:
+                for b, _ in cx.faces(d, up[a]):
+                    if b != a and up[b] >= 0:
+                        assert pos[a] < pos[b]
+                        n_arcs += 1
+        assert n_arcs > 0
 
 
 def test_validate_acyclic_empty_matching():
@@ -277,7 +281,19 @@ def test_cyclic_matching_rejected():
     assert m.critical == {}
     with pytest.raises(AcyclicityError) as err:
         validate_acyclic(m, cx)
-    assert len(err.value.cycle) >= 4
+    assert len(err.value.cycle) == 8
+    assert_alternating_cycle(cx, up, err.value.cycle)
+
+
+def assert_alternating_cycle(cx, up, cycle):
+    """cycle is a_1, u(a_1), a_2, u(a_2), ... with a_(i+1) != a_i a face of u(a_i)."""
+    lowers, uppers = cycle[0::2], cycle[1::2]
+    assert len(lowers) == len(uppers) >= 2
+    for i, (a, u) in enumerate(zip(lowers, uppers)):
+        assert up[a] == u
+        d, j = cx.locate(u)
+        nxt = lowers[(i + 1) % len(lowers)]
+        assert nxt != a and nxt in {cx.cells[d - 1][f] for f, _ in cx.faces(d, j)}
 
 
 def test_acyclic_matching_on_square_accepted():
@@ -421,3 +437,87 @@ def test_complex_and_matching_memory_per_cell():
         tracemalloc.stop()
     assert m.n_cells == cx.n_cells() == 3690
     assert net / cx.n_cells() < 120
+
+
+def all_cells_acyclic(matching, cx):
+    """The all-cells rule that validate_acyclic replaced, kept as its
+    reference: Kahn's algorithm over every cell of both dimensions of each
+    dimension pair, a (d-1)-cell i as node i and a d-cell j as n0 + j."""
+    for d in range(1, cx.dim + 1):
+        ptr, idx, _ = cx.boundary[d]
+        lo_up, hi_down = matching.up[d - 1], matching.down[d]
+        n0 = len(cx.cells[d - 1])
+        indeg = [0] * (n0 + len(cx.cells[d]))
+        for f in idx:
+            indeg[f] += 1
+        for j, i in enumerate(hi_down):
+            if i >= 0:
+                indeg[i] -= 1
+                indeg[n0 + j] = 1
+        order = [v for v in range(len(indeg)) if not indeg[v]]
+        for v in order:
+            if v < n0:
+                succ = [n0 + lo_up[v]] if lo_up[v] >= 0 else []
+            else:
+                j = v - n0
+                succ = [f for f in idx[ptr[j]:ptr[j + 1]] if f != hi_down[j]]
+            for w in succ:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        if len(order) != len(indeg):
+            return False
+    return True
+
+
+def random_matching(cx, rng):
+    """Every cover in random order that finds both its cells free: a maximal
+    matching, which may have cycles."""
+    up, used = {}, set()
+    for lower, upper in shuffled_covers(cx, rng):
+        if lower not in used and upper not in used:
+            up[lower] = upper
+            used |= {lower, upper}
+    return up
+
+
+def test_pair_digraph_agrees_with_all_cells_kahn():
+    rng = random.Random(1812)
+    zigzag = ideal_lattice(FinitePoset(5, [(0, 1), (2, 1), (2, 3), (4, 3)]))
+    complexes = [chain_product_complex(spec) for spec in [(1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]]
+    complexes.append(hom_complex_generic(chain(5), zigzag))
+    verdicts = []
+    for cx in complexes:
+        for k in range(64):
+            if k % 4:
+                up = random_matching(cx, rng)
+                m = MorseMatching.from_pairs(cx, up)
+            else:
+                m = random_acyclic_matching(cx, rng)
+                up = key_partners(m)[0]
+            try:
+                cert = validate_acyclic(m, cx)
+            except AcyclicityError as err:
+                assert_alternating_cycle(cx, up, err.cycle)
+                cert = None
+            assert (cert is not None) == all_cells_acyclic(m, cx)
+            verdicts.append(cert is not None)
+    assert len(verdicts) >= 200
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 40
+
+
+def test_validate_acyclic_memory_per_cell():
+    # heap peak of certifying B_6's matching (3,690 cells); the certificate
+    # keeps one entry per matched pair
+    cx = chain_product_complex((1,) * 6)
+    m = match_product_of_chains(cx)
+    validate_acyclic(m, cx)  # warm caches of the interpreter
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = validate_acyclic(m, cx)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, cert.orders.values())) == len(m.up)
+    assert peak / cx.n_cells() < 8
