@@ -64,7 +64,7 @@ from .chains import (
     AlternatingPath,
     ComplexMatchContext,
     HomologyReport,
-    check_faces_squared,
+    check_squared,
     homology,
     involution_partner,
     morse_complex,

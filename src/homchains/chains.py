@@ -1,12 +1,15 @@
-"""Integer cellular chain complexes: the d o d = 0 checks on face tables,
+"""Integer cellular chain complexes: the d o d = 0 check on face tables,
 Smith-normal-form homology, and the Morse complex of an acyclic matching.
 
-A boundary is always a FaceTable (complexes.FaceTable): Smith normal form
-reads its rows straight from the table, and the Morse complex is a
-CellComplex whose tables hold its integer incidences.  Cell-word faces and
-their signs come from words.signed_faces.  The Morse complex reduces each
-critical cell's boundary along the acyclicity certificate's order and lists
-no path.  Alternating paths are walked on cell keys, through the key-level
+A boundary is always a FaceTable (complexes.FaceTable): check_squared and
+Smith normal form read it as written, and the Morse complex is a
+CellComplex whose tables hold its integer incidences.  check_squared is the
+one d o d check, on a full complex and on a Morse complex alike; the +1/-1
+incidences that the reduction relies on are checked with the matching, by
+morse.validate_acyclic.  Cell-word faces and their signs come from
+words.signed_faces.  The Morse complex reduces each critical cell's
+boundary along the acyclicity certificate's order and lists no path.
+Alternating paths are walked on cell keys, through the key-level
 oracles (ComplexMatchContext, morse.SpecMatchContext): morse_incidence and
 path_censuses sum their weights and pair them by the sign-reversing
 involution on cell words, an independent account of the same incidences.
@@ -18,6 +21,7 @@ import heapq
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .complexes import CellComplex, FaceTable
@@ -133,26 +137,9 @@ def _dense_snf(A):
     return out
 
 
-def _row_dicts(matrix):
-    """{row: {col: value}} of a FaceTable, whose column j lists the faces of
-    cell j, or of a dense matrix given as a list of rows."""
-    rows = defaultdict(dict)
-    if isinstance(matrix, FaceTable):
-        ptr, idx, sgn = matrix
-        for j in range(len(ptr) - 1):
-            for k in range(ptr[j], ptr[j + 1]):
-                rows[idx[k]][j] = sgn[k]
-    else:
-        for r, row in enumerate(matrix):
-            for c, v in enumerate(row):
-                if v:
-                    rows[r][c] = int(v)
-    return dict(rows)
-
-
-def smith_normal_form(matrix):
+def smith_normal_form(table):
     """Invariant factors d_1 | d_2 | ... (nonzero only) and the rank of a
-    FaceTable (rows are the faces, columns the cells) or of a dense matrix.
+    FaceTable, whose rows are the faces and whose columns are the cells.
 
     Unit pivots are eliminated sparsely, cheapest first: a lazy min-heap
     holds every +-1 entry keyed by its Markowitz cost (row length - 1) *
@@ -162,7 +149,12 @@ def smith_normal_form(matrix):
     factor 1.  Once no +-1 entry is left, the residue is reduced densely; its
     factors are positive and already form a divisibility chain.
     """
-    rowdata = _row_dicts(matrix)
+    ptr, idx, sgn = table
+    rows = defaultdict(dict)
+    for j in range(len(ptr) - 1):
+        for k in range(ptr[j], ptr[j + 1]):
+            rows[idx[k]][j] = sgn[k]
+    rowdata = dict(rows)
     cols = defaultdict(set)
     for r, row in rowdata.items():
         for c in row:
@@ -196,67 +188,37 @@ def smith_normal_form(matrix):
 # -- chain complexes ------------------------------------------------------
 
 
-def check_faces_squared(cx):
-    """Verify on the face tables of a cell complex that every face index is
-    in range, every incidence +1 or -1, no cell lists a face twice and
-    d o d = 0; raises ArithmeticError otherwise.
+def check_squared(cx):
+    """Verify d o d = 0 on the face tables of a cell complex, whatever its
+    integer incidences; raises ArithmeticError otherwise, and when a face
+    index is out of range or a cell lists a face twice.
 
-    A face g of (d-1)-cell f with incidence t is written (g + 1) * t.  Cell
-    by cell, the faces f of a d-cell with incidence s contribute
-    s * (g + 1) * t, and d o d vanishes on it when these contributions
-    cancel: their sorted list is its own negated reverse.
-    """
-    for d in sorted(cx.boundary):
-        ptr, idx, sgn = cx.boundary[d]
-        if idx and not (min(idx) >= 0 and max(idx) < len(cx.cells[d - 1])):
-            raise ArithmeticError(f"face index out of range at dimension {d}")
-        if not set(sgn) <= {1, -1}:
-            raise ArithmeticError(f"incidence other than +1 or -1 at dimension {d}")
-        signed = None
-        if d >= 2:
-            lptr, lidx, lsgn = cx.boundary[d - 1]
-            signed = {1: array("i", ((g + 1) * t for g, t in zip(lidx, lsgn)))}
-            signed[-1] = array("i", (-v for v in signed[1]))
-        for j in range(len(ptr) - 1):
-            lo, hi = ptr[j], ptr[j + 1]
-            row = idx[lo:hi]
-            if len(set(row)) != hi - lo:
-                raise ArithmeticError(f"repeated facet in boundary at dimension {d}")
-            if signed is None:
-                continue
-            terms = array("i")
-            for f, s in zip(row, sgn[lo:hi]):
-                terms += signed[s][lptr[f]:lptr[f + 1]]
-            terms = sorted(terms)
-            if terms != [-v for v in reversed(terms)]:
-                raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
-
-
-def _check_squared(cx):
-    """Verify d o d = 0 on face tables with any integer incidences, as a
-    Morse complex has; raises ArithmeticError otherwise, and when a face
-    index is out of range or a cell lists a face twice.  Cell by cell, the
-    incidence products along each face's own faces are summed per
-    (d-2)-cell and must all vanish.
+    The one d o d check: run on the full complex before its homology is taken
+    from the Morse complex, and by homology on the complex it is given.  Cell
+    by cell, the incidence products along each face's own faces are summed
+    per (d-2)-cell and must all vanish.  It reads the tables as written and
+    derives no face anew.
     """
     for d in sorted(cx.boundary):
         ptr, idx, sgn = cx.boundary[d]
         if idx and not (min(idx) >= 0 and max(idx) < len(cx.cells[d - 1])):
             raise ArithmeticError(f"face index out of range at dimension {d}")
         lower = cx.boundary.get(d - 1)
-        for j in range(len(ptr) - 1):
-            lo, hi = ptr[j], ptr[j + 1]
+        lo = 0
+        for hi in islice(ptr, 1, None):
             if len(set(idx[lo:hi])) != hi - lo:
                 raise ArithmeticError(f"repeated facet in boundary at dimension {d}")
-            if lower is None:
-                continue
-            lptr, lidx, lsgn = lower
-            acc = defaultdict(int)
-            for f, s in zip(idx[lo:hi], sgn[lo:hi]):
-                for k in range(lptr[f], lptr[f + 1]):
-                    acc[lidx[k]] += s * lsgn[k]
-            if any(acc.values()):
-                raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
+            if lower is not None:
+                lptr, lidx, lsgn = lower
+                acc = {}
+                get = acc.get
+                for f, s in zip(idx[lo:hi], sgn[lo:hi]):
+                    for k in range(lptr[f], lptr[f + 1]):
+                        g = lidx[k]
+                        acc[g] = get(g, 0) + s * lsgn[k]
+                if any(acc.values()):
+                    raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
+            lo = hi
 
 
 @dataclass(frozen=True)
@@ -275,12 +237,13 @@ class HomologyReport:
 def homology(cx):
     """Integer homology of a CellComplex via Smith normal form of its face tables.
 
-    d o d = 0 is checked first, by the integer rule of _check_squared.  The
-    command line passes only Morse complexes of certified matchings, which
-    are small; SNF on a whole cell complex is left to the independent
+    d o d = 0 is checked first, by check_squared, on whatever complex is
+    given.  The command line passes only Morse complexes of certified
+    matchings, which are small, after check_squared has passed on the full
+    complex; SNF on a whole cell complex is left to the independent
     cross-checks, verify_fold_consequence and the tests.
     """
-    _check_squared(cx)
+    check_squared(cx)
     top = cx.dim
     ranks = {}
     factors = {}
@@ -555,8 +518,9 @@ def morse_complex(cx, matching, certificate):
     (written in row order, nonzero entries only), an a matched downward is
     dropped, and an a matched up to u is traded for the other faces of u:
     c a becomes c a - c [a:u] d(u), which adds -c [a:u] [g:u] to each face
-    g != a of u.  A face of u that is matched up comes after a in the pair
-    order, and every other face after all pairs, so every cell is taken
+    g != a of u; [a:u] is +1 or -1, which validate_acyclic certifies, and so
+    its own inverse.  A face of u that is matched up comes after a in the
+    pair order, and every other face after all pairs, so every cell is taken
     off once, after all its contributions.  Each entry
     is therefore the direct incidence plus the weights of all alternating
     paths from sigma to tau, the value of morse_incidence, without listing

@@ -1,10 +1,13 @@
 """Command-line frontend: build complexes, run the matching, verify, report.
 
 `report` and the `torsion-free` and `euler` suites of `verify` take homology
-from the Morse complex of the certified matching, after checking d o d = 0 on
-the full complex's face tables; Smith normal form runs only on the Morse
-complex's face tables.  Full-complex homology stays the independent
-cross-check of the tests and of complexes.verify_fold_consequence.
+from the Morse complex of the certified matching, after chains.check_squared
+has checked d o d = 0 on the full complex's face tables; the same check runs
+on the Morse complex, and Smith normal form only on its face tables.
+Certifying the matching (the `acyclicity` and `zero-incidence` suites too)
+also checks that every incidence of the full complex is +1 or -1.
+Full-complex homology stays the independent cross-check of the tests and of
+complexes.verify_fold_consequence.
 
 The matching digest and `match --emit-pairs` stream the pairs word by word
 (_matched_pairs), rendering each word's letters once.  Words share descent
@@ -173,9 +176,10 @@ class _Run:
 
     @cached_property
     def homology(self):
-        """Homology of the complex, from its Morse complex, once d o d = 0 is
-        checked on the complex itself."""
-        chains.check_faces_squared(self.cx)
+        """Homology of the complex, from its Morse complex, once
+        chains.check_squared has checked d o d = 0 on the complex itself;
+        chains.homology runs the same check on the Morse complex."""
+        chains.check_squared(self.cx)
         return chains.homology(self.morse_complex)
 
 

@@ -427,15 +427,18 @@ def validate_acyclic(matching, cx):
     cycle runs through matched pairs alone: the digraph has one node per
     pair (a, u(a)) and an arc to (b, u(b)) for each face b != a of u(a)
     that is matched up.  Its topological order by Kahn's algorithm is the
-    certificate.  Another cell basis, a face index outside cells[d - 1], a
-    pair that is no cover or partners that disagree raise ValueError, and
-    an alternating cycle raises AcyclicityError.
+    certificate.  Another cell basis, a face index or down partner outside
+    cells[d - 1], a pair that is no cover or partners that disagree raise
+    ValueError, and an alternating cycle raises AcyclicityError.  An
+    incidence other than +1 or -1 raises ArithmeticError, as a failed d o d
+    check does: chains.morse_complex, which reduces along the certified
+    pairs, takes each [a:u] as its own inverse.
     """
     if not _same_basis(matching.cells, cx.cells):
         raise ValueError("matching was built on another cell basis")
     orders = {}
     for d in range(1, cx.dim + 1):
-        ptr, idx, _ = cx.boundary[d]
+        ptr, idx, sgn = cx.boundary[d]
         lo_up, hi_down = matching.up[d - 1], matching.down[d]
         n0 = len(cx.cells[d - 1])
         if idx and not (min(idx) >= 0 and max(idx) < n0):
@@ -445,6 +448,8 @@ def validate_acyclic(matching, cx):
         n_matched = 0
         for u, a in enumerate(hi_down):
             if a >= 0:
+                if a >= n0:
+                    raise ValueError(f"down partner out of range at dimension {d}")
                 faces = idx[ptr[u]:ptr[u + 1]]
                 if lo_up[a] != u or a not in faces:
                     raise ValueError(f"matched pair {cx.cells[d - 1][a]} / {cx.cells[d][u]} "
@@ -467,6 +472,8 @@ def validate_acyclic(matching, cx):
                         order.append(b)
         if len(order) != n_matched:
             raise AcyclicityError(_extract_cycle(cx, matching, d, indeg))
+        if not set(sgn) <= {1, -1}:
+            raise ArithmeticError(f"incidence other than +1 or -1 at dimension {d}")
         orders[d] = order
     return MatchingCertificate(orders, len(matching.up), _pairs_fingerprint(matching),
                                matching.cells)

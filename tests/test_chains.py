@@ -3,6 +3,7 @@ Morse-complex incidences."""
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from homchains import (
     cellword_to_multihom,
     chain,
     chain_product_complex,
-    check_faces_squared,
+    check_squared,
     critical_cells,
     hom_complex_generic,
     homology,
@@ -32,7 +33,7 @@ from homchains import (
     smith_normal_form,
     validate_acyclic,
 )
-from homchains.chains import _check_squared, _dense_snf, path_weight
+from homchains.chains import _dense_snf, path_weight
 from homchains.complexes import FaceTable, _generic_signed_faces
 from homchains.morse import MorseMatching, SpecMatchContext
 
@@ -96,18 +97,31 @@ def test_pair_incidence_agrees_with_multihom_incidence(spec):
 # -- Smith normal form ----------------------------------------------------
 
 
+def face_table(rows):
+    """The FaceTable whose column j lists the nonzero entries of column j of rows."""
+    ptr, idx, sgn = [0], [], []
+    for col in zip(*rows):
+        for i, v in enumerate(col):
+            if v:
+                idx.append(i)
+                sgn.append(v)
+        ptr.append(len(idx))
+    return FaceTable(ptr, idx, sgn)
+
+
 def test_snf_trivial_examples():
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == ((1, 1, 1), 3)
-    assert smith_normal_form([[2, 0], [0, 0]]) == ((2,), 1)
-    assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
+    assert smith_normal_form(face_table([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == ((1, 1, 1), 3)
+    assert smith_normal_form(face_table([[2, 0], [0, 0]])) == ((2,), 1)
+    assert smith_normal_form(face_table([[0, 0], [0, 0]])) == ((), 0)
 
 
 def test_snf_classic():
-    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]).factors == (2, 2, 156)
+    rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    assert smith_normal_form(face_table(rows)).factors == (2, 2, 156)
 
 
 def test_snf_divisibility_mix():
-    assert smith_normal_form([[2, 0], [0, 3]]).factors == (1, 6)
+    assert smith_normal_form(face_table([[2, 0], [0, 3]])).factors == (1, 6)
 
 
 def sympy_factors(rows):
@@ -124,7 +138,7 @@ def sympy_factors(rows):
 def test_snf_against_sympy(rows):
     from sympy import Matrix
 
-    got = smith_normal_form(rows)
+    got = smith_normal_form(face_table(rows))
     assert list(got.factors) == sympy_factors(rows)
     assert got.rank == Matrix(rows).rank()
 
@@ -141,18 +155,6 @@ def sparse_rows(draw, max_rows=10, max_cols=12):
                          min_size=m, max_size=m))
 
 
-def face_table(rows):
-    """The FaceTable whose column j lists the nonzero entries of column j of rows."""
-    ptr, idx, sgn = [0], [], []
-    for col in zip(*rows):
-        for i, v in enumerate(col):
-            if v:
-                idx.append(i)
-                sgn.append(v)
-        ptr.append(len(idx))
-    return FaceTable(ptr, idx, sgn)
-
-
 def dense(table, nrows):
     """The face table as a dense matrix with one row per face."""
     ptr, idx, sgn = table
@@ -166,9 +168,8 @@ def dense(table, nrows):
 @settings(max_examples=80, deadline=None)
 @given(sparse_rows())
 def test_snf_sparse_against_sympy(rows):
-    got = smith_normal_form(rows)
+    got = smith_normal_form(face_table(rows))
     assert list(got.factors) == sympy_factors(rows)
-    assert smith_normal_form(face_table(rows)) == got
 
 
 @settings(max_examples=80, deadline=None)
@@ -177,11 +178,11 @@ def test_snf_invariant_under_permutation_and_transpose(data):
     rows = data.draw(sparse_rows())
     rperm = data.draw(st.permutations(range(len(rows))))
     cperm = data.draw(st.permutations(range(len(rows[0]))))
-    want = smith_normal_form(rows)
+    want = smith_normal_form(face_table(rows))
     permuted = [[rows[i][j] for j in cperm] for i in rperm]
     transposed = [list(col) for col in zip(*rows)]
-    assert smith_normal_form(permuted) == want
-    assert smith_normal_form(transposed) == want
+    assert smith_normal_form(face_table(permuted)) == want
+    assert smith_normal_form(face_table(transposed)) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,10 +215,9 @@ def block_diagonal(*blocks):
     ([[1, 1, 1], [1, -1, 1], [1, 1, -1]], (1, 2, 2)),
 ])
 def test_snf_unit_elimination_leaves_residue(rows, factors):
-    got = smith_normal_form(rows)
+    got = smith_normal_form(face_table(rows))
     assert got.factors == factors
     assert list(got.factors) == sympy_factors(rows)
-    assert smith_normal_form(face_table(rows)) == got
 
 
 # -- face tables and homology -----------------------------------------------
@@ -276,7 +276,7 @@ def test_boundary_squared_check_trips_on_bad_signs():
     for k in range(ptr[0], ptr[1]):
         sgn[k] = abs(sgn[k])  # break the orientation of the first 2-cell
     with pytest.raises(ArithmeticError, match="boundary squared is nonzero at dimension 2"):
-        check_faces_squared(cx)
+        check_squared(cx)
     with pytest.raises(ArithmeticError, match="boundary squared is nonzero at dimension 2"):
         homology(cx)
 
@@ -286,9 +286,16 @@ def test_boundary_squared_check_trips_on_bad_signs():
     ((("v", -1), ("w", 2)), "incidence other than"),
 ])
 def test_malformed_face_table_is_rejected(faces, message):
+    # the d o d check rejects a repeated facet; an incidence of 2 passes it,
+    # and certifying a matching that pairs w with e along it rejects it
     cx = CellComplex({0: ["v", "w"], 1: ["e"]}, {"v": (), "w": (), "e": faces})
-    with pytest.raises(ArithmeticError, match=message):
-        check_faces_squared(cx)
+    if message == "repeated facet":
+        with pytest.raises(ArithmeticError, match=message):
+            check_squared(cx)
+    else:
+        check_squared(cx)
+        with pytest.raises(ArithmeticError, match=message):
+            validate_acyclic(MorseMatching.from_pairs(cx, {"w": "e"}), cx)
 
 
 def test_face_index_out_of_range_is_rejected():
@@ -302,14 +309,19 @@ def test_face_index_out_of_range_is_rejected():
             for bad in (-1, len(cx.cells[d - 1])):
                 idx[k] = bad
                 with pytest.raises(ArithmeticError, match="out of range"):
-                    check_faces_squared(cx)
-                with pytest.raises(ArithmeticError, match="out of range"):
-                    _check_squared(cx)
+                    check_squared(cx)
                 with pytest.raises(ValueError, match="out of range"):
                     validate_acyclic(m, cx)
             idx[k] = kept
-    check_faces_squared(cx)
-    _check_squared(cx)
+    check_squared(cx)
+    validate_acyclic(m, cx)
+    # a down partner past cells[0] is caught before it is read as an index
+    down = m.down[1]
+    u = next(u for u, a in enumerate(down) if a >= 0)
+    kept, down[u] = down[u], len(cx.cells[0]) + 5
+    with pytest.raises(ValueError, match="down partner out of range at dimension 1"):
+        validate_acyclic(m, cx)
+    down[u] = kept
     validate_acyclic(m, cx)
 
 
@@ -327,18 +339,45 @@ def test_homology_rejects_repeated_facets_and_takes_integer_incidences():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(1, 1, 1, 1), (2, 2, 2), (1, 1, 1, 2), (1, 1, 1, 1, 1)]), st.data())
 def test_face_check_agrees_with_matrix_product(spec, data):
-    # flip one sign of a cell of dimension >= 2: both rules must reject the complex
+    # flip one sign of a cell of dimension >= 2: check_squared must reject the
+    # complex at the lowest dimension e whose dense product d_(e-1) d_e is nonzero
     cx = chain_product_complex(spec)
-    check_faces_squared(cx)
-    _check_squared(cx)
+    check_squared(cx)
     d = data.draw(st.integers(2, cx.dim))
     sgn = cx.boundary[d].sgn
     k = data.draw(st.integers(0, len(sgn) - 1))
     sgn[k] = -sgn[k]
+    nonzero = [e for e in range(2, cx.dim + 1)
+               if dense_product_is_nonzero(dense(cx.boundary[e - 1], len(cx.cells[e - 2])),
+                                           dense(cx.boundary[e], len(cx.cells[e - 1])))]
+    assert nonzero[0] == d
     with pytest.raises(ArithmeticError, match=f"boundary squared is nonzero at dimension {d}"):
-        check_faces_squared(cx)
-    with pytest.raises(ArithmeticError, match=f"boundary squared is nonzero at dimension {d}"):
-        _check_squared(cx)
+        check_squared(cx)
+
+
+def dense_product_is_nonzero(lower, upper):
+    """Whether the matrix product lower . upper has a nonzero entry; each
+    column of upper is multiplied through its nonzero rows only."""
+    for col in zip(*upper):
+        support = [(f, v) for f, v in enumerate(col) if v]
+        if any(sum(row[f] * v for f, v in support) for row in lower):
+            return True
+    return False
+
+
+def test_check_squared_memory_per_cell():
+    # heap peak of the full-complex d o d check on B_6 (3,690 cells): it keeps
+    # one small accumulator per cell, not a copy of a face table
+    cx = chain_product_complex((1,) * 6)
+    check_squared(cx)  # warm caches of the interpreter
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check_squared(cx)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / cx.n_cells() < 2
 
 
 @st.composite

@@ -85,6 +85,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
                          "--spec", "2,2,2,3")),
     ("report-1111111.json", ("report", "--spec", "1,1,1,1,1,1,1")),
     ("match-2223.json", ("match", "--spec", "2,2,2,3", "--format", "json")),
+    ("verify-2223-homology.txt", ("verify", "--suite", "torsion-free,euler",
+                                  "--spec", "2,2,2,3")),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = run(capsys, *argv)
@@ -371,7 +373,7 @@ def test_internal_check_failure_is_one_line(capsys, monkeypatch):
     def bad_assembly(spec, **kwargs):
         raise AssertionError("matching is not an involution")
 
-    monkeypatch.setattr(chains, "_check_squared", bad_square)
+    monkeypatch.setattr(chains, "check_squared", bad_square)
     code, out, err = run(capsys, "report", "--spec", "1,1,1")
     assert (code, out) == (1, "")
     assert err == "error: internal check failed: boundary squared is nonzero at dimension 2\n"
