@@ -13,9 +13,13 @@ The matching digest and `match --emit-pairs` stream the pairs word by word
 (_matched_pairs), rendering each word's letters once.  Words share descent
 sets, so the sorted order of a word's placements is built once per descent
 set: 64 serve the 5,040 words of B_7, and 208 the 7,560 of (2,2,2,3).
+The digest is hashed by the interpreter's own SHA-256 module, so `report`
+and `match` never load OpenSSL's libcrypto (only an interpreter built
+without that module falls back to hashlib).
 
-Exit codes: 0 pass, 1 verification failure or failed internal check,
-2 usage or cap error.
+Exit codes: 0 pass, 1 verification failure or failed internal check (a
+complex or matching that validate_acyclic cannot certify included, as in a
+`report` on a matching with an alternating cycle), 2 usage or cap error.
 """
 
 from __future__ import annotations
@@ -104,11 +108,31 @@ def _matched_pairs(cx, matching):
                        words._parenthesize(letters.copy(), by_dim[d + 1][ru]))
 
 
-def _matching_digest(pairs):
-    """sha256 of the rendered matched pairs, one `lower->upper` line each."""
-    import hashlib  # loads OpenSSL, several MiB that only digests need
+def _sha256():
+    """A SHA-256 hash object from the interpreter's own module, the one
+    hashlib itself falls back to: _sha2 from Python 3.12, _sha256 before.
+    hashlib.sha256 serves only an interpreter built without either."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
 
-    h = hashlib.sha256()
+
+def _matching_digest(pairs):
+    """sha256 of the rendered matched pairs, one `lower->upper` line each.
+
+    The hash is the interpreter's own (_sha256), not hashlib's, because
+    hashlib.sha256 maps OpenSSL's libcrypto: on Python 3.11 that raised the
+    peak RSS of a B_7 report from 18.1 to 21.5 MiB (wait4) to hash 387,571
+    bytes.  The function is the same; the own module takes 3.2 ms on those
+    17,289 lines against OpenSSL's 1.3 ms, and saves the 4 ms import of
+    hashlib's OpenSSL module.
+    """
+    h = _sha256()
     for a, b in pairs:
         h.update(f"{a}->{b}\n".encode())
     return h.hexdigest()
@@ -331,12 +355,12 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except (AssertionError, ArithmeticError, morse.CertificationError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, posets.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

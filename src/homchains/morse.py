@@ -358,7 +358,15 @@ def check_critical_structure(matching):
 # -- acyclicity -----------------------------------------------------------
 
 
-class AcyclicityError(ValueError):
+class CertificationError(ValueError):
+    """Raised by validate_acyclic when the matching cannot be certified on
+    its complex: a face index or down partner outside cells[d - 1], a pair
+    that is no cover, partners that disagree, or an alternating cycle.
+    Either the complex or the matching is corrupt; the command line reports
+    it as a failed internal check."""
+
+
+class AcyclicityError(CertificationError):
     """Raised when a matching admits an alternating directed cycle."""
 
     def __init__(self, cycle):
@@ -427,9 +435,10 @@ def validate_acyclic(matching, cx):
     cycle runs through matched pairs alone: the digraph has one node per
     pair (a, u(a)) and an arc to (b, u(b)) for each face b != a of u(a)
     that is matched up.  Its topological order by Kahn's algorithm is the
-    certificate.  Another cell basis, a face index or down partner outside
-    cells[d - 1], a pair that is no cover or partners that disagree raise
-    ValueError, and an alternating cycle raises AcyclicityError.  An
+    certificate.  Another cell basis raises ValueError.  A face index or
+    down partner outside cells[d - 1], a pair that is no cover or partners
+    that disagree raise CertificationError, and an alternating cycle its
+    subclass AcyclicityError (both are ValueErrors).  An
     incidence other than +1 or -1 raises ArithmeticError, as a failed d o d
     check does: chains.morse_complex, which reduces along the certified
     pairs, takes each [a:u] as its own inverse.
@@ -442,24 +451,25 @@ def validate_acyclic(matching, cx):
         lo_up, hi_down = matching.up[d - 1], matching.down[d]
         n0 = len(cx.cells[d - 1])
         if idx and not (min(idx) >= 0 and max(idx) < n0):
-            raise ValueError(f"face index out of range at dimension {d}")
+            raise CertificationError(f"face index out of range at dimension {d}")
         # indeg[b]: the matched d-cells u that have b as a face other than their partner
         indeg = array("i", [0]) * n0
         n_matched = 0
         for u, a in enumerate(hi_down):
             if a >= 0:
                 if a >= n0:
-                    raise ValueError(f"down partner out of range at dimension {d}")
+                    raise CertificationError(f"down partner out of range at dimension {d}")
                 faces = idx[ptr[u]:ptr[u + 1]]
                 if lo_up[a] != u or a not in faces:
-                    raise ValueError(f"matched pair {cx.cells[d - 1][a]} / {cx.cells[d][u]} "
-                                     "is not a cover in the complex")
+                    raise CertificationError(f"matched pair {cx.cells[d - 1][a]} / "
+                                             f"{cx.cells[d][u]} is not a cover in the complex")
                 for b in faces:
                     indeg[b] += 1
                 indeg[a] -= 1
                 n_matched += 1
         if n_matched != len(lo_up) - lo_up.count(-1):
-            raise ValueError(f"up and down partners disagree between dimensions {d - 1} and {d}")
+            raise CertificationError(
+                f"up and down partners disagree between dimensions {d - 1} and {d}")
         # Kahn's algorithm from the sources in index order, so the result is
         # deterministic; iterating an array sees the pairs appended during the loop
         order = array("i", (a for a, u in enumerate(lo_up) if u >= 0 and not indeg[a]))

@@ -1,12 +1,17 @@
 """Command-line frontend: subcommands, exit codes, deterministic reports."""
 
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import homchains
 from homchains.cli import main
 from homchains.posets import format_poset_text
 from homchains import (
@@ -107,6 +112,49 @@ def test_matching_digest_is_sha256_of_sorted_rendered_pairs(capsys, spec):
     assert json.loads(out)["digest"] == hashlib.sha256(lines.encode()).hexdigest()
     code, out, _ = run(capsys, "report", "--spec", spec)
     assert json.loads(out)["matching"]["digest"] == hashlib.sha256(lines.encode()).hexdigest()
+
+
+def has_own_sha256():
+    """Whether the interpreter has the SHA-256 module hashlib falls back to."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            importlib.import_module(name)
+            return True
+        except ImportError:
+            pass
+    return False
+
+
+@pytest.mark.skipif(not has_own_sha256(), reason="interpreter built without _sha2 or _sha256")
+def test_digests_do_not_load_openssl():
+    # in a fresh interpreter, report and match hash without hashlib's OpenSSL module
+    child = ("import json, sys\n"
+             "from homchains.cli import main\n"
+             "assert main(['report', '--spec', '1,1,1,1']) == 0\n"
+             "assert main(['match', '--spec', '2,2,3']) == 0\n"
+             "print(json.dumps(sorted(m for m in sys.modules if 'hash' in m)))\n")
+    src = str(Path(homchains.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "_hashlib" not in json.loads(done.stdout.splitlines()[-1])
+
+
+def test_digest_falls_back_to_hashlib(monkeypatch):
+    # an interpreter without its own SHA-256 module hashes with hashlib, to the same digest
+    from homchains.cli import _matched_pairs, _matching_digest
+
+    cx = chain_product_complex((2, 2, 3))
+    m = match_product_of_chains(cx)
+    lines = "".join(f"{a}->{b}\n" for a, b in _matched_pairs(cx, m))
+    want = hashlib.sha256(lines.encode()).hexdigest()
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # import raises ImportError
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    real, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(args) or real(*args))
+    assert _matching_digest(_matched_pairs(cx, m)) == want
+    assert calls == [()]
 
 
 def test_pair_stream_rejects_a_partner_outside_the_word():
@@ -349,6 +397,45 @@ def test_report_checks_boundary_squared_on_the_full_complex(capsys, monkeypatch)
     code, out, err = run(capsys, "report", "--spec", "1,1,1,1")
     assert (code, out) == (1, "")
     assert err == "error: internal check failed: boundary squared is nonzero at dimension 2\n"
+
+
+def test_corrupted_face_index_is_an_internal_check_failure(capsys, monkeypatch):
+    # a face index past cells[1] is a corrupted complex, not a usage error
+    from homchains import complexes
+
+    real = complexes.chain_product_complex
+
+    def corrupted(spec, **kwargs):
+        cx = real(spec, **kwargs)
+        cx.boundary[2].idx[0] = len(cx.cells[1])
+        return cx
+
+    monkeypatch.setattr(complexes, "chain_product_complex", corrupted)
+    for argv in (("verify", "--suite", "acyclicity", "--spec", "1,1,1,1"),
+                 ("verify", "--suite", "zero-incidence", "--spec", "1,1,1,1"),
+                 ("report", "--spec", "1,1,1,1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: internal check failed: face index out of range at dimension 2\n"
+
+
+def test_report_on_an_alternating_cycle_is_an_internal_check_failure(capsys, monkeypatch):
+    # Hom(B_3) is a hexagon: match each vertex to the next edge around it
+    from homchains import morse
+
+    def cyclic(cx):
+        ends = [[v for v, _ in cx.faces(1, e)] for e in range(len(cx.cells[1]))]
+        up, v = {}, 0
+        while v not in up:
+            up[v] = e = next(e for e, vs in enumerate(ends) if v in vs and e not in up.values())
+            v = next(w for w in ends[e] if w != v)
+        return morse.MorseMatching.from_pairs(
+            cx, {cx.cells[0][v]: cx.cells[1][e] for v, e in up.items()})
+
+    monkeypatch.setattr(morse, "match_product_of_chains", cyclic)
+    code, out, err = run(capsys, "report", "--spec", "1,1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: internal check failed: alternating cycle through 12 cells\n"
 
 
 def test_euler_command(capsys):
