@@ -21,10 +21,12 @@ import heapq
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
 from .complexes import CellComplex, FaceTable
+from .morse import _same_basis
 from .words import CellWord, release
 
 
@@ -295,9 +297,19 @@ class ComplexMatchContext:
         u = self.matching.up[d][i]
         return None if u < 0 else self.cx.cells[d + 1][u]
 
+    @cached_property
+    def _down(self):
+        """Each cell's down-partner by dimension, or -1: the up record inverted once."""
+        down = {d: array("i", [-1]) * len(cs) for d, cs in self.cx.cells.items()}
+        for d, mates in self.matching.up.by_dim.items():
+            for i, u in enumerate(mates):
+                if u >= 0:
+                    down[d + 1][u] = i
+        return down
+
     def down(self, cell):
         d, i = self.cx.locate(cell)
-        a = self.matching.down[d][i]
+        a = self._down[d][i]
         return None if a < 0 else self.cx.cells[d - 1][a]
 
 
@@ -509,12 +521,14 @@ def morse_complex(cx, matching, certificate):
     """The chain complex on the critical cells of a certified matching, as a
     CellComplex keyed by the critical cells' keys.
 
-    Requires the acyclicity certificate produced by validate_acyclic; the
-    homology of the result equals the homology of cx.  The boundary of each
-    critical d-cell sigma is reduced along the pair order of
-    certificate.orders[d], then along the other (d-1)-cells by index: the
-    earliest (d-1)-cell a still carrying a nonzero coefficient c is taken
-    off.  A critical a keeps c as the incidence of a in sigma's face table
+    Requires the certificate validate_acyclic issued for this matching
+    object on cx's cells: a MorseMatching is one read-only up record, its
+    critical cells derived once when it was built, so that object still has
+    the certified pairs.  The homology of the result equals that of cx.
+    The boundary of each critical d-cell sigma is reduced along the pair
+    order of certificate.orders[d], then along the other (d-1)-cells by
+    index: the earliest (d-1)-cell a still carrying a nonzero coefficient c
+    is taken off.  A critical a keeps c as the incidence of a in sigma's face table
     (written in row order, nonzero entries only), an a matched downward is
     dropped, and an a matched up to u is traded for the other faces of u:
     c a becomes c a - c [a:u] d(u), which adds -c [a:u] [g:u] to each face
@@ -529,7 +543,7 @@ def morse_complex(cx, matching, certificate):
     if certificate is None:
         raise ValueError("matching must be validated acyclic first")
     certificate.check_matches(matching)
-    if not (matching.cells is cx.cells or matching.cells == cx.cells):
+    if not _same_basis(matching.cells, cx.cells):
         raise ValueError("matching was built on another cell basis")
     top = cx.dim
     crit = {d: matching.critical.get(d, ()) for d in range(top + 1)}

@@ -147,12 +147,12 @@ def cmd_match(args):
     payload = {
         "schema": SCHEMA,
         "spec": list(args.spec.i),
-        "cells": matching.n_cells,
+        "cells": run.cx.n_cells(),
         "matched_pairs": len(matching.up),
         "critical": {str(d): k for d, k in matching.critical_count().items()},
         "digest": _matching_digest(pairs),
     }
-    lines = [f"cells: {matching.n_cells}",
+    lines = [f"cells: {payload['cells']}",
              f"matched pairs: {len(matching.up)}",
              "critical cells: " + ", ".join(
                  f"dim {d}: {k}" for d, k in matching.critical_count().items()),

@@ -25,19 +25,21 @@ with its placements of every dimension, and builds a cell key only for an
 error message.  A cell that releases a pair takes that pair's beta face
 from the complex's face table as its partner, so the complex is the only
 owner of cell indices.  A MorseMatching refers to cells by their index in
-the cells[d] of its complex: per dimension, an array of up-partners and one
-of down-partners, -1 where a cell is not matched that way, and the sorted
-indices of the critical cells.  Keys are read from cells[d] only for the
-critical cells, which are printed.  Acyclicity is certified by Kahn's
-algorithm on the matched pairs alone, through those arrays and the
+the cells[d] of its complex, and records each pair once: per dimension, a
+read-only array of up-partners, -1 where a cell is not matched up.  Its
+constructor checks that no cell is claimed twice, or both claimed and
+matched up, and derives the sorted indices of the critical cells once;
+the record cannot change after that.  Keys are read from cells[d] only for
+the critical cells, which are printed.  Acyclicity is certified by Kahn's
+algorithm on the matched pairs alone, through the up arrays and the
 complex's face tables: the certificate keeps, per dimension, the pairs'
-lower cells in a topological order, in an array('i').
+lower cells in a topological order, in an array('i'), and the matching
+object it was issued for.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .words import CellWord, as_spec, check_content, descent_set, signed_faces
@@ -100,18 +102,17 @@ def _partner(cell, out):
 
 
 class Mates:
-    """One side of a matching, per dimension.
+    """The up side of a matching, per dimension.
 
-    mates[d] is an array('i') holding, for each d-cell, the index of its
-    partner on this side (in cells[d + 1] for up, in cells[d - 1] for down),
-    or -1.  len() counts the cells matched on this side: the matched pairs.
+    mates[d] holds, for each d-cell, the index of its partner in
+    cells[d + 1], or -1.  len() counts the matched pairs.
     """
 
     __slots__ = ("by_dim", "n_matched")
 
-    def __init__(self, by_dim):
+    def __init__(self, by_dim, n_matched):
         self.by_dim = by_dim
-        self.n_matched = sum(len(a) - a.count(-1) for a in by_dim.values())
+        self.n_matched = n_matched
 
     def __getitem__(self, d):
         return self.by_dim[d]
@@ -124,20 +125,52 @@ def _unmatched(cells):
     return {d: array("i", [-1]) * len(cs) for d, cs in cells.items()}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MorseMatching:
     """A partial pairing of the cells of a complex, by cell index.
 
     `cells` is the cell basis the indices refer to: the cells[d] of the
-    complex the matching belongs to.  critical[d] lists the indices of the
-    unmatched d-cells in increasing order, for the dimensions that have any.
+    complex the matching belongs to.  `up` is given as one array('i') per
+    dimension, each d-cell's partner in cells[d + 1] or -1, and kept as a
+    Mates of read-only copies: the one record of the pairs.  The
+    constructor raises ValueError on a wrong length, a partner out of
+    range, or a cell that is claimed twice or both claimed and matched up,
+    and derives critical[d], the indices of the unmatched d-cells in
+    increasing order, for the dimensions that have any.  Nothing of the
+    record can change afterwards, so a certificate binds to the object.
     """
 
     cells: dict = field(repr=False)
-    up: Mates       # lower cell -> index of its joined partner
-    down: Mates     # upper cell -> index of its released partner
-    critical: dict  # dim -> sorted tuple of cell indices
-    n_cells: int
+    up: Mates  # lower cell -> index of its joined partner
+    critical: dict = field(init=False)  # dim -> sorted tuple of cell indices
+
+    def __post_init__(self):
+        ups, critical = {}, {}
+        claimed = {d: bytearray(len(cs)) for d, cs in self.cells.items()}
+        for d in sorted(claimed):
+            below, mates = claimed[d], memoryview(bytes(self.up[d])).cast("i")
+            if len(mates) != len(below):
+                raise ValueError(f"{len(mates)} up partners for the {len(below)} "
+                                 f"cells of dimension {d}")
+            above, free = claimed.get(d + 1, b""), []
+            for i, u in enumerate(mates):
+                if u == -1:
+                    if not below[i]:
+                        free.append(i)
+                elif not 0 <= u < len(above):
+                    raise ValueError(f"up partner out of range at dimension {d}")
+                elif above[u]:
+                    raise ValueError(f"cell {u} of dimension {d + 1} is claimed twice")
+                elif below[i]:
+                    raise ValueError(f"cell {i} of dimension {d} is claimed and matched up")
+                else:
+                    above[u] = 1
+            ups[d] = mates
+            if free:
+                critical[d] = tuple(free)
+        n_pairs = sum(c.count(1) for c in claimed.values())
+        object.__setattr__(self, "up", Mates(ups, n_pairs))
+        object.__setattr__(self, "critical", critical)
 
     @classmethod
     def from_pairs(cls, cx, up):
@@ -146,22 +179,14 @@ class MorseMatching:
         Keys and values are cell keys, each value one dimension above its
         key; every cell left unpaired is critical.
         """
-        ups, downs = _unmatched(cx.cells), _unmatched(cx.cells)
+        ups = _unmatched(cx.cells)
         for lower, upper in up.items():
             d, i = cx.locate(lower)
             e, j = cx.locate(upper)
             if e != d + 1:
                 raise ValueError(f"{upper!r} is not one dimension above {lower!r}")
-            if downs[e][j] >= 0 or ups[e][j] >= 0 or downs[d][i] >= 0:
-                raise ValueError(f"a cell of the pair {lower!r} / {upper!r} is matched twice")
             ups[d][i] = j
-            downs[e][j] = i
-        critical = {}
-        for d, cs in cx.cells.items():
-            free = tuple(i for i in range(len(cs)) if ups[d][i] < 0 and downs[d][i] < 0)
-            if free:
-                critical[d] = free
-        return cls(cx.cells, Mates(ups), Mates(downs), critical, cx.n_cells())
+        return cls(cx.cells, ups)
 
     def critical_count(self):
         return {d: len(v) for d, v in sorted(self.critical.items())}
@@ -174,18 +199,17 @@ def match_product_of_chains(cx):
     its t-th pair's faces at ptr[i] + 2(t - 1): the alpha release, then the
     beta release.  A cell is a word and a pair placement, never a stored
     key.  A cell that releases its pair at j takes that pair's beta face
-    (same word, pair removed) as its partner, and the up arrays invert the
-    down arrays.  The assembly asserts an involution: the face is a cell of
-    the same word classified lower at the same j, no lower cell is claimed
-    twice, and every lower cell is claimed, so matched and critical cells
-    partition the cell set.
+    (same word, pair removed) as its partner, and records itself as that
+    face's up-partner.  The assembly asserts an involution: the face is a
+    cell of the same word classified lower at the same j, no lower cell is
+    claimed twice, and every lower cell is claimed, so the cells no loop
+    classifies `a` are exactly the ones MorseMatching finds critical.
     """
     spec, table = cx.spec, cx.word_table
     if spec is None or table is None:
         raise ValueError("the matching needs the cell-word complex of a chain spec")
     cells = cx.cells
-    up, down = _unmatched(cells), _unmatched(cells)
-    critical = defaultdict(list)
+    up = _unmatched(cells)
     # a schedule's outcomes, dimension by dimension, from offsets[schedule] on:
     # one array, since an object per schedule leaves its small-object pages behind
     outcomes, offsets = array("i"), {}
@@ -202,9 +226,7 @@ def match_product_of_chains(cx):
             for i, out in enumerate(row, start):
                 if out > 0:
                     n_lower += 1
-                elif not out:
-                    critical[d].append(i)
-                else:
+                elif out:
                     pairs = info.by_dim[d][i - start]
                     ptr, idx, _ = cx.boundary[d]
                     f = idx[ptr[i] + 2 * pairs.index(-out) + 1]
@@ -212,18 +234,11 @@ def match_product_of_chains(cx):
                             and up[d - 1][f] < 0):
                         raise AssertionError(f"inconsistent pair: {CellWord(word, pairs)} / {f}")
                     up[d - 1][f] = i
-                    down[d][i] = f
                     n_pairs += 1
             at, base = row, start  # the outcomes and first cell one dimension down
     if n_lower != n_pairs:
         raise AssertionError("matching is not an involution")
-    return MorseMatching(
-        cells=cells,
-        up=Mates(up),
-        down=Mates(down),
-        critical={d: tuple(v) for d, v in sorted(critical.items())},
-        n_cells=cx.n_cells(),
-    )
+    return MorseMatching(cells, up)
 
 
 def critical_cells(matching):
@@ -360,10 +375,11 @@ def check_critical_structure(matching):
 
 class CertificationError(ValueError):
     """Raised by validate_acyclic when the matching cannot be certified on
-    its complex: a face index or down partner outside cells[d - 1], a pair
-    that is no cover, partners that disagree, or an alternating cycle.
-    Either the complex or the matching is corrupt; the command line reports
-    it as a failed internal check."""
+    its complex: a face index outside cells[d - 1], a pair that is no cover,
+    or an alternating cycle.  Partners need no check here: a MorseMatching
+    is one read-only up record, checked and its critical cells derived once
+    when it was built, and a certificate binds to that object, which cannot
+    change.  The command line reports it as a failed internal check."""
 
 
 class AcyclicityError(CertificationError):
@@ -378,53 +394,24 @@ def _same_basis(a, b):
     return a is b or a == b
 
 
-def _pairs_fingerprint(matching):
-    # one dimension's bytes at a time, so no copy of every up array is held at once
-    return hash(tuple(hash(matching.up[d].tobytes()) for d in sorted(matching.cells)))
-
-
-def _is_partition(matching):
-    """Whether the up-matched, down-matched and critical cells partition the cells."""
-    if (matching.n_cells != sum(map(len, matching.cells.values()))
-            or not set(matching.critical) <= set(matching.cells)):
-        return False
-    for d, cs in matching.cells.items():
-        up, down = matching.up[d], matching.down[d]
-        crit = matching.critical.get(d, ())
-        n = len(cs)
-        if (len(up) != n or len(down) != n
-                or (n - up.count(-1)) + (n - down.count(-1)) + len(crit) != n
-                or len(set(crit)) != len(crit)
-                or any(not 0 <= i < n or up[i] >= 0 or down[i] >= 0 for i in crit)
-                or any(u >= 0 and v >= 0 for u, v in zip(up, down))):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class MatchingCertificate:
     """Per dimension pair, a topological order of the matched pairs.
 
     orders[d] lists, once each, the (d-1)-cells a matched up to a d-cell
     u(a), by index, so that a comes before every other face of u(a) that is
-    matched up.  The certificate is bound to the cell basis and to the
-    matched pairs it was issued for, through a fingerprint of the up
-    arrays' bytes; check_matches rejects any other matching.
+    matched up.  The certificate keeps the matching object it was issued
+    for, and check_matches accepts that object alone: a MorseMatching is
+    one read-only up record, its critical cells derived once when it was
+    built, so the same object still has the certified pairs.
     """
 
     orders: dict  # d -> array('i') of the lower cells of the pairs
-    n_pairs: int
-    fingerprint: int
-    cells: dict = field(repr=False, compare=False)
+    matching: MorseMatching = field(repr=False)
 
     def check_matches(self, matching):
-        if not _same_basis(matching.cells, self.cells):
-            raise ValueError("certificate was issued for another cell basis")
-        if (len(matching.up) != self.n_pairs
-                or _pairs_fingerprint(matching) != self.fingerprint):
-            raise ValueError("certificate does not match this matching")
-        if not _is_partition(matching):
-            raise ValueError("up, down and critical cells do not partition the cells")
+        if matching is not self.matching:
+            raise ValueError("certificate was issued for another matching")
 
 
 def validate_acyclic(matching, cx):
@@ -433,12 +420,14 @@ def validate_acyclic(matching, cx):
     Per adjacent dimension pair, matched covers point up and all others
     down.  A (d-1)-cell's only way up is to its partner, so an alternating
     cycle runs through matched pairs alone: the digraph has one node per
-    pair (a, u(a)) and an arc to (b, u(b)) for each face b != a of u(a)
-    that is matched up.  Its topological order by Kahn's algorithm is the
-    certificate.  Another cell basis raises ValueError.  A face index or
-    down partner outside cells[d - 1], a pair that is no cover or partners
-    that disagree raise CertificationError, and an alternating cycle its
-    subclass AcyclicityError (both are ValueErrors).  An
+    pair (a, u(a)), read from the matching's one read-only up record, and
+    an arc to (b, u(b)) for each face b != a of u(a) that is matched up.
+    Its topological order by Kahn's algorithm is the certificate, bound to
+    the matching object: that object cannot change, and its critical cells
+    were derived once, when it was built.  Another cell basis raises
+    ValueError.  A face index outside cells[d - 1] or a pair that is no
+    cover raises CertificationError, and an alternating cycle its subclass
+    AcyclicityError (both are ValueErrors).  An
     incidence other than +1 or -1 raises ArithmeticError, as a failed d o d
     check does: chains.morse_complex, which reduces along the certified
     pairs, takes each [a:u] as its own inverse.
@@ -448,28 +437,23 @@ def validate_acyclic(matching, cx):
     orders = {}
     for d in range(1, cx.dim + 1):
         ptr, idx, sgn = cx.boundary[d]
-        lo_up, hi_down = matching.up[d - 1], matching.down[d]
+        lo_up = matching.up[d - 1]
         n0 = len(cx.cells[d - 1])
         if idx and not (min(idx) >= 0 and max(idx) < n0):
             raise CertificationError(f"face index out of range at dimension {d}")
         # indeg[b]: the matched d-cells u that have b as a face other than their partner
         indeg = array("i", [0]) * n0
         n_matched = 0
-        for u, a in enumerate(hi_down):
-            if a >= 0:
-                if a >= n0:
-                    raise CertificationError(f"down partner out of range at dimension {d}")
+        for a, u in enumerate(lo_up):
+            if u >= 0:
                 faces = idx[ptr[u]:ptr[u + 1]]
-                if lo_up[a] != u or a not in faces:
+                if a not in faces:
                     raise CertificationError(f"matched pair {cx.cells[d - 1][a]} / "
                                              f"{cx.cells[d][u]} is not a cover in the complex")
                 for b in faces:
                     indeg[b] += 1
                 indeg[a] -= 1
                 n_matched += 1
-        if n_matched != len(lo_up) - lo_up.count(-1):
-            raise CertificationError(
-                f"up and down partners disagree between dimensions {d - 1} and {d}")
         # Kahn's algorithm from the sources in index order, so the result is
         # deterministic; iterating an array sees the pairs appended during the loop
         order = array("i", (a for a, u in enumerate(lo_up) if u >= 0 and not indeg[a]))
@@ -485,8 +469,7 @@ def validate_acyclic(matching, cx):
         if not set(sgn) <= {1, -1}:
             raise ArithmeticError(f"incidence other than +1 or -1 at dimension {d}")
         orders[d] = order
-    return MatchingCertificate(orders, len(matching.up), _pairs_fingerprint(matching),
-                               matching.cells)
+    return MatchingCertificate(orders, matching)
 
 
 def _extract_cycle(cx, matching, d, indeg):

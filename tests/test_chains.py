@@ -4,6 +4,7 @@ Morse-complex incidences."""
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,14 +316,11 @@ def test_face_index_out_of_range_is_rejected():
             idx[k] = kept
     check_squared(cx)
     validate_acyclic(m, cx)
-    # a down partner past cells[0] is caught before it is read as an index
-    down = m.down[1]
-    u = next(u for u, a in enumerate(down) if a >= 0)
-    kept, down[u] = down[u], len(cx.cells[0]) + 5
-    with pytest.raises(ValueError, match="down partner out of range at dimension 1"):
-        validate_acyclic(m, cx)
-    down[u] = kept
-    validate_acyclic(m, cx)
+    # an up partner past cells[1] is caught when the matching is built
+    ups = {d: array("i", m.up[d]) for d in m.cells}
+    ups[0][next(a for a, u in enumerate(ups[0]) if u >= 0)] = len(cx.cells[1]) + 5
+    with pytest.raises(ValueError, match="up partner out of range at dimension 0"):
+        MorseMatching(cx.cells, ups)
 
 
 def test_homology_rejects_repeated_facets_and_takes_integer_incidences():

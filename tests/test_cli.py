@@ -99,6 +99,35 @@ def test_output_matches_golden_file(capsys, name, argv):
     assert out == (GOLDEN / name).read_text()
 
 
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py is not in this checkout")
+@pytest.mark.parametrize("argv", [
+    ("report", "--spec", "1,1,1,1,1"),
+    ("verify", "--suite", "cubicality,acyclicity,bijection,zero-incidence", "--spec", "2,2,2"),
+])
+def test_traced_run_matches_the_untraced_one(capsys, tmp_path, argv):
+    # with every public function of the layer modules wrapped at every binding,
+    # the command prints what it prints untraced, its spans nest, and the
+    # matching it counts is the one an untraced run builds
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    src = str(Path(homchains.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = tmp_path / "trace.json"
+    done = subprocess.run([sys.executable, str(TRACER), str(result), *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    traced = json.loads(result.read_text())
+    assert (traced["exit_code"], traced["problems"]) == (0, [])
+    assert traced["stdout"] == want
+    m = match_product_of_chains(chain_product_complex(tuple(map(int, argv[-1].split(",")))))
+    assert traced["metrics"]["morse.matched_pairs"] == len(m.up)
+    assert traced["metrics"]["morse.critical_cells"] == sum(map(len, m.critical.values()))
+
+
 @pytest.mark.parametrize("spec", ["1,1,1,1,1", "1,1,1,1,1,1", "2,2,2", "2,2,3", "1,2,3"])
 def test_matching_digest_is_sha256_of_sorted_rendered_pairs(capsys, spec):
     # the digest the CLI streams word by word equals one built from sorted cell keys
@@ -158,16 +187,19 @@ def test_digest_falls_back_to_hashlib(monkeypatch):
 
 
 def test_pair_stream_rejects_a_partner_outside_the_word():
-    # point the lower cell 132 at the 1-cell 2(31) of the next word
+    # pair the lower cell 132 with the 1-cell 2(31) of the next word
     from homchains.cli import _matched_pairs
+    from homchains.morse import MorseMatching
 
     cx = chain_product_complex((1, 1, 1))
     m = match_product_of_chains(cx)
-    i = cx.locate(parse_cellword("132"))[1]
-    assert render_cellword(cx.cells[1][m.up[0][i]]) == "1(32)"
-    m.up[0][i] = cx.locate(parse_cellword("2(31)"))[1]
+    up = {cx.cells[0][i]: cx.cells[1][u] for i, u in enumerate(m.up[0]) if u >= 0}
+    lower, upper = parse_cellword("132"), parse_cellword("2(31)")
+    assert render_cellword(up[lower]) == "1(32)"
+    up = {a: b for a, b in up.items() if b != upper}
+    up[lower] = upper
     with pytest.raises(AssertionError, match="outside the word 132"):
-        list(_matched_pairs(cx, m))
+        list(_matched_pairs(cx, MorseMatching.from_pairs(cx, up)))
 
 
 def test_report_heap_peak_per_cell(capsys):

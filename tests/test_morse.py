@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -43,9 +44,7 @@ def key_partners(m):
     cells = m.cells
     up = {cells[d][i]: cells[d + 1][u]
           for d, mates in m.up.by_dim.items() for i, u in enumerate(mates) if u >= 0}
-    down = {cells[d][j]: cells[d - 1][a]
-            for d, mates in m.down.by_dim.items() for j, a in enumerate(mates) if a >= 0}
-    return up, down
+    return up, {b: a for a, b in up.items()}
 
 
 def test_loop_schedule():
@@ -97,7 +96,7 @@ def test_single_chain_single_critical_vertex():
     for r in (1, 3, 5):
         m = matching_of((r,))
         assert m.critical_count() == {0: 1}
-        assert m.n_cells == 1
+        assert sum(map(len, m.cells.values())) == 1
 
 
 def test_critical_counts_b4():
@@ -115,8 +114,8 @@ def test_matched_plus_critical_partitions():
         m = matching_of(spec)
         up, down = key_partners(m)
         ncrit = sum(len(v) for v in m.critical.values())
-        assert len(m.up) == len(m.down) == len(up) == len(down)
-        assert 2 * len(m.up) + ncrit == m.n_cells
+        assert len(m.up) == len(up) == len(down)
+        assert 2 * len(m.up) + ncrit == sum(map(len, m.cells.values()))
         for a, b in up.items():
             assert down[b] == a
             assert b.dim == a.dim + 1
@@ -186,6 +185,7 @@ def test_matching_agrees_with_the_per_cell_rule(spec):
     m = match_product_of_chains(cx)
     spec_i = as_spec(spec).i
     critical = {(d, i) for d, v in m.critical.items() for i in v}
+    down = key_partners(m)[1]
     for d, cells in cx.cells.items():
         for i, cell in enumerate(cells):
             record = []
@@ -194,7 +194,7 @@ def test_matching_agrees_with_the_per_cell_rule(spec):
                 partner = cx.cells[d + 1][m.up[d][i]]
                 assert partner == (cell.word, tuple(sorted(cell.pairs + (j,))))
             elif status == "upper":
-                partner = cx.cells[d - 1][m.down[d][i]]
+                partner = down[cell]
                 assert partner == (cell.word, tuple(p for p in cell.pairs if p != j))
             else:
                 assert (d, i) in critical
@@ -224,7 +224,8 @@ def test_validate_acyclic_and_spec_context(spec):
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
     cert = validate_acyclic(m, cx)
-    assert cert.n_pairs == len(m.up)
+    assert cert.matching is m
+    assert sum(map(len, cert.orders.values())) == len(m.up)
     assert set(cert.orders) == set(range(1, cx.dim + 1))
     ctx = SpecMatchContext(spec)
     for a, b in key_partners(m)[0].items():
@@ -260,7 +261,7 @@ def test_validate_acyclic_empty_matching():
     empty = MorseMatching.from_pairs(cx, {})
     assert critical_cells(empty) == cx.cells
     cert = validate_acyclic(empty, cx)
-    assert cert.n_pairs == 0
+    assert len(empty.up) == sum(map(len, cert.orders.values())) == 0
 
 
 def square_complex():
@@ -302,7 +303,7 @@ def test_acyclic_matching_on_square_accepted():
     m = MorseMatching.from_pairs(cx, up)
     assert critical_cells(m) == {0: ("v0",), 1: ("e30",)}
     cert = validate_acyclic(m, cx)
-    assert cert.n_pairs == 3
+    assert len(m.up) == sum(map(len, cert.orders.values())) == 3
 
 
 def test_matching_must_lie_in_face_relation():
@@ -341,7 +342,7 @@ def test_certificate_rejects_swapped_pair():
     up[new] = upper
     swapped = MorseMatching.from_pairs(cx, up)
     assert critical_cells(swapped) == {0: (old,), 1: critical_cells(m)[1]}
-    assert len(swapped.up) == cert.n_pairs
+    assert len(swapped.up) == len(m.up)
     validate_acyclic(swapped, cx)
     with pytest.raises(ValueError, match="certificate"):
         cert.check_matches(swapped)
@@ -349,18 +350,56 @@ def test_certificate_rejects_swapped_pair():
         morse_complex(cx, swapped, cert)
 
 
-def test_certificate_requires_partition():
-    spec = (1, 1, 1)
-    cx = chain_product_complex(spec)
+def test_matching_requires_partition():
+    # Hom(B_4): each cell is matched at most once, to a cell that exists
+    cx = chain_product_complex((1, 1, 1, 1))
     m = match_product_of_chains(cx)
-    cert = validate_acyclic(m, cx)
+    (crit,) = m.critical[0]
     lower = next(i for i, u in enumerate(m.up[0]) if u >= 0)
-    overlapping = dataclasses.replace(m, critical={**m.critical, 0: m.critical[0] + (lower,)},
-                                      n_cells=m.n_cells + 1)
-    short = dataclasses.replace(m, n_cells=m.n_cells + 1)
-    for bad in (overlapping, short):
-        with pytest.raises(ValueError, match="partition"):
-            cert.check_matches(bad)
+    edge = next(j for j, u in enumerate(m.up[1]) if u >= 0)
+
+    def copy_up():
+        return {d: array("i", m.up[d]) for d in m.cells}
+
+    claimed_twice, claimed_up, past_end, short = (copy_up() for _ in range(4))
+    claimed_twice[0][crit] = m.up[0][lower]
+    claimed_up[0][crit] = edge
+    past_end[0][crit] = len(cx.cells[1])
+    short[0].pop()
+    for ups, message in [(claimed_twice, "claimed twice"),
+                         (claimed_up, "claimed and matched up"),
+                         (past_end, "up partner out of range at dimension 0"),
+                         (short, "up partners for the 24 cells of dimension 0")]:
+        with pytest.raises(ValueError, match=message):
+            MorseMatching(cx.cells, ups)
+    assert MorseMatching(cx.cells, copy_up()).critical == m.critical
+
+
+def test_matching_cannot_change():
+    cx = chain_product_complex((1, 1, 1, 1))
+    m = match_product_of_chains(cx)
+    lower = next(i for i, u in enumerate(m.up[0]) if u >= 0)
+    with pytest.raises(TypeError):
+        m.up[0][lower] = -1
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, critical={**m.critical, 0: m.critical[0] + (lower,)})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.critical = {}
+
+
+def test_certificate_is_bound_to_its_matching_object():
+    # a second run of the matching has the same pairs, but the certificate
+    # was issued for the first object alone
+    cx = chain_product_complex((1, 1, 1, 1))
+    first, second = match_product_of_chains(cx), match_product_of_chains(cx)
+    assert second is not first
+    assert key_partners(second) == key_partners(first)
+    assert second.critical == first.critical
+    cert = validate_acyclic(first, cx)
+    cert.check_matches(first)
+    with pytest.raises(ValueError, match="another matching"):
+        morse_complex(cx, second, cert)
+    assert morse_complex(cx, second, validate_acyclic(second, cx)).f_vector() == (1, 7, 0)
 
 
 def test_matching_of_another_complex_is_rejected():
@@ -372,7 +411,7 @@ def test_matching_of_another_complex_is_rejected():
         validate_acyclic(m, other)
     cert = validate_acyclic(m, cx)
     m22 = match_product_of_chains(other)
-    with pytest.raises(ValueError, match="another cell basis"):
+    with pytest.raises(ValueError, match="another matching"):
         cert.check_matches(m22)
     with pytest.raises(ValueError, match="another cell basis"):
         morse_complex(other, m, cert)
@@ -435,8 +474,24 @@ def test_complex_and_matching_memory_per_cell():
         net = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert m.n_cells == cx.n_cells() == 3690
+    assert 2 * len(m.up) + sum(map(len, m.critical.values())) == cx.n_cells() == 3690
     assert net / cx.n_cells() < 120
+
+
+def test_matching_memory_per_cell():
+    # net heap of the matching alone on B_6 (3,690 cells): one read-only
+    # up array of 4 bytes a cell, and the critical cells
+    cx = chain_product_complex((1,) * 6)
+    match_product_of_chains(cx)  # warm caches of the interpreter
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = match_product_of_chains(cx)
+        net = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(m.up) == 1779
+    assert net / cx.n_cells() < 7
 
 
 def all_cells_acyclic(matching, cx):
@@ -445,8 +500,12 @@ def all_cells_acyclic(matching, cx):
     dimension pair, a (d-1)-cell i as node i and a d-cell j as n0 + j."""
     for d in range(1, cx.dim + 1):
         ptr, idx, _ = cx.boundary[d]
-        lo_up, hi_down = matching.up[d - 1], matching.down[d]
+        lo_up = matching.up[d - 1]
         n0 = len(cx.cells[d - 1])
+        hi_down = [-1] * len(cx.cells[d])
+        for i, u in enumerate(lo_up):
+            if u >= 0:
+                hi_down[u] = i
         indeg = [0] * (n0 + len(cx.cells[d]))
         for f in idx:
             indeg[f] += 1
