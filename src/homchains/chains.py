@@ -13,6 +13,10 @@ Alternating paths are walked on cell keys, through the key-level
 oracles (ComplexMatchContext, morse.SpecMatchContext): morse_incidence and
 path_censuses sum their weights and pair them by the sign-reversing
 involution on cell words, an independent account of the same incidences.
+morse_complex, path_censuses and ComplexMatchContext take the certificate
+alone: it holds its matching, and the matching holds its complex, so a
+certificate reaches only the tables it certified, and no path is walked on
+a matching that was not certified acyclic.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from itertools import islice
 from typing import NamedTuple
 
 from .complexes import CellComplex, FaceTable
-from .morse import _same_basis
 from .words import CellWord, release
 
 
@@ -278,11 +281,12 @@ class AlternatingPath:
 
 
 class ComplexMatchContext:
-    """Facet/matching oracle over a built complex and a Morse matching, on cell keys."""
+    """Facet/matching oracle, on cell keys, over the matching an acyclicity
+    certificate holds and the complex that matching holds."""
 
-    def __init__(self, cx, matching):
-        self.cx = cx
-        self.matching = matching
+    def __init__(self, certificate):
+        self.matching = certificate.matching
+        self.cx = self.matching.cx
 
     def facets(self, cell):
         d, j = self.cx.locate(cell)
@@ -485,8 +489,7 @@ def morse_incidence(sigma, tau, ctx):
         raise ValueError("sigma is not critical")
     if ctx.up(tau) is not None or ctx.down(tau) is not None:
         raise ValueError("tau is not critical")
-    dim_of = getattr(ctx, "dim_of", None)
-    if dim_of is not None and dim_of(sigma) != dim_of(tau) + 1:
+    if ctx.dim_of(sigma) != ctx.dim_of(tau) + 1:
         raise ValueError("dim(sigma) must equal dim(tau) + 1")
     paths, direct = alternating_paths_from(sigma, ctx, (tau,))
     plist = paths.get(tau, [])
@@ -494,16 +497,18 @@ def morse_incidence(sigma, tau, ctx):
     return value, _build_census(plist, ctx)
 
 
-def path_censuses(cx, matching):
+def path_censuses(certificate):
     """The path census of every pair of critical cells (sigma, tau) with
     dim sigma = dim tau + 1 that at least one alternating path joins, keyed
     by cell keys, in the order the paths are found.
 
-    The matching must be acyclic; paths are walked on cell keys through
-    ComplexMatchContext.  The census totals are the path parts of the Morse
-    incidences that morse_complex computes by reduction.
+    The certificate of validate_acyclic holds the matching, acyclic so that
+    every walk ends, and the matching its complex; paths are walked on cell
+    keys through ComplexMatchContext.  The census totals are the path parts
+    of the Morse incidences that morse_complex computes by reduction.
     """
-    ctx = ComplexMatchContext(cx, matching)
+    ctx = ComplexMatchContext(certificate)
+    cx, matching = ctx.cx, ctx.matching
     censuses = {}
     for d in range(1, cx.dim + 1):
         targets = {cx.cells[d - 1][i] for i in matching.critical.get(d - 1, ())}
@@ -517,14 +522,14 @@ def path_censuses(cx, matching):
     return censuses
 
 
-def morse_complex(cx, matching, certificate):
+def morse_complex(certificate):
     """The chain complex on the critical cells of a certified matching, as a
     CellComplex keyed by the critical cells' keys.
 
-    Requires the certificate validate_acyclic issued for this matching
-    object on cx's cells: a MorseMatching is one read-only up record, its
-    critical cells derived once when it was built, so that object still has
-    the certified pairs.  The homology of the result equals that of cx.
+    Takes the certificate validate_acyclic issued, which holds the matching,
+    which holds the complex cx it was built on: only the certified tables
+    are reduced.
+    The homology of the result equals that of cx.
     The boundary of each critical d-cell sigma is reduced along the pair
     order of certificate.orders[d], then along the other (d-1)-cells by
     index: the earliest (d-1)-cell a still carrying a nonzero coefficient c
@@ -540,11 +545,8 @@ def morse_complex(cx, matching, certificate):
     paths from sigma to tau, the value of morse_incidence, without listing
     a path.  homology checks d o d = 0 on the result before its SNF.
     """
-    if certificate is None:
-        raise ValueError("matching must be validated acyclic first")
-    certificate.check_matches(matching)
-    if not _same_basis(matching.cells, cx.cells):
-        raise ValueError("matching was built on another cell basis")
+    matching = certificate.matching
+    cx = matching.cx
     top = cx.dim
     crit = {d: matching.critical.get(d, ()) for d in range(top + 1)}
     cells = {d: tuple(cx.cells[d][i] for i in crit[d]) for d in crit}

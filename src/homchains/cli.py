@@ -85,10 +85,10 @@ def cmd_build(args):
     return 0
 
 
-def _matched_pairs(cx, matching):
+def _matched_pairs(matching):
     """The matched pairs as rendered (lower, upper) cell words, in sorted order:
     word by word, each word's placements sorted across dimensions."""
-    table = cx.word_table
+    table = matching.cx.word_table
     up = [matching.up[d] for d in range(len(table.starts))]
     orders = {}  # descents -> the placements as sorted (pairs, d, rank)
     for k, (word, info) in enumerate(zip(table.words, table.placements)):
@@ -141,7 +141,7 @@ def _matching_digest(pairs):
 def cmd_match(args):
     run = _Run(args)
     matching = run.matching
-    pairs = _matched_pairs(run.cx, matching)
+    pairs = _matched_pairs(matching)
     if args.emit_pairs:
         pairs = list(pairs)
     payload = {
@@ -192,11 +192,11 @@ class _Run:
 
     @cached_property
     def cert(self):
-        return morse.validate_acyclic(self.matching, self.cx)
+        return morse.validate_acyclic(self.matching)
 
     @cached_property
     def morse_complex(self):
-        return chains.morse_complex(self.cx, self.matching, self.cert)
+        return chains.morse_complex(self.cert)
 
     @cached_property
     def homology(self):
@@ -253,7 +253,7 @@ def _suite_results(args, names):
 
 
 def cmd_verify(args):
-    names = SUITES if args.suite == "all" else tuple(args.suite.split(","))
+    names = SUITES if args.suite == "all" else tuple(dict.fromkeys(args.suite.split(",")))
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
@@ -280,7 +280,7 @@ def cmd_report(args):
         "torsion": [list(t) for t in hreport.torsion],
         "euler": hreport.euler,
         "matching": {"pairs": len(matching.up),
-                     "digest": _matching_digest(_matched_pairs(cx, matching))},
+                     "digest": _matching_digest(_matched_pairs(matching))},
         "acyclic": cert is not None,
     }
     print(json.dumps(payload, sort_keys=True))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -187,7 +186,7 @@ class WordCells(Sequence):
 
     Cell i belongs to the last word whose start is at most i, and is that
     word's placement i - start in Placements.by_dim[d].  Iteration goes word
-    by word, and a WordCells equals any sequence of the same keys.
+    by word.
     """
 
     __slots__ = ("table", "d", "_starts", "_n")
@@ -216,11 +215,6 @@ class WordCells(Sequence):
             if d < len(info.by_dim):
                 for pairs in info.by_dim[d]:
                     yield CellWord(w, pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self):
         return f"WordCells(d={self.d}, n={self._n})"

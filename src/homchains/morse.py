@@ -24,17 +24,19 @@ whose cells are implicit: it walks the complex's word table once, each word
 with its placements of every dimension, and builds a cell key only for an
 error message.  A cell that releases a pair takes that pair's beta face
 from the complex's face table as its partner, so the complex is the only
-owner of cell indices.  A MorseMatching refers to cells by their index in
-the cells[d] of its complex, and records each pair once: per dimension, a
-read-only array of up-partners, -1 where a cell is not matched up.  Its
-constructor checks that no cell is claimed twice, or both claimed and
-matched up, and derives the sorted indices of the critical cells once;
-the record cannot change after that.  Keys are read from cells[d] only for
-the critical cells, which are printed.  Acyclicity is certified by Kahn's
-algorithm on the matched pairs alone, through the up arrays and the
-complex's face tables: the certificate keeps, per dimension, the pairs'
-lower cells in a topological order, in an array('i'), and the matching
-object it was issued for.
+owner of cell indices.  A MorseMatching holds the complex it was built on
+and refers to cells by their index in its cells[d]; it records each pair
+once: per dimension, a read-only array of up-partners, -1 where a cell is
+not matched up.  Its constructor checks that no cell is claimed twice, or
+both claimed and matched up, and derives the sorted indices of the
+critical cells once; the record cannot change after that.  Keys are read
+from cells[d] only for the critical cells, which are printed.  Acyclicity
+is certified by Kahn's algorithm on the matched pairs alone, through the up
+arrays and the complex's face tables: the certificate keeps, per
+dimension, the pairs' lower cells in a topological order, in an
+array('i'), and the matching it was issued for.  So each stage takes one
+object, complex -> matching -> certificate, and a certificate reaches only
+the tables it certified.
 """
 
 from __future__ import annotations
@@ -129,24 +131,28 @@ def _unmatched(cells):
 class MorseMatching:
     """A partial pairing of the cells of a complex, by cell index.
 
-    `cells` is the cell basis the indices refer to: the cells[d] of the
-    complex the matching belongs to.  `up` is given as one array('i') per
-    dimension, each d-cell's partner in cells[d + 1] or -1, and kept as a
-    Mates of read-only copies: the one record of the pairs.  The
-    constructor raises ValueError on a wrong length, a partner out of
-    range, or a cell that is claimed twice or both claimed and matched up,
-    and derives critical[d], the indices of the unmatched d-cells in
-    increasing order, for the dimensions that have any.  Nothing of the
-    record can change afterwards, so a certificate binds to the object.
+    `cx` is the complex the matching was built on, and the indices refer
+    to its cells[d].  `up` is given as one array('i') per dimension of cx,
+    each d-cell's partner in cells[d + 1] or -1, and kept as a Mates of
+    read-only copies: the one record of the pairs.  The constructor raises
+    ValueError on dimensions other than those of cx, a wrong length, a
+    partner out of range, or a cell that is claimed twice or both claimed
+    and matched up, and derives critical[d], the indices of the unmatched
+    d-cells in increasing order, for the dimensions that have any.
+    Nothing of the record can change afterwards, so a certificate binds to
+    the object, and through it to the complex.
     """
 
-    cells: dict = field(repr=False)
+    cx: "CellComplex" = field(repr=False)  # complexes.CellComplex
     up: Mates  # lower cell -> index of its joined partner
     critical: dict = field(init=False)  # dim -> sorted tuple of cell indices
 
     def __post_init__(self):
         ups, critical = {}, {}
-        claimed = {d: bytearray(len(cs)) for d, cs in self.cells.items()}
+        claimed = {d: bytearray(len(cs)) for d, cs in self.cx.cells.items()}
+        if set(self.up) != set(claimed):
+            raise ValueError(f"up partners for dimensions {sorted(self.up)} of a "
+                             f"complex with cells of dimensions {sorted(claimed)}")
         for d in sorted(claimed):
             below, mates = claimed[d], memoryview(bytes(self.up[d])).cast("i")
             if len(mates) != len(below):
@@ -186,7 +192,7 @@ class MorseMatching:
             if e != d + 1:
                 raise ValueError(f"{upper!r} is not one dimension above {lower!r}")
             ups[d][i] = j
-        return cls(cx.cells, ups)
+        return cls(cx, ups)
 
     def critical_count(self):
         return {d: len(v) for d, v in sorted(self.critical.items())}
@@ -238,12 +244,12 @@ def match_product_of_chains(cx):
             at, base = row, start  # the outcomes and first cell one dimension down
     if n_lower != n_pairs:
         raise AssertionError("matching is not an involution")
-    return MorseMatching(cells, up)
+    return MorseMatching(cx, up)
 
 
 def critical_cells(matching):
     """Unmatched cells grouped by dimension, as cell keys."""
-    return {d: tuple(matching.cells[d][i] for i in v)
+    return {d: tuple(matching.cx.cells[d][i] for i in v)
             for d, v in sorted(matching.critical.items())}
 
 
@@ -286,7 +292,8 @@ class SpecMatchContext:
     def _outcome(self, cell):
         got = self._cache.get(cell)
         if got is None:
-            got = self._cache[cell] = _trace(cell.word, cell.pairs, self.spec)[0]
+            mask = sum(1 << p for p in cell.pairs)
+            got = self._cache[cell] = _classify(_schedule(cell.word, descent_set(cell.word)), mask)
         return got
 
     def facets(self, cell):
@@ -374,12 +381,12 @@ def check_critical_structure(matching):
 
 
 class CertificationError(ValueError):
-    """Raised by validate_acyclic when the matching cannot be certified on
-    its complex: a face index outside cells[d - 1], a pair that is no cover,
-    or an alternating cycle.  Partners need no check here: a MorseMatching
-    is one read-only up record, checked and its critical cells derived once
-    when it was built, and a certificate binds to that object, which cannot
-    change.  The command line reports it as a failed internal check."""
+    """Raised by validate_acyclic when a matching cannot be certified on
+    the complex it holds: a face index outside cells[d - 1], a pair that is
+    no cover, or an alternating cycle.  Partners need no check here: a
+    MorseMatching is one read-only up record, checked and its critical
+    cells derived once when it was built.  The command line reports it as a
+    failed internal check."""
 
 
 class AcyclicityError(CertificationError):
@@ -390,50 +397,38 @@ class AcyclicityError(CertificationError):
         super().__init__(f"alternating cycle through {len(self.cycle)} cells")
 
 
-def _same_basis(a, b):
-    return a is b or a == b
-
-
 @dataclass(frozen=True)
 class MatchingCertificate:
     """Per dimension pair, a topological order of the matched pairs.
 
     orders[d] lists, once each, the (d-1)-cells a matched up to a d-cell
     u(a), by index, so that a comes before every other face of u(a) that is
-    matched up.  The certificate keeps the matching object it was issued
-    for, and check_matches accepts that object alone: a MorseMatching is
-    one read-only up record, its critical cells derived once when it was
-    built, so the same object still has the certified pairs.
+    matched up.  The certificate holds the matching it was issued for, which
+    holds its complex: the stages after it take the certificate alone.
     """
 
     orders: dict  # d -> array('i') of the lower cells of the pairs
     matching: MorseMatching = field(repr=False)
 
-    def check_matches(self, matching):
-        if matching is not self.matching:
-            raise ValueError("certificate was issued for another matching")
 
-
-def validate_acyclic(matching, cx):
-    """Certify that a matching on a complex is acyclic (Patchwork-compatible).
+def validate_acyclic(matching):
+    """Certify that a matching is acyclic on its complex (Patchwork-compatible).
 
     Per adjacent dimension pair, matched covers point up and all others
     down.  A (d-1)-cell's only way up is to its partner, so an alternating
     cycle runs through matched pairs alone: the digraph has one node per
     pair (a, u(a)), read from the matching's one read-only up record, and
     an arc to (b, u(b)) for each face b != a of u(a) that is matched up.
-    Its topological order by Kahn's algorithm is the certificate, bound to
-    the matching object: that object cannot change, and its critical cells
-    were derived once, when it was built.  Another cell basis raises
-    ValueError.  A face index outside cells[d - 1] or a pair that is no
-    cover raises CertificationError, and an alternating cycle its subclass
+    Its topological order by Kahn's algorithm is the certificate, which
+    holds the matching, and through it the complex whose face tables were
+    read.  A face index outside cells[d - 1] or a pair that is no cover
+    raises CertificationError, and an alternating cycle its subclass
     AcyclicityError (both are ValueErrors).  An
     incidence other than +1 or -1 raises ArithmeticError, as a failed d o d
     check does: chains.morse_complex, which reduces along the certified
     pairs, takes each [a:u] as its own inverse.
     """
-    if not _same_basis(matching.cells, cx.cells):
-        raise ValueError("matching was built on another cell basis")
+    cx = matching.cx
     orders = {}
     for d in range(1, cx.dim + 1):
         ptr, idx, sgn = cx.boundary[d]
@@ -465,17 +460,18 @@ def validate_acyclic(matching, cx):
                     if not indeg[b]:
                         order.append(b)
         if len(order) != n_matched:
-            raise AcyclicityError(_extract_cycle(cx, matching, d, indeg))
+            raise AcyclicityError(_extract_cycle(matching, d, indeg))
         if not set(sgn) <= {1, -1}:
             raise ArithmeticError(f"incidence other than +1 or -1 at dimension {d}")
         orders[d] = order
     return MatchingCertificate(orders, matching)
 
 
-def _extract_cycle(cx, matching, d, indeg):
+def _extract_cycle(matching, d, indeg):
     """An alternating cycle a_1, u(a_1), a_2, u(a_2), ... among the pairs
     Kahn's algorithm left over, with a_(i+1) a face of u(a_i).  Each of them
     keeps a predecessor among them, so walking predecessors closes a cycle."""
+    cx = matching.cx
     ptr, idx, _ = cx.boundary[d]
     lo_up = matching.up[d - 1]
     pred = {}

@@ -43,14 +43,14 @@ def artifacts(spec):
     if spec not in _cache:
         cx = hc.chain_product_complex(spec)
         matching = hc.match_product_of_chains(cx)
-        cert = hc.validate_acyclic(matching, cx)
-        mc = hc.morse_complex(cx, matching, cert)
+        cert = hc.validate_acyclic(matching)
+        mc = hc.morse_complex(cert)
         _cache[spec] = {
             "cx": cx,
             "matching": matching,
             "cert": cert,
             "morse": mc,
-            "censuses": hc.path_censuses(cx, matching),
+            "censuses": hc.path_censuses(cert),
             "homology": hc.homology(cx),
             "morse_homology": hc.homology(mc),
         }

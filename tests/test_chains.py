@@ -1,6 +1,7 @@
 """Incidence numbers, the d o d check, Smith normal form, homology, and
 Morse-complex incidences."""
 
+import inspect
 import random
 import sys
 import tracemalloc
@@ -296,7 +297,7 @@ def test_malformed_face_table_is_rejected(faces, message):
     else:
         check_squared(cx)
         with pytest.raises(ArithmeticError, match=message):
-            validate_acyclic(MorseMatching.from_pairs(cx, {"w": "e"}), cx)
+            validate_acyclic(MorseMatching.from_pairs(cx, {"w": "e"}))
 
 
 def test_face_index_out_of_range_is_rejected():
@@ -312,15 +313,15 @@ def test_face_index_out_of_range_is_rejected():
                 with pytest.raises(ArithmeticError, match="out of range"):
                     check_squared(cx)
                 with pytest.raises(ValueError, match="out of range"):
-                    validate_acyclic(m, cx)
+                    validate_acyclic(m)
             idx[k] = kept
     check_squared(cx)
-    validate_acyclic(m, cx)
+    validate_acyclic(m)
     # an up partner past cells[1] is caught when the matching is built
-    ups = {d: array("i", m.up[d]) for d in m.cells}
+    ups = {d: array("i", m.up[d]) for d in cx.cells}
     ups[0][next(a for a, u in enumerate(ups[0]) if u >= 0)] = len(cx.cells[1]) + 5
     with pytest.raises(ValueError, match="up partner out of range at dimension 0"):
-        MorseMatching(cx.cells, ups)
+        MorseMatching(cx, ups)
 
 
 def test_homology_rejects_repeated_facets_and_takes_integer_incidences():
@@ -394,7 +395,7 @@ def small_specs(draw, max_sum=7):
 def test_morse_homology_equals_full_homology(spec):
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
-    mc = morse_complex(cx, m, validate_acyclic(m, cx))
+    mc = morse_complex(validate_acyclic(m))
     got, want = homology(mc), homology(cx)
     assert (got.betti, got.torsion, got.euler) == (want.betti, want.torsion, want.euler)
     assert got.euler == cx.euler_characteristic()
@@ -417,20 +418,20 @@ def interval_matching():
 
 def test_morse_incidence_with_direct_and_path_terms():
     cx, m = interval_matching()
-    ctx = ComplexMatchContext(cx, m)
+    cert = validate_acyclic(m)
+    ctx = ComplexMatchContext(cert)
     v_direct, census = morse_incidence("e12", "v2", ctx)
     assert v_direct == 1 and census.count == 0 and census.total == 0
     v_path, census = morse_incidence("e12", "v0", ctx)
     assert v_path == -1 and census.count == 1
-    cert = validate_acyclic(m, cx)
-    mc = morse_complex(cx, m, cert)
+    mc = morse_complex(cert)
     assert dense(mc.boundary[1], 2) == [[-1], [1]]
     assert homology(mc).betti == (1, 0) == tuple(homology(cx).betti)
 
 
 def test_morse_incidence_rejects_bad_input():
-    cx, m = interval_matching()
-    ctx = ComplexMatchContext(cx, m)
+    _, m = interval_matching()
+    ctx = ComplexMatchContext(validate_acyclic(m))
     with pytest.raises(ValueError):
         morse_incidence("e01", "v0", ctx)  # e01 is matched
     with pytest.raises(ValueError):
@@ -456,7 +457,7 @@ def random_acyclic_matching(cx, rng):
         if lower in used or upper in used:
             continue
         try:
-            validate_acyclic(MorseMatching.from_pairs(cx, {**up, lower: upper}), cx)
+            validate_acyclic(MorseMatching.from_pairs(cx, {**up, lower: upper}))
         except AcyclicityError:
             continue
         up[lower] = upper
@@ -475,8 +476,9 @@ def test_morse_complex_equals_path_sums_on_random_matchings():
     for cx in complexes:
         for _ in range(60):
             m = random_acyclic_matching(cx, rng)
-            mc = morse_complex(cx, m, validate_acyclic(m, cx))
-            ctx = ComplexMatchContext(cx, m)
+            cert = validate_acyclic(m)
+            mc = morse_complex(cert)
+            ctx = ComplexMatchContext(cert)
             by_paths = False
             for d in range(1, cx.dim + 1):
                 entries = dense(mc.boundary[d], len(mc.cells[d - 1]))
@@ -505,8 +507,8 @@ def hexagon_fence_matching():
 
 def test_morse_complex_on_hand_built_circle_matching():
     cx, m = hexagon_fence_matching()
-    cert = validate_acyclic(m, cx)
-    mc = morse_complex(cx, m, cert)
+    cert = validate_acyclic(m)
+    mc = morse_complex(cert)
     assert isinstance(mc, CellComplex)
     assert mc.f_vector() == (1, 1)
     assert mc.cells == {0: (parse_cellword("123"),), 1: (parse_cellword("1(32)"),)}
@@ -514,20 +516,13 @@ def test_morse_complex_on_hand_built_circle_matching():
     assert homology(mc).betti == (1, 1)
 
 
-def test_morse_complex_requires_certificate():
-    cx = chain_product_complex((1, 1, 1))
-    m = match_product_of_chains(cx)
-    with pytest.raises(ValueError):
-        morse_complex(cx, m, None)
-
-
 def test_morse_complex_homology_matches_full():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1)]:
         cx = chain_product_complex(spec)
         m = match_product_of_chains(cx)
-        cert = validate_acyclic(m, cx)
-        mc = morse_complex(cx, m, cert)
-        censuses = path_censuses(cx, m)
+        cert = validate_acyclic(m)
+        mc = morse_complex(cert)
+        censuses = path_censuses(cert)
         assert not any(t.idx for t in mc.boundary.values())
         h_full = homology(cx)
         h_morse = homology(mc)
@@ -538,6 +533,25 @@ def test_morse_complex_homology_matches_full():
             assert census.total == 0
             assert census.pairing is not None
             assert len(census.paths) % 2 == 0
+
+
+def test_no_census_without_a_certificate():
+    # a square v0 v1 v2 v3 with a chord f and an edge g out to w; each v_i is
+    # matched to the edge that leaves it, so a walk from g or f along the
+    # pairs goes round the square for ever: the matching has no certificate,
+    # and a census or a ComplexMatchContext takes nothing else
+    ends = {"e01": ("v0", "v1"), "e12": ("v1", "v2"), "e23": ("v2", "v3"),
+            "e30": ("v3", "v0"), "f": ("v0", "v2"), "g": ("v0", "w")}
+    boundary = {v: () for v in ("v0", "v1", "v2", "v3", "w")}
+    boundary.update({e: ((a, -1), (b, 1)) for e, (a, b) in ends.items()})
+    cx = CellComplex({0: ["v0", "v1", "v2", "v3", "w"], 1: list(ends)}, boundary)
+    m = MorseMatching.from_pairs(cx, {"v0": "e01", "v1": "e12", "v2": "e23", "v3": "e30"})
+    assert critical_cells(m) == {0: ("w",), 1: ("f", "g")}
+    with pytest.raises(AcyclicityError) as err:
+        validate_acyclic(m)
+    assert len(err.value.cycle) == 8
+    for build in (path_censuses, ComplexMatchContext):
+        assert list(inspect.signature(build).parameters) == ["certificate"]
 
 
 def test_paper_alternating_path_involution():
@@ -581,10 +595,11 @@ def test_morse_complex_census_needs_no_recursion():
     spec = (1,) * 7
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
+    cert = validate_acyclic(m)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 10)
     try:
-        censuses = path_censuses(cx, m)
+        censuses = path_censuses(cert)
     finally:
         sys.setrecursionlimit(limit)
     assert len(critical_cells(m)[1]) == 351 and len(critical_cells(m)[2]) == 350

@@ -176,13 +176,13 @@ def test_digest_falls_back_to_hashlib(monkeypatch):
 
     cx = chain_product_complex((2, 2, 3))
     m = match_product_of_chains(cx)
-    lines = "".join(f"{a}->{b}\n" for a, b in _matched_pairs(cx, m))
+    lines = "".join(f"{a}->{b}\n" for a, b in _matched_pairs(m))
     want = hashlib.sha256(lines.encode()).hexdigest()
     monkeypatch.setitem(sys.modules, "_sha2", None)  # import raises ImportError
     monkeypatch.setitem(sys.modules, "_sha256", None)
     real, calls = hashlib.sha256, []
     monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(args) or real(*args))
-    assert _matching_digest(_matched_pairs(cx, m)) == want
+    assert _matching_digest(_matched_pairs(m)) == want
     assert calls == [()]
 
 
@@ -199,7 +199,7 @@ def test_pair_stream_rejects_a_partner_outside_the_word():
     up = {a: b for a, b in up.items() if b != upper}
     up[lower] = upper
     with pytest.raises(AssertionError, match="outside the word 132"):
-        list(_matched_pairs(cx, MorseMatching.from_pairs(cx, up)))
+        list(_matched_pairs(MorseMatching.from_pairs(cx, up)))
 
 
 def test_report_heap_peak_per_cell(capsys):
@@ -337,15 +337,27 @@ def test_verify_validates_acyclicity_once(capsys, monkeypatch):
     calls = []
     real = morse.validate_acyclic
 
-    def counting(matching, cx):
+    def counting(matching):
         calls.append(1)
-        return real(matching, cx)
+        return real(matching)
 
     monkeypatch.setattr(morse, "validate_acyclic", counting)
     code, out, _ = run(capsys, "verify", "--spec", "1,1,2", "--suite", "acyclicity,zero-incidence")
     assert code == 0
     assert "acyclicity: PASS" in out and "zero-incidence: PASS" in out
     assert len(calls) == 1
+
+
+def test_verify_runs_a_suite_named_twice_once(capsys):
+    argv = ("verify", "--spec", "1,1,2", "--suite", "acyclicity,cubicality,acyclicity")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [line.split(":")[0] for line in out.splitlines()] == ["acyclicity", "cubicality"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["results"] == {"acyclicity": True, "cubicality": True}
+    assert set(payload["details"]) == {"acyclicity", "cubicality"}
 
 
 def refuse_snf_on_the_full_complex(monkeypatch):

@@ -23,6 +23,7 @@ from homchains import (
     enumerate_words,
     fiber_trace,
     hom_complex_generic,
+    homology,
     ideal_lattice,
     loop_schedule,
     match_product_of_chains,
@@ -31,6 +32,7 @@ from homchains import (
     render_cellword,
     validate_acyclic,
 )
+from homchains.complexes import FaceTable
 from homchains.morse import MorseMatching, SpecMatchContext, _trace
 from test_chains import random_acyclic_matching, shuffled_covers
 
@@ -41,7 +43,7 @@ def matching_of(spec):
 
 def key_partners(m):
     """The up and down partners of a matching as dicts of cell keys."""
-    cells = m.cells
+    cells = m.cx.cells
     up = {cells[d][i]: cells[d + 1][u]
           for d, mates in m.up.by_dim.items() for i, u in enumerate(mates) if u >= 0}
     return up, {b: a for a, b in up.items()}
@@ -96,7 +98,7 @@ def test_single_chain_single_critical_vertex():
     for r in (1, 3, 5):
         m = matching_of((r,))
         assert m.critical_count() == {0: 1}
-        assert sum(map(len, m.cells.values())) == 1
+        assert sum(map(len, m.cx.cells.values())) == 1
 
 
 def test_critical_counts_b4():
@@ -115,7 +117,7 @@ def test_matched_plus_critical_partitions():
         up, down = key_partners(m)
         ncrit = sum(len(v) for v in m.critical.values())
         assert len(m.up) == len(up) == len(down)
-        assert 2 * len(m.up) + ncrit == sum(map(len, m.cells.values()))
+        assert 2 * len(m.up) + ncrit == sum(map(len, m.cx.cells.values()))
         for a, b in up.items():
             assert down[b] == a
             assert b.dim == a.dim + 1
@@ -206,7 +208,7 @@ def test_critical_cells_op():
     crit = critical_cells(m)
     assert {d: len(v) for d, v in crit.items()} == m.critical_count() == {0: 1, 1: 2}
     for d, v in crit.items():
-        assert v == tuple(m.cells[d][i] for i in m.critical[d])
+        assert v == tuple(m.cx.cells[d][i] for i in m.critical[d])
         assert m.critical[d] == tuple(sorted(m.critical[d]))
 
 
@@ -223,7 +225,7 @@ def test_bijection_small():
 def test_validate_acyclic_and_spec_context(spec):
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
-    cert = validate_acyclic(m, cx)
+    cert = validate_acyclic(m)
     assert cert.matching is m
     assert sum(map(len, cert.orders.values())) == len(m.up)
     assert set(cert.orders) == set(range(1, cx.dim + 1))
@@ -239,7 +241,7 @@ def test_certificate_orders_are_topological():
     for spec in [(1, 1, 2), (1, 1, 1, 1), (2, 2, 2)]:
         cx = chain_product_complex(spec)
         m = match_product_of_chains(cx)
-        cert = validate_acyclic(m, cx)
+        cert = validate_acyclic(m)
         assert set(cert.orders) == set(range(1, cx.dim + 1))
         n_arcs = 0
         for d, order in cert.orders.items():
@@ -259,8 +261,8 @@ def test_certificate_orders_are_topological():
 def test_validate_acyclic_empty_matching():
     cx = chain_product_complex((1, 1, 1))
     empty = MorseMatching.from_pairs(cx, {})
-    assert critical_cells(empty) == cx.cells
-    cert = validate_acyclic(empty, cx)
+    assert critical_cells(empty) == {d: tuple(cs) for d, cs in cx.cells.items()}
+    cert = validate_acyclic(empty)
     assert len(empty.up) == sum(map(len, cert.orders.values())) == 0
 
 
@@ -281,7 +283,7 @@ def test_cyclic_matching_rejected():
     m = MorseMatching.from_pairs(cx, up)
     assert m.critical == {}
     with pytest.raises(AcyclicityError) as err:
-        validate_acyclic(m, cx)
+        validate_acyclic(m)
     assert len(err.value.cycle) == 8
     assert_alternating_cycle(cx, up, err.value.cycle)
 
@@ -302,7 +304,7 @@ def test_acyclic_matching_on_square_accepted():
     up = {"v1": "e01", "v2": "e12", "v3": "e23"}
     m = MorseMatching.from_pairs(cx, up)
     assert critical_cells(m) == {0: ("v0",), 1: ("e30",)}
-    cert = validate_acyclic(m, cx)
+    cert = validate_acyclic(m)
     assert len(m.up) == sum(map(len, cert.orders.values())) == 3
 
 
@@ -311,7 +313,7 @@ def test_matching_must_lie_in_face_relation():
     up = {"v2": "e01"}
     m = MorseMatching.from_pairs(cx, up)
     with pytest.raises(ValueError, match="not a cover"):
-        validate_acyclic(m, cx)
+        validate_acyclic(m)
 
 
 def test_fiber_monotonicity_small():
@@ -331,8 +333,7 @@ def test_certificate_rejects_swapped_pair():
     spec = (1, 1, 1)
     cx = chain_product_complex(spec)
     m = match_product_of_chains(cx)
-    cert = validate_acyclic(m, cx)
-    cert.check_matches(m)
+    cert = validate_acyclic(m)
     up, down = key_partners(m)
     upper = parse_cellword("(21)3")
     old, new = down[upper], parse_cellword("123")
@@ -343,11 +344,11 @@ def test_certificate_rejects_swapped_pair():
     swapped = MorseMatching.from_pairs(cx, up)
     assert critical_cells(swapped) == {0: (old,), 1: critical_cells(m)[1]}
     assert len(swapped.up) == len(m.up)
-    validate_acyclic(swapped, cx)
-    with pytest.raises(ValueError, match="certificate"):
-        cert.check_matches(swapped)
-    with pytest.raises(ValueError, match="certificate"):
-        morse_complex(cx, swapped, cert)
+    # each certificate reaches only the matching it was issued for
+    swapped_cert = validate_acyclic(swapped)
+    assert cert.matching is m and swapped_cert.matching is swapped
+    assert morse_complex(cert).cells[0] == (new,)
+    assert morse_complex(swapped_cert).cells[0] == (old,)
 
 
 def test_matching_requires_partition():
@@ -359,7 +360,7 @@ def test_matching_requires_partition():
     edge = next(j for j, u in enumerate(m.up[1]) if u >= 0)
 
     def copy_up():
-        return {d: array("i", m.up[d]) for d in m.cells}
+        return {d: array("i", m.up[d]) for d in cx.cells}
 
     claimed_twice, claimed_up, past_end, short = (copy_up() for _ in range(4))
     claimed_twice[0][crit] = m.up[0][lower]
@@ -371,8 +372,8 @@ def test_matching_requires_partition():
                          (past_end, "up partner out of range at dimension 0"),
                          (short, "up partners for the 24 cells of dimension 0")]:
         with pytest.raises(ValueError, match=message):
-            MorseMatching(cx.cells, ups)
-    assert MorseMatching(cx.cells, copy_up()).critical == m.critical
+            MorseMatching(cx, ups)
+    assert MorseMatching(cx, copy_up()).critical == m.critical
 
 
 def test_matching_cannot_change():
@@ -395,26 +396,42 @@ def test_certificate_is_bound_to_its_matching_object():
     assert second is not first
     assert key_partners(second) == key_partners(first)
     assert second.critical == first.critical
-    cert = validate_acyclic(first, cx)
-    cert.check_matches(first)
-    with pytest.raises(ValueError, match="another matching"):
-        morse_complex(cx, second, cert)
-    assert morse_complex(cx, second, validate_acyclic(second, cx)).f_vector() == (1, 7, 0)
+    cert, second_cert = validate_acyclic(first), validate_acyclic(second)
+    assert cert.matching is first and second_cert.matching is second
+    assert morse_complex(cert).f_vector() == morse_complex(second_cert).f_vector() == (1, 7, 0)
 
 
-def test_matching_of_another_complex_is_rejected():
-    # indices of Hom(1,1,1,1) read against Hom(2,2) would name the wrong cells
+def test_certificate_is_bound_to_its_complex():
+    # a second complex on the same cells with one incidence of dimension 1
+    # doubled: the same pairs on it fail the +1/-1 rule, and the certificate
+    # of the first complex still reduces the first complex's tables alone
     cx = chain_product_complex((1, 1, 1, 1))
     m = match_product_of_chains(cx)
-    other = chain_product_complex((2, 2))
-    with pytest.raises(ValueError, match="another cell basis"):
-        validate_acyclic(m, other)
-    cert = validate_acyclic(m, cx)
-    m22 = match_product_of_chains(other)
-    with pytest.raises(ValueError, match="another matching"):
-        cert.check_matches(m22)
-    with pytest.raises(ValueError, match="another cell basis"):
-        morse_complex(other, m, cert)
+    tables = {d: FaceTable(array("i", t.ptr), array("i", t.idx), array("b", t.sgn))
+              for d, t in cx.boundary.items()}
+    tables[1].sgn[0] *= 2
+    doubled = CellComplex.from_faces(cx.cells, tables, cx.spec, cx.word_table)
+    with pytest.raises(ArithmeticError, match="incidence other than"):
+        validate_acyclic(MorseMatching(doubled, {d: array("i", m.up[d]) for d in cx.cells}))
+    mc = morse_complex(validate_acyclic(m))
+    assert mc.f_vector() == (1, 7, 0)
+    assert homology(mc).betti == (1, 7, 0)
+
+
+def test_matching_refuses_a_missing_dimension():
+    cx = chain_product_complex((1, 1, 1))
+    m = match_product_of_chains(cx)
+    with pytest.raises(ValueError, match=r"dimensions \[0\] of a complex with cells "
+                                         r"of dimensions \[0, 1\]"):
+        MorseMatching(cx, {0: array("i", m.up[0])})
+
+
+def test_matching_refuses_an_extra_dimension():
+    cx = chain_product_complex((1, 1, 1))
+    m = match_product_of_chains(cx)
+    ups = {d: array("i", m.up[d]) for d in cx.cells}
+    with pytest.raises(ValueError, match=r"dimensions \[0, 1, 2\] of a complex"):
+        MorseMatching(cx, {**ups, 2: array("i", [0])})
 
 
 def test_matching_rejects_a_complex_without_a_spec():
@@ -555,7 +572,7 @@ def test_pair_digraph_agrees_with_all_cells_kahn():
                 m = random_acyclic_matching(cx, rng)
                 up = key_partners(m)[0]
             try:
-                cert = validate_acyclic(m, cx)
+                cert = validate_acyclic(m)
             except AcyclicityError as err:
                 assert_alternating_cycle(cx, up, err.cycle)
                 cert = None
@@ -570,11 +587,11 @@ def test_validate_acyclic_memory_per_cell():
     # keeps one entry per matched pair
     cx = chain_product_complex((1,) * 6)
     m = match_product_of_chains(cx)
-    validate_acyclic(m, cx)  # warm caches of the interpreter
+    validate_acyclic(m)  # warm caches of the interpreter
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cert = validate_acyclic(m, cx)
+        cert = validate_acyclic(m)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
