@@ -32,7 +32,6 @@ from .words import (
     critical_dimension,
     decompose_descents,
     descent_set,
-    enumerate_cellwords,
     enumerate_words,
     parse_cellword,
     render_cellword,

@@ -11,11 +11,11 @@ A CellComplex indexes each cell by its position in the sequence cells[d]
 (sorted, for the complexes built here), and stores the boundary of the
 d-cells as a FaceTable: face indices into cells[d - 1] and signs in
 compressed sparse rows.  The generic complexes keep cells[d] as a tuple of
-keys.  A spec complex keeps its cells implicit: a WordTable stores each
-word once, with its shared Placements and its start in each dimension,
-and cells[d] is a WordCells view over it that builds a CellWord only when
-one is read.  The keys name cells in rendering, digests and per-cell
-traces.
+keys.  A spec complex keeps its cells implicit: a WordTable holds its
+chain spec and stores each word once, with its shared Placements and its
+start in each dimension, and cells[d] is a WordCells view over it that
+builds a CellWord only when one is read.  The keys name cells in
+rendering, digests and per-cell traces.
 """
 
 from __future__ import annotations
@@ -64,27 +64,27 @@ class CellComplex:
     cell of dimension >= 1 to its ((face, sign), ...); the keys are turned
     into indices once, here.  Builders that already hold indices use
     from_faces.  `word_table` is the WordTable behind the cells of a spec
-    complex, and None for every other complex.
+    complex, which also holds its chain spec, and None for every other
+    complex.
     """
 
-    def __init__(self, cells, boundary, spec=None):
+    def __init__(self, cells, boundary):
         cells = {d: tuple(cells[d]) for d in sorted(cells)}
         faces = {d: _face_table(cells[d], boundary,
                                 {cell: i for i, cell in enumerate(cells[d - 1])})
                  for d in cells if d}
-        self._set(cells, faces, spec, None)
+        self._set(cells, faces, None)
 
     @classmethod
-    def from_faces(cls, cells, faces, spec=None, word_table=None):
+    def from_faces(cls, cells, faces, word_table=None):
         """A complex from cell sequences and a FaceTable per dimension >= 1."""
         cx = cls.__new__(cls)
-        cx._set(cells, faces, spec, word_table)
+        cx._set(cells, faces, word_table)
         return cx
 
-    def _set(self, cells, faces, spec, word_table):
+    def _set(self, cells, faces, word_table):
         self.cells = cells
         self.boundary = faces
-        self.spec = spec
         self.word_table = word_table
         self._where = None
 
@@ -142,15 +142,17 @@ def _face_table(cells, boundary, lower):
 
 
 class WordTable:
-    """The words of a spec complex, each stored once.
+    """The chain spec of a spec complex and its words, each stored once.
 
-    words lists them in lexicographic order, placements[k] is the shared
-    Placements of word k's descents, and starts[d][k] is the index in
-    cells[d] of word k's first d-cell, for each dimension d of the complex.
-    A cell's index is its word's start plus the rank of its pair placement.
+    spec is the ChainSpec, words lists its words in lexicographic order,
+    placements[k] is the shared Placements of word k's descents, and
+    starts[d][k] is the index in cells[d] of word k's first d-cell, for each
+    dimension d of the complex.  A cell's index is its word's start plus the
+    rank of its pair placement.
     """
 
-    def __init__(self, words, placements, starts):
+    def __init__(self, spec, words, placements, starts):
+        self.spec = spec
         self.words = words
         self.placements = placements
         self.starts = starts
@@ -172,8 +174,9 @@ class WordTable:
         raise KeyError(cell)
 
     def cells_by_word(self):
-        """Every cell as a CellWord, word by word, each word's cells by
-        dimension: the order of words.enumerate_cellwords."""
+        """Every cell of the complex as a CellWord: words in lexicographic
+        order, each word's cells by dimension, each dimension's placements
+        in lexicographic order."""
         for w, info in zip(self.words, self.placements):
             for ps in info.by_dim:
                 for pairs in ps:
@@ -251,7 +254,7 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
             out.append(start[d] if d < len(start) else 0)
     last = infos[-1].by_dim
     sizes = [out[-1] + (len(last[d]) if d < len(last) else 0) for d, out in enumerate(starts)]
-    table = WordTable(words, infos, {d: starts[d] for d, n in enumerate(sizes) if n})
+    table = WordTable(spec, words, infos, {d: starts[d] for d, n in enumerate(sizes) if n})
     idx = {d: array("i") for d in table.starts if d}
     for k, (w, info) in enumerate(zip(words, infos)):
         alpha = {}
@@ -276,7 +279,7 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
         faces[d] = FaceTable(array("i", range(0, 2 * d * n + 1, 2 * d)), out,
                              _sign_block(d) * n)
     cells = {d: WordCells(table, d, sizes[d]) for d in table.starts}
-    return CellComplex.from_faces(cells, faces, spec=spec, word_table=table)
+    return CellComplex.from_faces(cells, faces, word_table=table)
 
 
 def _word_ideals(cw, spec):
@@ -404,13 +407,16 @@ def hom_complex_generic(A, B, cap=DEFAULT_CAP):
     """Hom(A, B): all multihoms whose representative systems are strictly
     order-preserving maps A -> B.
 
-    Cells are built bottom-up: vertices are the strict maps, and a candidate
-    cell enters when all its facets are present (equivalent to the
-    representative-system condition); the facets found by that check become
-    the cell's boundary, so each candidate is signed once.  Coordinate i
-    only tries the elements of B above every element of each down-cover's
+    Cells are built bottom-up: vertices are the strict maps, and each
+    (d+1)-cell is a d-cell with one element b added to a coordinate i.  A
+    candidate only tries the b above every element of each down-cover's
     coordinate and below every element of each up-cover's coordinate (B's
-    above/below masks); the facet check still admits every cell.
+    above/below masks).  Every candidate is therefore a cell, since a map
+    is strict when it is strict on each cover of A; and every cell is
+    found, since dropping one element from a coordinate that holds several
+    leaves a cell one dimension down.  So each candidate is tested once,
+    with no facet check: the facets of a cell are cells of the level below,
+    and _face_table raises should one ever be missing.
     """
     verts = _strict_maps(A, B, cap)
     m = A.n
@@ -422,8 +428,7 @@ def hom_complex_generic(A, B, cap=DEFAULT_CAP):
     d = 0
     while level:
         prev = {X: i for i, X in enumerate(level)}
-        found = {}        # accepted candidate -> its signed facets
-        rejected = set()
+        found = {}        # cell -> its signed facets
         for X in level:
             for i in range(m):
                 allowed = full
@@ -438,15 +443,10 @@ def hom_complex_generic(A, B, cap=DEFAULT_CAP):
                 for b in _bits(allowed):
                     coord = tuple(sorted(X[i] + (b,)))
                     X2 = X[:i] + (coord,) + X[i + 1:]
-                    if X2 in found or X2 in rejected:
-                        continue
-                    facets = _generic_signed_faces(X2)
-                    if all(f in prev for f, _ in facets):
-                        found[X2] = facets
+                    if X2 not in found:
+                        found[X2] = _generic_signed_faces(X2)
                         if total + len(found) > cap:
                             raise CapExceeded(f"cell count exceeds the cap {cap}")
-                    else:
-                        rejected.add(X2)
         level = sorted(found)
         if not level:
             break
@@ -473,17 +473,19 @@ def _generic_signed_faces(X):
 def maximal_chain_complex(P, cap=DEFAULT_CAP):
     """Hom(P) = Hom(C_m, P) for a graded poset P of rank m.
 
-    Vertices are the maximal chains of P.  For a product of chains
-    (chain_spec tag with nondecreasing lengths) the cubical cell-word model
-    is used; otherwise the complex is built generically from strict maps.
+    Vertices are the maximal chains of P.  For a product of chains (a
+    chain_spec with nondecreasing lengths, as product and ideal_lattice tag
+    it) the cubical cell-word model is used; otherwise the complex is built
+    generically from strict maps, and checked cubical when P is tagged a
+    product of chains or an ideal lattice.
     """
     if not isinstance(P, GradedPoset):
         raise ValueError("maximal_chain_complex needs a graded poset")
-    spec = getattr(P, "chain_spec", None)
+    spec = P.chain_spec
     if spec is not None and all(a <= b for a, b in zip(spec, spec[1:])):
         return chain_product_complex(as_spec(spec), cap=cap)
     cx = hom_complex_generic(chain(P.top_rank), P, cap=cap)
-    if getattr(P, "ideal_masks", None) is not None or spec is not None:
+    if P.ideal_masks is not None or spec is not None:
         _assert_cubical(cx)
     return cx
 

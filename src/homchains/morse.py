@@ -211,8 +211,8 @@ def match_product_of_chains(cx):
     claimed twice, and every lower cell is claimed, so the cells no loop
     classifies `a` are exactly the ones MorseMatching finds critical.
     """
-    spec, table = cx.spec, cx.word_table
-    if spec is None or table is None:
+    table = cx.word_table
+    if table is None:
         raise ValueError("the matching needs the cell-word complex of a chain spec")
     cells = cx.cells
     up = _unmatched(cells)
@@ -322,7 +322,7 @@ def check_fiber_monotonicity(cx):
     count), and within a position fiber class `a` must be inherited downward
     (second count).  Both counts are zero for the matching algorithm.
     """
-    spec = cx.spec
+    spec = cx.word_table.spec
     records = {d: [_trace(cw.word, cw.pairs, spec)[1] for cw in cells]
                for d, cells in cx.cells.items()}
     bad_phi = 0

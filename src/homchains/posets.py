@@ -1,8 +1,10 @@
 """Finite graded posets: chains, products, disjoint unions, ideal lattices, folds.
 
-Elements carry dense integer ids assigned at construction; all outward
-references use these ids.  Instances are immutable after construction and
-safe to share across threads.
+A poset is its covers over dense integer ids 0..n-1, and a graded poset
+adds its ranks; every outward reference is an id.  Whatever else is known
+of a poset (whether it is a disjoint union of chains, say) is read off its
+covers.  Instances are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ def _bits(mask):
 
 
 class FinitePoset:
-    """A finite poset on elements ``0..n-1`` described by its cover relations.
+    """A finite poset on elements ``0..n-1``, given by its cover relations alone.
 
     ``covers`` holds pairs ``(a, b)`` with ``b`` covering ``a``.  The cover
     digraph must be acyclic and transitively irredundant; both are checked.
     """
 
-    def __init__(self, n, covers, labels=None, chain_blocks=None):
+    def __init__(self, n, covers):
         self.n = int(n)
         seen = set()
         for a, b in covers:
@@ -38,15 +40,6 @@ class FinitePoset:
                 raise ValueError(f"duplicate cover ({a}, {b})")
             seen.add((a, b))
         self.covers = tuple(sorted(seen))
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != self.n:
-                raise ValueError("labels length mismatch")
-        self.labels = labels
-        # When this poset is a disjoint union of chains, chain_blocks lists
-        # the element ids of each chain bottom-to-top (the block order used
-        # as the canonical linear extension downstream).
-        self.chain_blocks = chain_blocks
 
         up = [[] for _ in range(self.n)]
         down = [[] for _ in range(self.n)]
@@ -119,9 +112,6 @@ class FinitePoset:
         """A fixed linear extension (smallest-id-first topological order)."""
         return self._linext
 
-    def label(self, x):
-        return self.labels[x] if self.labels is not None else str(x)
-
     @property
     def is_chain_poset(self):
         """True when the ids 0..n-1 form a chain in that order."""
@@ -160,12 +150,14 @@ class GradedPoset(FinitePoset):
     """A finite poset with a rank function making every maximal chain the same length.
 
     Validated on construction: covers raise rank by exactly one, all minimal
-    elements have rank 0 and all maximal elements share the top rank.
+    elements have rank 0 and all maximal elements share the top rank.  The
+    constructors that know more tag it: chain_spec holds the factor lengths
+    of a product of chains, and ideal_masks the ideal behind each element of
+    an ideal lattice.
     """
 
-    def __init__(self, n, covers, rank, labels=None, chain_blocks=None,
-                 chain_spec=None, ideal_masks=None):
-        super().__init__(n, covers, labels=labels, chain_blocks=chain_blocks)
+    def __init__(self, n, covers, rank, chain_spec=None, ideal_masks=None):
+        super().__init__(n, covers)
         self.rank = tuple(int(r) for r in rank)
         if len(self.rank) != self.n:
             raise ValueError("rank length mismatch")
@@ -201,16 +193,13 @@ def chain(m):
         m + 1,
         [(i, i + 1) for i in range(m)],
         rank=range(m + 1),
-        labels=[str(i) for i in range(m + 1)],
-        chain_blocks=(tuple(range(m + 1)),),
         chain_spec=(m,) if m >= 1 else None,
     )
 
 
 def antichain(k):
     """k pairwise incomparable elements."""
-    return FinitePoset(k, [], labels=[str(i) for i in range(k)],
-                       chain_blocks=tuple((i,) for i in range(k)))
+    return FinitePoset(k, [])
 
 
 def product(ps):
@@ -228,19 +217,17 @@ def product(ps):
         strides[j] = strides[j + 1] * sizes[j + 1]
     n = strides[0] * sizes[0]
     ranks = [0] * n
-    labels = [None] * n
     covers = []
     for tup in itertools.product(*(range(s) for s in sizes)):
         i = sum(t * strides[j] for j, t in enumerate(tup))
         ranks[i] = sum(ps[j].rank[t] for j, t in enumerate(tup))
-        labels[i] = "(" + ",".join(ps[j].label(t) for j, t in enumerate(tup)) + ")"
         for j, p in enumerate(ps):
             for b in p.up_covers[tup[j]]:
                 covers.append((i, i + (b - tup[j]) * strides[j]))
     spec = None
     if all(p.is_chain_poset and p.n >= 2 for p in ps):
         spec = tuple(p.n - 1 for p in ps)
-    return GradedPoset(n, covers, rank=ranks, labels=labels, chain_spec=spec)
+    return GradedPoset(n, covers, rank=ranks, chain_spec=spec)
 
 
 def product_of_chains(lengths):
@@ -256,29 +243,24 @@ def disjoint_union(ps):
     ps = list(ps)
     n = sum(p.n for p in ps)
     covers = []
-    labels = []
-    blocks = []
     off = 0
     for p in ps:
         covers.extend((a + off, b + off) for a, b in p.covers)
-        labels.extend(p.label(x) for x in range(p.n))
-        blocks.append(tuple(range(off, off + p.n)))
         off += p.n
-    all_chains = all(p.is_chain_poset for p in ps)
-    return FinitePoset(n, covers, labels=labels,
-                       chain_blocks=tuple(blocks) if all_chains else None)
+    return FinitePoset(n, covers)
 
 
 # J(P) can have 2^|P| elements, so larger P are refused before any is built
 IDEAL_LATTICE_MAX_BASE = 20
 
 
-def _render_ideal(positions):
-    if not positions:
-        return "{}"
-    if max(positions) <= 9:
-        return "".join(str(p) for p in positions)
-    return "{" + ",".join(str(p) for p in positions) + "}"
+def _chain_lengths(P):
+    """The lengths of P's chains, by increasing minimal element, or None
+    unless P is a nonempty disjoint union of chains."""
+    if not P.n or any(len(u) > 1 or len(d) > 1
+                      for u, d in zip(P.up_covers, P.down_covers)):
+        return None
+    return tuple(1 + P.above(m).bit_count() for m in P.minimals())
 
 
 def ideal_lattice(P):
@@ -286,7 +268,10 @@ def ideal_lattice(P):
 
     Elements are materialized as bitsets over P and listed in graded
     lexicographic order under the canonical linear extension of P; the rank
-    of an ideal is its cardinality.
+    of an ideal is its cardinality.  When P is a disjoint union of chains,
+    however its ids are assigned, J(P) is a product of chains, one per
+    chain of P with as many steps as it has elements; chain_spec lists
+    these lengths by increasing minimal element.
     """
     if P.n > IDEAL_LATTICE_MAX_BASE:
         raise CapExceeded(f"|P| = {P.n} exceeds the ideal-lattice guard {IDEAL_LATTICE_MAX_BASE}")
@@ -312,12 +297,8 @@ def ideal_lattice(P):
             if P.above(x) & J == 0:  # x maximal in J, so J - x is an ideal
                 covers.append((index[J ^ (1 << x)], index[J]))
     ranks = [bin(I).count("1") for I in masks]
-    labels = [_render_ideal(tuple(sorted(pos[e] + 1 for e in _bits(I)))) for I in masks]
-    spec = None
-    if P.chain_blocks is not None and all(len(b) >= 1 for b in P.chain_blocks):
-        spec = tuple(len(b) for b in P.chain_blocks)
-    return GradedPoset(len(masks), covers, rank=ranks, labels=labels,
-                       chain_spec=spec, ideal_masks=tuple(masks))
+    return GradedPoset(len(masks), covers, rank=ranks,
+                       chain_spec=_chain_lengths(P), ideal_masks=tuple(masks))
 
 
 # -- folds ----------------------------------------------------------------
@@ -360,8 +341,7 @@ def delete_element(P, x):
         for b in _bits(above[a]):
             if above[a] & below[b] == 0:
                 covers.append((a, b))
-    labels = [P.label(i) for i in keep] if P.labels is not None else None
-    return FinitePoset(len(keep), covers, labels=labels), remap
+    return FinitePoset(len(keep), covers), remap
 
 
 def is_chain(P):
@@ -377,8 +357,10 @@ def is_chain(P):
 def fold_collapse_sequence(P):
     """A sequence of fold removals reducing P to a chain, found by backtracking search.
 
-    Returns a list of steps (x_label, y_label, poset_after); raises ValueError
-    if no fold sequence reaches a chain.
+    Returns a list of steps (x, y, poset_after): x and y are ids in the poset
+    before the step, y witnesses the fold, and poset_after is
+    delete_element(before, x)[0], with the dense ids of delete_element.
+    Raises ValueError if no fold sequence reaches a chain.
     """
     steps = []
 
@@ -387,7 +369,7 @@ def fold_collapse_sequence(P):
             return True
         for x, y in find_folds(cur):
             nxt, _ = delete_element(cur, x)
-            steps.append((cur.label(x), cur.label(y), nxt))
+            steps.append((x, y, nxt))
             if rec(nxt):
                 return True
             steps.pop()

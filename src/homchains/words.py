@@ -70,9 +70,6 @@ class CellWord(NamedTuple):
     def dim(self):
         return len(self.pairs)
 
-    def render(self):
-        return render_cellword(self)
-
 
 def cellword(word, pairs=()):
     """Validated CellWord constructor."""
@@ -343,19 +340,6 @@ def word_placements(words, cap=DEFAULT_CAP):
         yield w, tuple(count), info
         for d, ps in enumerate(info.by_dim):
             count[d] += len(ps)
-
-
-def enumerate_cellwords(spec, cap=DEFAULT_CAP):
-    """All cells of Hom(spec): every word with every non-overlapping descent pairing.
-
-    Words come in lexicographic order, and each word's pairings by
-    dimension, each dimension in lexicographic order, so the cells of each
-    dimension come sorted.
-    """
-    for w, _start, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
-        for ps in info.by_dim:
-            for pairs in ps:
-                yield CellWord(w, pairs)
 
 
 # -- critical cells of Hom(r, s, t) ---------------------------------------

@@ -17,7 +17,6 @@ from homchains import (
     chain_product_complex,
     delete_element,
     disjoint_union,
-    enumerate_cellwords,
     find_folds,
     hom_complex_generic,
     homology,
@@ -99,7 +98,7 @@ def test_vertex_multihoms_are_singletons():
 
 @pytest.mark.parametrize("spec", [(1, 1), (1, 1, 1), (2, 2), (1, 1, 2), (1, 2, 2)])
 def test_multihom_round_trip(spec):
-    cws = list(enumerate_cellwords(spec))
+    cws = list(chain_product_complex(spec).word_table.cells_by_word())
     back = {cellword_to_multihom(cw, spec): cw for cw in cws}
     assert all(back[cellword_to_multihom(cw, spec)] == cw for cw in cws)
     assert len(back) == len(cws)
@@ -109,7 +108,7 @@ def test_chain_product_complex_places_each_word_once(monkeypatch):
     from homchains import words
 
     spec = (1, 2, 2)
-    cws = list(enumerate_cellwords(spec))
+    cws = list(chain_product_complex(spec).word_table.cells_by_word())
     seen = []
     real = words.word_placements
 
@@ -191,7 +190,7 @@ def test_bulk_map_rejects_bad_input():
 
 def test_cubical_size_pattern():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2)]:
-        for cw in enumerate_cellwords(spec):
+        for cw in chain_product_complex(spec).word_table.cells_by_word():
             assert is_cubical(cellword_to_multihom(cw, spec))
 
 
@@ -356,7 +355,7 @@ def test_closure_under_faces():
 @pytest.mark.parametrize("spec", [(1, 1, 1), (2, 2, 2), (1, 2, 3)])
 def test_spec_cells_are_a_sequence_of_cell_words(spec):
     cx = chain_product_complex(spec)
-    cws = list(enumerate_cellwords(spec))
+    cws = list(cx.word_table.cells_by_word())
     assert sorted(cx.cells) == sorted({cw.dim for cw in cws})
     for d, cells in cx.cells.items():
         want = tuple(cw for cw in cws if cw.dim == d)
@@ -432,6 +431,28 @@ def test_fold_consequence_diamond():
 def test_fold_consequence_requires_fold():
     with pytest.raises(ValueError):
         verify_fold_consequence(chain(2), chain(2), 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 2), min_size=1, max_size=3), st.data())
+def test_ideal_lattice_of_shuffled_chains_is_tagged(lengths, data):
+    # chains of the given lengths on randomly permuted ids: the spec lists
+    # the lengths in increasing order of each chain's minimal element
+    n = sum(lengths)
+    ids = data.draw(st.permutations(range(n)))
+    blocks, off = [], 0
+    for v in lengths:
+        blocks.append(ids[off:off + v])
+        off += v
+    P = FinitePoset(n, [(b[k], b[k + 1]) for b in blocks for k in range(len(b) - 1)])
+    L = ideal_lattice(P)
+    assert L.chain_spec == tuple(len(b) for b in sorted(blocks))
+    generic = hom_complex_generic(chain(n), L)
+    assert maximal_chain_complex(L).f_vector() == generic.f_vector()
+
+
+def test_ideal_lattice_of_the_empty_poset_is_a_point():
+    assert maximal_chain_complex(ideal_lattice(antichain(0))).f_vector() == (1,)
 
 
 def test_generic_signs_each_candidate_once(monkeypatch):

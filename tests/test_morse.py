@@ -410,7 +410,7 @@ def test_certificate_is_bound_to_its_complex():
     tables = {d: FaceTable(array("i", t.ptr), array("i", t.idx), array("b", t.sgn))
               for d, t in cx.boundary.items()}
     tables[1].sgn[0] *= 2
-    doubled = CellComplex.from_faces(cx.cells, tables, cx.spec, cx.word_table)
+    doubled = CellComplex.from_faces(cx.cells, tables, cx.word_table)
     with pytest.raises(ArithmeticError, match="incidence other than"):
         validate_acyclic(MorseMatching(doubled, {d: array("i", m.up[d]) for d in cx.cells}))
     mc = morse_complex(validate_acyclic(m))
@@ -437,7 +437,7 @@ def test_matching_refuses_an_extra_dimension():
 def test_matching_rejects_a_complex_without_a_spec():
     # Hom(C_3, B_3) built generically: the cells are multihoms, not cell words
     hexagon = hom_complex_generic(chain(3), ideal_lattice(antichain(3)))
-    assert hexagon.spec is None
+    assert hexagon.word_table is None
     with pytest.raises(ValueError, match="chain spec"):
         match_product_of_chains(hexagon)
 

@@ -115,7 +115,8 @@ def test_product_associative_flattening():
 def test_disjoint_union_antichain():
     u = disjoint_union([chain(0)] * 3)
     assert u.n == 3 and u.covers == ()
-    assert u.chain_blocks == ((0,), (1,), (2,))
+    assert u.minimals() == (0, 1, 2)
+    assert ideal_lattice(u).chain_spec == (1, 1, 1)
 
 
 def test_disjoint_union_empty():
@@ -153,13 +154,27 @@ def test_ideal_lattice_is_product_of_chains(lengths):
     for k in range(len(sizes) - 2, -1, -1):
         strides[k] = strides[k + 1] * sizes[k + 1]
 
+    # disjoint_union gives each chain the next contiguous range of ids
+    ends = list(itertools.accumulate(lengths))
+    blocks = [range(end - v, end) for v, end in zip(lengths, ends)]
+
     def relabel(i):
         mask = j.ideal_masks[i]
-        counts = [sum(1 for e in blk if (mask >> e) & 1) for blk in u.chain_blocks]
+        counts = [sum(1 for e in blk if (mask >> e) & 1) for blk in blocks]
         return sum(c * s for c, s in zip(counts, strides))
 
     assert sorted((relabel(a), relabel(b)) for a, b in j.covers) == sorted(p.covers)
     assert all(j.rank[i] == p.rank[relabel(i)] for i in range(j.n))
+
+
+def test_ideal_lattice_reads_chains_off_the_covers():
+    # however the ids run, the chains come in increasing order of their bottoms
+    assert ideal_lattice(FinitePoset(3, [(1, 2), (2, 0)])).chain_spec == (3,)
+    assert ideal_lattice(FinitePoset(3, [(2, 0)])).chain_spec == (1, 2)
+    assert ideal_lattice(FinitePoset(3, [(0, 2)])).chain_spec == (2, 1)
+    assert ideal_lattice(FinitePoset(3, [(0, 2), (1, 2)])).chain_spec is None
+    assert ideal_lattice(FinitePoset(3, [(0, 1), (0, 2)])).chain_spec is None
+    assert ideal_lattice(antichain(0)).chain_spec is None
 
 
 def test_ideal_lattice_lattice_property():
@@ -212,6 +227,18 @@ def test_fold_collapse_sequence_grid():
     steps = fold_collapse_sequence(g)
     assert is_chain(steps[-1][2])
     assert steps[-1][2].n == 2 + 3 + 1
+
+
+def test_fold_collapse_sequence_steps_are_ids():
+    # each step names ids of the poset before it, and deletes x from it
+    for P in [product([chain(1), chain(2)]), product([chain(2), chain(2)])]:
+        before = P
+        for x, y, after in fold_collapse_sequence(P):
+            assert (x, y) in find_folds(before)
+            want, _ = delete_element(before, x)
+            assert (after.n, after.covers) == (want.n, want.covers)
+            before = after
+        assert is_chain(before)
 
 
 def test_delete_element_recomputes_covers():

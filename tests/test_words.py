@@ -10,12 +10,12 @@ from homchains import (
     CapExceeded,
     ChainSpec,
     cellword,
+    chain_product_complex,
     count_critical_rst,
     critical_cellword_from_word,
     critical_dimension,
     decompose_descents,
     descent_set,
-    enumerate_cellwords,
     enumerate_words,
     parse_cellword,
     render_cellword,
@@ -135,7 +135,7 @@ def test_enumerate_words_cap():
 
 def test_enumerate_cellwords_counts():
     # cells of Hom(B_3): 6 vertices + 6 edges
-    cells = list(enumerate_cellwords((1, 1, 1)))
+    cells = list(chain_product_complex((1, 1, 1)).word_table.cells_by_word())
     assert len(cells) == 12
     dims = [c.dim for c in cells]
     assert dims.count(0) == 6 and dims.count(1) == 6
