@@ -60,14 +60,12 @@ from .morse import (
     validate_acyclic,
 )
 from .chains import (
-    AlternatingPath,
     ComplexMatchContext,
     HomologyReport,
     check_squared,
     homology,
     involution_partner,
     morse_complex,
-    morse_incidence,
     path_censuses,
     smith_normal_form,
 )

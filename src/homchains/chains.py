@@ -9,10 +9,12 @@ incidences that the reduction relies on are checked with the matching, by
 morse.validate_acyclic.  Cell-word faces and their signs come from
 words.signed_faces.  The Morse complex reduces each critical cell's
 boundary along the acyclicity certificate's order and lists no path.
-Alternating paths are walked on cell keys, through the key-level
-oracles (ComplexMatchContext, morse.SpecMatchContext): morse_incidence and
-path_censuses sum their weights and pair them by the sign-reversing
-involution on cell words, an independent account of the same incidences.
+Alternating paths are walked on cell keys, through a key-level match
+oracle (ComplexMatchContext, morse.SpecMatchContext) of two methods:
+facets(cell), the cell's (face, sign) pairs, and up(cell), its up-partner
+or None.  A path is the tuple of its cells.  path_censuses sums their
+weights and pairs them by the sign-reversing involution on cell words, an
+independent account of the same incidences.
 morse_complex, path_censuses and ComplexMatchContext take the certificate
 alone: it holds its matching, and the matching holds its complex, so a
 certificate reaches only the tables it certified, and no path is walked on
@@ -25,7 +27,6 @@ import heapq
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -269,20 +270,10 @@ def homology(cx):
 # -- Morse complex, alternating paths and censuses ------------------------
 
 
-@dataclass(frozen=True)
-class AlternatingPath:
-    """(sigma, a_1, u(a_1), ..., a_t, u(a_t), tau); length is t."""
-
-    cells: tuple
-
-    @property
-    def t(self):
-        return (len(self.cells) - 2) // 2
-
-
 class ComplexMatchContext:
-    """Facet/matching oracle, on cell keys, over the matching an acyclicity
-    certificate holds and the complex that matching holds."""
+    """The match oracle on cell keys over the matching a certificate holds,
+    and the complex that matching holds: facets(cell) lists the cell's
+    (face, sign) pairs, and up(cell) is its up-partner, or None."""
 
     def __init__(self, certificate):
         self.matching = certificate.matching
@@ -293,28 +284,10 @@ class ComplexMatchContext:
         lower = self.cx.cells.get(d - 1)
         return tuple((lower[i], sign) for i, sign in self.cx.faces(d, j))
 
-    def dim_of(self, cell):
-        return self.cx.locate(cell)[0]
-
     def up(self, cell):
         d, i = self.cx.locate(cell)
         u = self.matching.up[d][i]
         return None if u < 0 else self.cx.cells[d + 1][u]
-
-    @cached_property
-    def _down(self):
-        """Each cell's down-partner by dimension, or -1: the up record inverted once."""
-        down = {d: array("i", [-1]) * len(cs) for d, cs in self.cx.cells.items()}
-        for d, mates in self.matching.up.by_dim.items():
-            for i, u in enumerate(mates):
-                if u >= 0:
-                    down[d + 1][u] = i
-        return down
-
-    def down(self, cell):
-        d, i = self.cx.locate(cell)
-        a = self._down[d][i]
-        return None if a < 0 else self.cx.cells[d - 1][a]
 
 
 def _facet_sign(ctx, face, cell):
@@ -325,56 +298,45 @@ def _facet_sign(ctx, face, cell):
 
 
 def path_weight(path, ctx):
-    """w(c) = (-1)^t [a_1:sigma][tau:u(a_t)] prod [a_i:u(a_i)] prod [a_{i+1}:u(a_i)]."""
-    cells = path.cells
-    t = path.t
+    """w(c) = (-1)^t [a_1:sigma][tau:u(a_t)] prod [a_i:u(a_i)] prod [a_{i+1}:u(a_i)]
+    of the path c = (sigma, a_1, u(a_1), ..., a_t, u(a_t), tau), a tuple of cells."""
+    t = (len(path) - 2) // 2
     if t < 1:
         raise ValueError("alternating path needs at least one matched step")
     sign = -1 if t % 2 else 1
-    sign *= _facet_sign(ctx, cells[1], cells[0])            # [a_1 : sigma]
-    sign *= _facet_sign(ctx, cells[-1], cells[-2])          # [tau : u(a_t)]
+    sign *= _facet_sign(ctx, path[1], path[0])              # [a_1 : sigma]
+    sign *= _facet_sign(ctx, path[-1], path[-2])            # [tau : u(a_t)]
     for i in range(t):
-        a, u = cells[1 + 2 * i], cells[2 + 2 * i]
+        a, u = path[1 + 2 * i], path[2 + 2 * i]
         sign *= _facet_sign(ctx, a, u)                      # [a_i : u(a_i)]
         if i + 1 < t:
-            sign *= _facet_sign(ctx, cells[3 + 2 * i], u)   # [a_{i+1} : u(a_i)]
+            sign *= _facet_sign(ctx, path[3 + 2 * i], u)    # [a_{i+1} : u(a_i)]
     return sign
 
 
 def alternating_paths_from(sigma, ctx, targets):
-    """All alternating paths from sigma to any target, plus direct facet signs.
+    """The alternating paths from sigma to the targets, as tuples of cells,
+    listed by target in depth-first order; a target no path reaches is absent.
 
-    Returns (paths_by_target, direct_by_target); targets without a path are
-    absent from the first.  The walk keeps its own stack, so path length is
-    not bounded by the recursion limit; paths come in depth-first order.
+    The walk keeps its own stack, so path length is not bounded by the
+    recursion limit.  A frame is a trail, the cell a whose up-partner ends
+    it (None for sigma alone, whose faces in targets are direct incidences,
+    not paths), and an iterator over the faces of the trail's last cell.
     """
     paths = {}
-    direct = {}
-    # a frame is (trail ending in a matched pair a, u(a); a; iterator over the facets of u(a))
-    stack = []
-
-    def push(trail, a):
-        u = ctx.up(a)
-        stack.append((trail + (a, u), a, iter(ctx.facets(u))))
-
-    for f, sign in ctx.facets(sigma):
-        if f in targets:
-            direct[f] = direct.get(f, 0) + sign
-        if ctx.up(f) is not None:
-            push((sigma,), f)
-            while stack:
-                trail, a, facets = stack[-1]
-                for g, _sign in facets:
-                    if g == a:
-                        continue
-                    if g in targets:
-                        paths.setdefault(g, []).append(AlternatingPath(trail + (g,)))
-                    elif ctx.up(g) is not None:
-                        push(trail, g)
-                        break
-                else:
-                    stack.pop()
-    return paths, direct
+    stack = [((sigma,), None, iter(ctx.facets(sigma)))]
+    while stack:
+        trail, a, facets = stack[-1]
+        for g, _sign in facets:
+            if g in targets:
+                if a is not None:
+                    paths.setdefault(g, []).append(trail + (g,))
+            elif g != a and (u := ctx.up(g)) is not None:
+                stack.append((trail + (g, u), g, iter(ctx.facets(u))))
+                break
+        else:
+            stack.pop()
+    return paths
 
 
 def _pair_change(lower, upper):
@@ -385,11 +347,6 @@ def _pair_change(lower, upper):
     return extra.pop()
 
 
-def _is_swap(a, u, nxt):
-    """True when nxt is obtained from a by exchanging the two entries joined in u."""
-    return _pair_change(a, u) == _pair_change(nxt, u)
-
-
 def _release_at(cell, p, order):
     t = cell.pairs.index(p) + 1
     return release(cell, t, order)
@@ -398,32 +355,31 @@ def _release_at(cell, p, order):
 def involution_partner(path, ctx):
     """The sign-reversing partner path: re-release the pivot pair in the other order.
 
-    The pivot is the last non-swap step (the initial release from sigma when
-    every matched step is a swap, as always happens between dimensions 1 and
-    0); after it the partner path is forced, each matched join being undone
-    by the swap release, until the target critical cell is reached.
+    The pivot is the last non-swap step, whose next face a_{i+1} is not a_i
+    with the two entries joined in u(a_i) exchanged (the initial release
+    from sigma when every matched step is a swap, as always happens between
+    dimensions 1 and 0); after it the partner path is forced, each matched
+    join being undone by the swap release, until the target critical cell
+    is reached.
     """
-    cells = path.cells
-    t = path.t
-    tau = cells[-1]
+    tau = path[-1]
     j = 0  # pivot 0 means the release from sigma itself
-    for i in range(1, t + 1):
-        a, u = cells[2 * i - 1], cells[2 * i]
-        nxt = cells[2 * i + 1]
-        if not _is_swap(a, u, nxt):
+    for i in range(1, (len(path) - 2) // 2 + 1):
+        u = path[2 * i]
+        if _pair_change(path[2 * i - 1], u) != _pair_change(path[2 * i + 1], u):
             j = i
-    u_j = cells[2 * j]
-    a_next = cells[2 * j + 1]
+    u_j = path[2 * j]
+    a_next = path[2 * j + 1]
     p = _pair_change(a_next, u_j)
     # released in the opposite order: beta keeps the word of u_j, alpha swaps
     order = "beta" if a_next.word != u_j.word else "alpha"
-    out = list(cells[: 2 * j + 1])
+    out = list(path[: 2 * j + 1])
     x = _release_at(u_j, p, order)
     limit = 4 * len(tau.word) ** 2 + 4
     for _ in range(limit):
         out.append(x)
         if x == tau:
-            return AlternatingPath(tuple(out))
+            return tuple(out)
         u = ctx.up(x)
         if u is None:
             raise ValueError("partner walk left the matched region")
@@ -435,23 +391,20 @@ def involution_partner(path, ctx):
 
 @dataclass(frozen=True)
 class PathCensus:
-    """Alternating paths between one critical pair, with the sign-reversing pairing."""
+    """The alternating paths between one critical pair, as tuples of cells,
+    with their weights, their total and the sign-reversing pairing."""
 
     paths: tuple
     weights: tuple
     pairing: tuple  # index pairs (i, j), i < j, or None when no involution exists
     total: int
 
-    @property
-    def count(self):
-        return len(self.paths)
-
 
 def _pairing(paths, weights, ctx):
     """The sign-reversing pairing of the paths by involution_partner, as
     sorted index pairs, or None when it is not a weight-reversing
     involution on them."""
-    index = {p.cells: k for k, p in enumerate(paths)}
+    index = {p: k for k, p in enumerate(paths)}
     pairing = []
     seen = set()
     for k, p in enumerate(paths):
@@ -459,8 +412,8 @@ def _pairing(paths, weights, ctx):
             continue
         try:
             q = involution_partner(p, ctx)
-            m = index.get(q.cells)
-            if m is None or m == k or m in seen or involution_partner(q, ctx).cells != p.cells:
+            m = index.get(q)
+            if m is None or m == k or m in seen or involution_partner(q, ctx) != p:
                 return None
         except ValueError:
             return None
@@ -471,32 +424,6 @@ def _pairing(paths, weights, ctx):
     return tuple(sorted(pairing))
 
 
-def _build_census(paths, ctx):
-    weights = tuple(path_weight(p, ctx) for p in paths)
-    # the sign-reversing pairing is defined on parenthesized-word cells only
-    cell_words = not paths or isinstance(paths[0].cells[0], CellWord)
-    pairing = _pairing(paths, weights, ctx) if cell_words else None
-    return PathCensus(tuple(paths), weights, pairing, sum(weights))
-
-
-def morse_incidence(sigma, tau, ctx):
-    """Morse-complex incidence between critical cells, with a path census.
-
-    The value sums w(c) over all alternating paths plus the direct facet
-    incidence when tau is a facet of sigma.
-    """
-    if ctx.up(sigma) is not None or ctx.down(sigma) is not None:
-        raise ValueError("sigma is not critical")
-    if ctx.up(tau) is not None or ctx.down(tau) is not None:
-        raise ValueError("tau is not critical")
-    if ctx.dim_of(sigma) != ctx.dim_of(tau) + 1:
-        raise ValueError("dim(sigma) must equal dim(tau) + 1")
-    paths, direct = alternating_paths_from(sigma, ctx, (tau,))
-    plist = paths.get(tau, [])
-    value = direct.get(tau, 0) + sum(path_weight(p, ctx) for p in plist)
-    return value, _build_census(plist, ctx)
-
-
 def path_censuses(certificate):
     """The path census of every pair of critical cells (sigma, tau) with
     dim sigma = dim tau + 1 that at least one alternating path joins, keyed
@@ -504,8 +431,10 @@ def path_censuses(certificate):
 
     The certificate of validate_acyclic holds the matching, acyclic so that
     every walk ends, and the matching its complex; paths are walked on cell
-    keys through ComplexMatchContext.  The census totals are the path parts
-    of the Morse incidences that morse_complex computes by reduction.
+    keys through ComplexMatchContext.  The Morse incidence of tau in sigma,
+    which morse_complex computes by reduction, is the census total plus the
+    direct incidence, the sign of tau in ctx.facets(sigma) or 0.  The
+    sign-reversing pairing is defined on cell words; on other keys it is None.
     """
     ctx = ComplexMatchContext(certificate)
     cx, matching = ctx.cx, ctx.matching
@@ -516,9 +445,11 @@ def path_censuses(certificate):
             continue
         for j in matching.critical.get(d, ()):
             sigma = cx.cells[d][j]
-            paths, _ = alternating_paths_from(sigma, ctx, targets)
-            for tau, plist in paths.items():
-                censuses[(sigma, tau)] = _build_census(plist, ctx)
+            for tau, paths in alternating_paths_from(sigma, ctx, targets).items():
+                paths = tuple(paths)
+                weights = tuple(path_weight(p, ctx) for p in paths)
+                pairing = _pairing(paths, weights, ctx) if isinstance(sigma, CellWord) else None
+                censuses[(sigma, tau)] = PathCensus(paths, weights, pairing, sum(weights))
     return censuses
 
 
@@ -542,7 +473,7 @@ def morse_complex(certificate):
     pair order, and every other face after all pairs, so every cell is taken
     off once, after all its contributions.  Each entry
     is therefore the direct incidence plus the weights of all alternating
-    paths from sigma to tau, the value of morse_incidence, without listing
+    paths from sigma to tau, as path_censuses counts them, without listing
     a path.  homology checks d o d = 0 on the result before its SNF.
     """
     matching = certificate.matching

@@ -474,18 +474,18 @@ def maximal_chain_complex(P, cap=DEFAULT_CAP):
     """Hom(P) = Hom(C_m, P) for a graded poset P of rank m.
 
     Vertices are the maximal chains of P.  For a product of chains (a
-    chain_spec with nondecreasing lengths, as product and ideal_lattice tag
-    it) the cubical cell-word model is used; otherwise the complex is built
-    generically from strict maps, and checked cubical when P is tagged a
-    product of chains or an ideal lattice.
+    chain_spec, as chain, product and ideal_lattice tag it, its lengths in
+    any order) the cubical cell-word model of the sorted spec is used: the
+    factors of a product may be permuted.  Otherwise the complex is built
+    generically from strict maps, and checked cubical when P is tagged an
+    ideal lattice.
     """
     if not isinstance(P, GradedPoset):
         raise ValueError("maximal_chain_complex needs a graded poset")
-    spec = P.chain_spec
-    if spec is not None and all(a <= b for a, b in zip(spec, spec[1:])):
-        return chain_product_complex(as_spec(spec), cap=cap)
+    if P.chain_spec is not None:
+        return chain_product_complex(as_spec(sorted(P.chain_spec)), cap=cap)
     cx = hom_complex_generic(chain(P.top_rank), P, cap=cap)
-    if P.ideal_masks is not None or spec is not None:
+    if P.ideal_masks is not None:
         _assert_cubical(cx)
     return cx
 

@@ -277,38 +277,26 @@ def fiber_trace(spec, cell):
 
 
 class SpecMatchContext:
-    """Facet/matching oracle for Hom(spec) that never materializes the complex.
-
-    Cells are CellWord keys.  Faces and their signs come from
-    words.signed_faces; matched partners come from each cell's outcome.
-    Suitable for alternating-path computations in complexes too large to
-    store.
+    """The match oracle on CellWord keys of Hom(spec), which never builds
+    the complex: facets(cell) lists its (face, sign) pairs, from
+    words.signed_faces, and up(cell) is its up-partner, from its outcome,
+    or None.  Suitable for alternating-path computations in complexes too
+    large to store.
     """
 
     def __init__(self, spec):
         self.spec = as_spec(spec)
         self._cache = {}
 
-    def _outcome(self, cell):
-        got = self._cache.get(cell)
-        if got is None:
-            mask = sum(1 << p for p in cell.pairs)
-            got = self._cache[cell] = _classify(_schedule(cell.word, descent_set(cell.word)), mask)
-        return got
-
     def facets(self, cell):
         return signed_faces(cell)
 
-    def dim_of(self, cell):
-        return cell.dim
-
     def up(self, cell):
-        out = self._outcome(cell)
+        out = self._cache.get(cell)
+        if out is None:
+            mask = sum(1 << p for p in cell.pairs)
+            out = self._cache[cell] = _classify(_schedule(cell.word, descent_set(cell.word)), mask)
         return _partner(cell, out) if out > 0 else None
-
-    def down(self, cell):
-        out = self._outcome(cell)
-        return _partner(cell, out) if out < 0 else None
 
 
 # -- structural checks ------------------------------------------------------

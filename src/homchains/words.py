@@ -42,9 +42,12 @@ class ChainSpec:
         return sum(self.i)
 
     def multinomial(self):
-        out = math.factorial(self.ell)
+        """The number of words, ell! / (i_1! ... i_n!), as a product of
+        binomials: C(ell, i_1) C(ell - i_1, i_2) ..., with no factorial of ell."""
+        out, rest = 1, self.ell
         for v in self.i:
-            out //= math.factorial(v)
+            out *= math.comb(rest, v)
+            rest -= v
         return out
 
     def sorted_word(self):
@@ -257,8 +260,9 @@ def enumerate_words(spec, cap=DEFAULT_CAP):
     so the word length is not bounded by the recursion limit.
     """
     spec = as_spec(spec)
-    if spec.multinomial() > cap:
-        raise CapExceeded(f"{spec.multinomial()} words exceed the cap {cap}")
+    count = spec.multinomial()
+    if count > cap:
+        raise CapExceeded(f"{count} words exceed the cap {cap}")
     w = list(spec.sorted_word())
     while True:
         yield tuple(w)

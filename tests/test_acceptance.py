@@ -143,10 +143,10 @@ def test_criterion_05_optimality():
         for census in art["censuses"].values():
             assert census.total == 0
             assert census.pairing is not None, spec
-            total_paths += census.count
+            total_paths += len(census.paths)
             for i, j in census.pairing:
                 assert census.weights[i] * census.weights[j] == -1
-                assert abs(len(census.paths[i].cells) - len(census.paths[j].cells)) == 2
+                assert abs(len(census.paths[i]) - len(census.paths[j])) == 2
         h, hm = art["homology"], art["morse_homology"]
         assert h.betti == hm.betti and h.torsion == hm.torsion, spec
     dt = time.perf_counter() - t0

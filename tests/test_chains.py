@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from homchains import (
     AcyclicityError,
-    AlternatingPath,
     CellComplex,
     ComplexMatchContext,
     FinitePoset,
@@ -27,7 +26,6 @@ from homchains import (
     involution_partner,
     match_product_of_chains,
     morse_complex,
-    morse_incidence,
     parse_cellword,
     path_censuses,
     render_cellword,
@@ -418,22 +416,16 @@ def test_morse_incidence_with_direct_and_path_terms():
     cx, m = interval_matching()
     cert = validate_acyclic(m)
     ctx = ComplexMatchContext(cert)
-    v_direct, census = morse_incidence("e12", "v2", ctx)
-    assert v_direct == 1 and census.count == 0 and census.total == 0
-    v_path, census = morse_incidence("e12", "v0", ctx)
-    assert v_path == -1 and census.count == 1
+    # v2 is a face of e12 that no path reaches, v0 one path's end and no face
+    assert dict(ctx.facets("e12")) == {"v1": -1, "v2": 1}
+    censuses = path_censuses(cert)
+    assert list(censuses) == [("e12", "v0")]
+    census = censuses[("e12", "v0")]
+    assert census.paths == (("e12", "v1", "e01", "v0"),)
+    assert census.weights == (-1,) and census.total == -1 and census.pairing is None
     mc = morse_complex(cert)
     assert dense(mc.boundary[1], 2) == [[-1], [1]]
     assert homology(mc).betti == (1, 0) == tuple(homology(cx).betti)
-
-
-def test_morse_incidence_rejects_bad_input():
-    _, m = interval_matching()
-    ctx = ComplexMatchContext(validate_acyclic(m))
-    with pytest.raises(ValueError):
-        morse_incidence("e01", "v0", ctx)  # e01 is matched
-    with pytest.raises(ValueError):
-        morse_incidence("v0", "v2", ctx)  # dimension mismatch
 
 
 def shuffled_covers(cx, rng):
@@ -477,15 +469,18 @@ def test_morse_complex_equals_path_sums_on_random_matchings():
             cert = validate_acyclic(m)
             mc = morse_complex(cert)
             ctx = ComplexMatchContext(cert)
+            censuses = path_censuses(cert)
             by_paths = False
             for d in range(1, cx.dim + 1):
                 entries = dense(mc.boundary[d], len(mc.cells[d - 1]))
                 assert 0 not in mc.boundary[d].sgn
                 for c, sigma in enumerate(mc.cells[d]):
+                    direct = dict(ctx.facets(sigma))
                     for r, tau in enumerate(mc.cells[d - 1]):
-                        value, census = morse_incidence(sigma, tau, ctx)
-                        assert entries[r][c] == value
-                        by_paths |= census.total != 0
+                        census = censuses.get((sigma, tau))
+                        total = 0 if census is None else census.total
+                        assert entries[r][c] == direct.get(tau, 0) + total
+                        by_paths |= total != 0
             n_matchings += 1
             n_nonzero += any(t.idx for t in mc.boundary.values())
             n_by_paths += by_paths
@@ -527,7 +522,7 @@ def test_morse_complex_homology_matches_full():
         assert h_full.betti == h_morse.betti
         assert h_full.torsion_free and h_morse.torsion_free
         for census in censuses.values():
-            assert census.count > 0
+            assert len(census.paths) > 0
             assert census.total == 0
             assert census.pairing is not None
             assert len(census.paths) % 2 == 0
@@ -556,23 +551,21 @@ def test_paper_alternating_path_involution():
     # the displayed path pair between critical cells of Hom(B_9)
     ctx = SpecMatchContext((1,) * 9)
     pc = parse_cellword
-    c = AlternatingPath(tuple(pc(s) for s in [
+    c = tuple(pc(s) for s in [
         "7(63)9(81)5(42)", "7(63)9(81)542", "7(63)9(81)(54)2",
         "7(63)918(54)2", "7(63)(91)8(54)2", "7(63)198(54)2",
-        "7(63)1(98)(54)2", "7(63)189(54)2"]))
-    c_prime = AlternatingPath(tuple(pc(s) for s in [
+        "7(63)1(98)(54)2", "7(63)189(54)2"])
+    c_prime = tuple(pc(s) for s in [
         "7(63)9(81)5(42)", "7(63)9(81)542", "7(63)9(81)(54)2",
         "7(63)981(54)2", "7(63)(98)1(54)2", "7(63)891(54)2",
         "7(63)8(91)(54)2", "7(63)819(54)2", "7(63)(81)9(54)2",
-        "7(63)189(54)2"]))
+        "7(63)189(54)2"])
     for path in (c, c_prime):
-        for i in range(path.t):
-            a, u = path.cells[1 + 2 * i], path.cells[2 + 2 * i]
+        for a, u in zip(path[1:-1:2], path[2:-1:2]):
             assert ctx.up(a) == u
-    assert involution_partner(c, ctx).cells == c_prime.cells
-    assert involution_partner(c_prime, ctx).cells == c.cells
-    assert abs(c.t - c_prime.t) == 1
-    assert len(c_prime.cells) - len(c.cells) == 2
+    assert involution_partner(c, ctx) == c_prime
+    assert involution_partner(c_prime, ctx) == c
+    assert len(c_prime) - len(c) == 2  # one matched step more
     assert path_weight(c, ctx) * path_weight(c_prime, ctx) == -1
 
 
@@ -601,5 +594,5 @@ def test_morse_complex_census_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert len(critical_cells(m)[1]) == 351 and len(critical_cells(m)[2]) == 350
-    assert max(c.paths[k].t for c in censuses.values() for k in range(c.count)) == 17
+    assert max((len(p) - 2) // 2 for c in censuses.values() for p in c.paths) == 17
     assert all(c.pairing is not None and c.total == 0 for c in censuses.values())

@@ -73,33 +73,23 @@ def test_build_poset_long_chain(tmp_path, capsys):
     assert "f-vector: (1,)" in out
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+# one line per golden file: its name, then the argv that prints it, with
+# paths relative to the repository root; CI diffs the same commands
+MANIFEST = [(name, tuple(argv)) for name, *argv in
+            map(str.split, (GOLDEN / "MANIFEST").read_text().splitlines())]
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("report-11111.json", ("report", "--spec", "1,1,1,1,1")),
-    ("match-222-pairs-critical.json",
-     ("match", "--spec", "2,2,2", "--emit-pairs", "--emit-critical", "--format", "json")),
-    ("verify-222-all.txt", ("verify", "--spec", "2,2,2", "--suite", "all")),
-    ("verify-222-all.json", ("verify", "--spec", "2,2,2", "--suite", "all", "--format", "json")),
-    ("build-zigzag5.json",
-     ("build", "--poset", str(Path(__file__).parent / "data" / "zigzag5.poset"),
-      "--format", "json")),
-    ("report-111111.json", ("report", "--spec", "1,1,1,1,1,1")),
-    ("verify-2223.txt", ("verify", "--suite", "cubicality,acyclicity,bijection,zero-incidence",
-                         "--spec", "2,2,2,3")),
-    ("report-1111111.json", ("report", "--spec", "1,1,1,1,1,1,1")),
-    ("match-2223.json", ("match", "--spec", "2,2,2,3", "--format", "json")),
-    ("verify-2223-homology.txt", ("verify", "--suite", "torsion-free,euler",
-                                  "--spec", "2,2,2,3")),
-])
-def test_output_matches_golden_file(capsys, name, argv):
+@pytest.mark.parametrize("name, argv", MANIFEST)
+def test_output_matches_golden_file(capsys, monkeypatch, name, argv):
+    monkeypatch.chdir(ROOT)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text()
 
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py is not in this checkout")

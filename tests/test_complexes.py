@@ -448,7 +448,9 @@ def test_ideal_lattice_of_shuffled_chains_is_tagged(lengths, data):
     L = ideal_lattice(P)
     assert L.chain_spec == tuple(len(b) for b in sorted(blocks))
     generic = hom_complex_generic(chain(n), L)
-    assert maximal_chain_complex(L).f_vector() == generic.f_vector()
+    built = maximal_chain_complex(L)
+    assert built.word_table is not None  # the cell-word model of the sorted spec
+    assert built.f_vector() == generic.f_vector()
 
 
 def test_ideal_lattice_of_the_empty_poset_is_a_point():

@@ -117,6 +117,17 @@ def test_enumerate_words_counts():
     assert ChainSpec((2, 2, 2)).multinomial() == math.factorial(6) // 8
 
 
+def test_word_count_takes_no_factorial_of_the_length(monkeypatch):
+    # the cap check counts words as a product of binomials
+    def no_factorial(n):
+        raise AssertionError(f"factorial({n})")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    assert ChainSpec((2, 2, 2)).multinomial() == 90
+    words = list(enumerate_words((2, 2, 2)))
+    assert len(words) == 90 and words[0] == (1, 1, 2, 2, 3, 3)
+
+
 def test_enumerate_words_lexicographic():
     ws = list(enumerate_words((1, 2)))
     assert ws == sorted(ws)
