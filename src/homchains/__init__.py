@@ -39,13 +39,13 @@ from .words import (
 )
 from .complexes import (
     CellComplex,
-    cellword_multihoms,
     cellword_to_multihom,
     chain_product_complex,
     hom_complex_generic,
     is_cubical,
     maximal_chain_complex,
     verify_fold_consequence,
+    word_ideals,
 )
 from .morse import (
     AcyclicityError,

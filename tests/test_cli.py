@@ -10,12 +10,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homchains
 from homchains.cli import main
 from homchains.posets import format_poset_text
 from homchains import (
+    CellWord,
+    cellword_to_multihom,
     chain_product_complex,
+    is_cubical,
     match_product_of_chains,
     parse_cellword,
     product_of_chains,
@@ -503,3 +507,98 @@ def test_internal_check_failure_is_one_line(capsys, monkeypatch):
     code, _, err = run(capsys, "match", "--spec", "1,1,1")
     assert code == 1
     assert err == "error: internal check failed: matching is not an involution\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=7)
+       .map(sorted).filter(lambda spec: sum(spec) <= 7), st.data())
+def test_cubicality_suite_equals_is_cubical_on_every_image(spec, data):
+    from homchains import cli, complexes
+
+    cx = chain_product_complex(spec)
+    verdicts = [is_cubical(cellword_to_multihom(cw, spec))
+                for cw in cx.word_table.cells_by_word()]
+    assert cli._cubicality(cx) == (all(verdicts), f"{len(verdicts)} cells checked")
+    # the mask rule is is_cubical on the spliced image for any mask, not only a cell's
+    ell = sum(spec)
+    word = data.draw(st.sampled_from(cx.word_table.words))
+    mask = data.draw(st.integers(0, (1 << ell) - 1)) & ~1
+    pairs = tuple(p for p in range(1, ell) if mask >> p & 1)
+    vertex, joined = complexes.word_ideals(word, spec)
+    doubled = sum(1 << p for p, c in enumerate(joined) if c is not None and len(c) == 2)
+    rule = not mask & ~doubled and not mask & (mask >> 1)
+    assert rule == is_cubical(cellword_to_multihom(CellWord(word, pairs), spec))
+
+
+def test_cubicality_fails_on_a_joined_coordinate_of_three_ideals(capsys, monkeypatch):
+    from homchains import complexes
+
+    real = complexes.word_ideals
+
+    def three_ideals(word, spec):
+        vertex, joined = real(word, spec)
+        return vertex, [None] + [c + c[:1] for c in joined[1:]]
+
+    monkeypatch.setattr(complexes, "word_ideals", three_ideals)
+    code, out, err = run(capsys, "verify", "--spec", "1,1,1", "--suite", "cubicality")
+    assert (code, out, err) == (1, "cubicality: FAIL (non-cubical cell 1(32))\n", "")
+
+
+def tamper_last_word(monkeypatch, change):
+    """After the matching is built, give the last word of the complex the
+    Placements that change(Placements) returns."""
+    from homchains import morse
+
+    real = morse.match_product_of_chains
+
+    def tampered(cx):
+        matching = real(cx)
+        cx.word_table.placements[-1] = change(cx.word_table.placements[-1])
+        return matching
+
+    monkeypatch.setattr(morse, "match_product_of_chains", tampered)
+
+
+def test_cubicality_fails_on_two_adjacent_pairs(capsys, monkeypatch):
+    # the one 2-cell of 4321 is (43)(21); pairs at 1 and 2 overlap instead
+    tamper_last_word(monkeypatch, lambda info: info._replace(
+        by_dim=info.by_dim[:2] + (((1, 2),),), masks=info.masks[:2] + ((0b110,),)))
+    code, out, _ = run(capsys, "verify", "--spec", "1,1,1,1", "--suite", "cubicality")
+    cell = render_cellword(CellWord((4, 3, 2, 1), (1, 2)))
+    assert (code, out) == (1, f"cubicality: FAIL (non-cubical cell {cell})\n")
+
+
+def test_cubicality_fails_unless_it_decides_every_cell(capsys, monkeypatch):
+    tamper_last_word(monkeypatch, lambda info: info._replace(
+        by_dim=info.by_dim[:2], masks=info.masks[:2]))
+    code, out, _ = run(capsys, "verify", "--spec", "1,1,1,1", "--suite", "cubicality")
+    assert (code, out) == (1, "cubicality: FAIL (65 cells checked of 66)\n")
+
+
+def test_bijection_failure_names_the_first_differing_cell(capsys, monkeypatch):
+    from homchains import morse
+
+    real = morse.critical_cells
+    critical = [c for v in real(match_product_of_chains(chain_product_complex((1, 1, 1)))).values()
+                for c in v]
+    first = min(critical)
+
+    def one_short(matching):
+        return {d: [c for c in v if c != first] for d, v in real(matching).items()}
+
+    monkeypatch.setattr(morse, "critical_cells", one_short)
+    code, out, _ = run(capsys, "verify", "--spec", "1,1,1", "--suite", "bijection")
+    assert (code, out) == (1, f"bijection: FAIL ({len(critical) - 1} critical cells; "
+                              f"{render_cellword(first)} is critical only by the word rule)\n")
+
+
+@pytest.mark.parametrize("argv", [("report", "--spec", "1,1,1"), ("build", "--spec", "1,1")])
+def test_memory_error_is_one_error_line(capsys, monkeypatch, argv):
+    from homchains import complexes
+
+    def exhausted(spec, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(complexes, "chain_product_complex", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: out of memory\n")

@@ -11,7 +11,6 @@ from homchains import (
     FinitePoset,
     GradedPoset,
     antichain,
-    cellword_multihoms,
     cellword_to_multihom,
     chain,
     chain_product_complex,
@@ -29,6 +28,7 @@ from homchains import (
     render_cellword,
     signed_faces,
     verify_fold_consequence,
+    word_ideals,
 )
 from homchains import complexes
 from homchains.complexes import _assert_cubical, _strict_maps
@@ -170,7 +170,6 @@ def test_bulk_map_equals_per_position_reference(spec):
     cx = chain_product_complex(spec)
     for cells in cx.cells.values():
         want = [_reference_multihom(cw, spec) for cw in cells]
-        assert list(cellword_multihoms(cells, spec)) == want
         assert [cellword_to_multihom(cw, spec) for cw in cells] == want
 
 
@@ -183,7 +182,11 @@ def test_overlapping_pairs_map_to_a_non_cubical_cell():
 
 def test_bulk_map_rejects_bad_input():
     with pytest.raises(ValueError, match="content"):
-        list(cellword_multihoms([parse_cellword("12"), parse_cellword("112")], (1, 1)))
+        cellword_to_multihom(parse_cellword("112"), (1, 1))
+    with pytest.raises(ValueError, match="content"):
+        word_ideals((1, 1, 2), (1, 1))
+    with pytest.raises(ValueError, match="outside alphabet"):
+        word_ideals((1, 3), (1, 1))
     with pytest.raises(ValueError, match="out of range"):
         cellword_to_multihom(CellWord((2, 1), (2,)), (1, 1))
 
