@@ -28,10 +28,8 @@ from .words import (
     as_spec,
     cellword,
     count_critical_rst,
-    critical_cellword_from_word,
-    critical_dimension,
-    decompose_descents,
-    descent_set,
+    critical_pairs,
+    descents,
     enumerate_words,
     parse_cellword,
     render_cellword,

@@ -25,6 +25,10 @@ complexes.is_cubical on the cell's image.  On (2,2,2,3) the suite takes
 about 0.09 s for 72,750 cells, 0.06 s of it in the 7,560 bridge calls,
 where an image and an is_cubical call per cell took 0.28 s.
 
+The `bijection` suite (_bijection) reads each word's descents from the word
+table and compares (dimension, index) pairs, building a cell key only to
+name a failure: 0.004 s on (2,2,2,3) and 0.03 s on B_8.
+
 Exit codes: 0 pass, 1 verification failure or failed internal check (a
 complex or matching that validate_acyclic cannot certify included, as in a
 `report` on a matching with an alternating cycle), 2 usage, cap or
@@ -236,6 +240,34 @@ def _cubicality(cx):
     return True, f"{checked} cells checked"
 
 
+def _bijection(matching):
+    """(ok, detail) of the bijection suite: the cells critical by the paper's
+    run rule (words.critical_pairs of each word's descents in the word
+    table) against those the matching leaves unmatched, as (dimension,
+    index); cell keys are built only to name a failure."""
+    cx = matching.cx
+    table = cx.word_table
+    by_matching = {(d, i) for d, v in matching.critical.items() for i in v}
+    detail = f"{len(by_matching)} critical cells"
+    by_rule = set()
+    for k, info in enumerate(table.placements):
+        pairs = words.critical_pairs(info.descents)
+        if pairs is None:
+            continue
+        mask = sum(1 << p for p in pairs)
+        r = info.rank.get(mask)
+        if r is None or mask.bit_count() != len(pairs):  # no placement of the word
+            word = "".join(map(words._render_letter, table.words[k]))
+            return False, f"{detail}; the word rule puts pairs at {pairs} in {word}, no cell"
+        by_rule.add((len(pairs), table.starts[len(pairs)][k] + r))
+    if by_rule != by_matching:
+        d, i = min(by_rule ^ by_matching, key=lambda c: cx.cells[c[0]][c[1]])
+        cell = words.render_cellword(cx.cells[d][i])
+        side = "the word rule" if (d, i) in by_rule else "the matching"
+        return False, f"{detail}; {cell} is critical only by {side}"
+    return True, detail
+
+
 def _suite_results(args, names):
     """Run verification suites for a chain spec; yields (name, ok, detail)."""
     spec = args.spec
@@ -252,16 +284,7 @@ def _suite_results(args, names):
             except morse.AcyclicityError as exc:
                 results.append((name, False, str(exc)))
         elif name == "bijection":
-            from_words = {
-                words.critical_cellword_from_word(w)
-                for w in cx.word_table.words if words.decompose_descents(w).valid}
-            from_matching = {c for v in morse.critical_cells(matching).values() for c in v}
-            detail = f"{len(from_matching)} critical cells"
-            if from_words != from_matching:
-                first = min(from_words ^ from_matching)
-                side = "the word rule" if first in from_words else "the matching"
-                detail += f"; {words.render_cellword(first)} is critical only by {side}"
-            results.append((name, from_words == from_matching, detail))
+            results.append((name, *_bijection(matching)))
         elif name == "zero-incidence":
             ok = not any(t.idx for t in run.morse_complex.boundary.values())
             results.append((name, ok, "all Morse boundaries zero" if ok else "nonzero entry"))
@@ -317,15 +340,13 @@ def cmd_report(args):
 
 
 def cmd_euler(args):
-    entries = euler.euler_table(args.n_max)
+    table = euler.euler_table(args.n_max)
     if args.format == "json":
-        payload = {"schema": SCHEMA,
-                   "chi": {str(e.n): e.chi for e in entries if e.method == "formula"}}
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, "chi": {str(n): chi for n, chi in table}},
+                         sort_keys=True))
     else:
-        for e in entries:
-            if e.method == "formula":
-                print(f"chi_{e.n} = {e.chi}")
+        for n, chi in table:
+            print(f"chi_{n} = {chi}")
     return 0
 
 
@@ -335,7 +356,8 @@ def _parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, fmt=True):
-        p.add_argument("--max-cells", type=_positive, default=words.DEFAULT_CAP)
+        p.add_argument("--max-cells", type=_positive, default=words.DEFAULT_CAP,
+                       help="cap on the cells and on the letters of one word")
         if fmt:
             p.add_argument("--format", choices=("json", "table"), default="table")
 

@@ -179,15 +179,6 @@ class WordTable:
             pass
         raise KeyError(cell)
 
-    def cells_by_word(self):
-        """Every cell of the complex as a CellWord: words in lexicographic
-        order, each word's cells by dimension, each dimension's placements
-        in lexicographic order."""
-        for w, info in zip(self.words, self.placements):
-            for ps in info.by_dim:
-                for pairs in ps:
-                    yield CellWord(w, pairs)
-
 
 class WordCells(Sequence):
     """The d-cells of a spec complex: a read-only sequence of CellWord keys
@@ -251,17 +242,19 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     reads each matched partner from this order.
     """
     spec = as_spec(spec)
-    words, infos = [], []
-    starts = [array("i") for _ in range(spec.ell // 2 + 1)]
-    for w, start, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
+    words, infos, starts, sizes = [], [], [], []
+    for w, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
+        for d in range(len(starts), len(info.by_dim)):  # a dimension met first here
+            starts.append(array("i", [0]) * len(words))
+            sizes.append(0)
         words.append(w)
         infos.append(info)
         for d, out in enumerate(starts):
-            out.append(start[d] if d < len(start) else 0)
-    last = infos[-1].by_dim
-    sizes = [out[-1] + (len(last[d]) if d < len(last) else 0) for d, out in enumerate(starts)]
-    table = WordTable(spec, words, infos, {d: starts[d] for d, n in enumerate(sizes) if n})
-    idx = {d: array("i") for d in table.starts if d}
+            out.append(sizes[d])
+        for d, ps in enumerate(info.by_dim):
+            sizes[d] += len(ps)
+    table = WordTable(spec, words, infos, starts)
+    idx = {d: array("i") for d in range(1, len(starts))}
     for k, (w, info) in enumerate(zip(words, infos)):
         alpha = {}
         for p in info.descents:
@@ -284,7 +277,7 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
         n = sizes[d]
         faces[d] = FaceTable(array("i", range(0, 2 * d * n + 1, 2 * d)), out,
                              _sign_block(d) * n)
-    cells = {d: WordCells(table, d, sizes[d]) for d in table.starts}
+    cells = {d: WordCells(table, d, n) for d, n in enumerate(sizes)}
     return CellComplex.from_faces(cells, faces, word_table=table)
 
 

@@ -6,7 +6,6 @@ All arithmetic is exact; n! overflows fixed-width integers already at n = 21.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def f_vector_bn(n, k):
@@ -53,23 +52,14 @@ def euler_closed_form(n):
     return num // den
 
 
-@dataclass(frozen=True)
-class EulerEntry:
-    n: int
-    chi: int
-    method: str  # formula | recursion | closed_form
-
-
 def euler_table(n_max):
-    """One entry per n and method; raises if the three methods ever disagree."""
+    """((n, chi_n), ...) for n = 1..n_max; raises AssertionError if the
+    formula, the recursion and the closed form ever disagree."""
     out = []
     for n in range(1, n_max + 1):
-        values = {
-            "formula": euler_formula(n),
-            "recursion": euler_recursion(n),
-            "closed_form": euler_closed_form(n),
-        }
-        if len(set(values.values())) != 1:
-            raise AssertionError(f"Euler methods disagree at n = {n}: {values}")
-        out.extend(EulerEntry(n, chi, method) for method, chi in values.items())
+        values = (euler_formula(n), euler_recursion(n), euler_closed_form(n))
+        if len(set(values)) != 1:
+            raise AssertionError(f"Euler methods disagree at n = {n}: formula, recursion "
+                                 f"and closed form give {values}")
+        out.append((n, values[0]))
     return tuple(out)

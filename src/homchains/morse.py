@@ -44,7 +44,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from .words import CellWord, as_spec, check_content, descent_set, signed_faces
+from .words import CellWord, as_spec, check_content, descents, signed_faces
 
 
 def loop_schedule(spec):
@@ -88,7 +88,7 @@ def _classify(schedule, mask):
 def _trace(word, pairs, spec):
     """A cell's outcome (_classify) and its (r, s, j, klass) row for each
     loop it reaches: every loop up to the one that classifies it `a`."""
-    out = _classify(_schedule(word, descent_set(word)), sum(1 << p for p in pairs))
+    out = _classify(_schedule(word, descents(word)), sum(1 << p for p in pairs))
     rows = []
     for r, s in loop_schedule(spec):
         j = [p for p, x in enumerate(word, start=1) if x == r][s - 1]
@@ -295,7 +295,7 @@ class SpecMatchContext:
         out = self._cache.get(cell)
         if out is None:
             mask = sum(1 << p for p in cell.pairs)
-            out = self._cache[cell] = _classify(_schedule(cell.word, descent_set(cell.word)), mask)
+            out = self._cache[cell] = _classify(_schedule(cell.word, descents(cell.word)), mask)
         return _partner(cell, out) if out > 0 else None
 
 
@@ -344,7 +344,7 @@ def check_critical_structure(matching):
         for cw in cells:
             word = cw.word
             ell = len(word)
-            des = descent_set(word)
+            des = set(descents(word))
             pairset = set(cw.pairs)
             joined = set()
             for p in cw.pairs:

@@ -4,6 +4,12 @@ Positions are 1-based throughout.  A cell of the maximal-chain complex of a
 product of chains is a word over {1, ..., n} (letter j appearing i_j times)
 together with disjoint joined pairs of adjacent positions, each pair holding
 a strictly descending pair of letters.
+
+Each fact of a word has one function: descents, placements (of pairs among
+the descents) and critical_pairs (the paper's run rule).  word_placements
+computes the descents once per word, and the word table of a spec complex
+keeps them, so the `bijection` suite of `verify` only applies
+critical_pairs to them: 0.004 s for the 7,560 words of (2,2,2,3).
 """
 
 from __future__ import annotations
@@ -190,62 +196,31 @@ def signed_faces(cw):
 # -- descents -------------------------------------------------------------
 
 
-def descent_set(word):
-    """Positions j (1-based) with word[j] > word[j+1]."""
-    return frozenset(j for j in range(1, len(word)) if word[j - 1] > word[j])
+def descents(word):
+    """The positions j (1-based) with word[j - 1] > word[j], in increasing order."""
+    return tuple(j for j in range(1, len(word)) if word[j - 1] > word[j])
 
 
-@dataclass(frozen=True)
-class DescentDecomposition:
-    """Des(w) as maximal runs {m_t, ..., m_t + q_t} of consecutive descents."""
+def critical_pairs(descents):
+    """The pairs of the critical cell of a word with these descents, or None.
 
-    intervals: tuple
-    valid: bool
-
-    @property
-    def starts(self):
-        return tuple(m for m, _ in self.intervals)
-
-
-def decompose_descents(word):
-    """Maximal-run decomposition; valid iff every run length q_t is 1 or 2 mod 3."""
-    des = sorted(descent_set(word))
-    intervals = []
-    k = 0
-    while k < len(des):
-        m = des[k]
-        q = 0
-        while k + 1 < len(des) and des[k + 1] == des[k] + 1:
-            q += 1
-            k += 1
-        intervals.append((m, q))
-        k += 1
-    valid = all(q % 3 != 0 for _, q in intervals)
-    return DescentDecomposition(tuple(intervals), valid)
-
-
-def critical_dimension(dec):
-    """Sum of ceil(q_t / 3) over the runs of a valid decomposition."""
-    if not dec.valid:
-        raise ValueError("descent decomposition is not of critical form")
-    return sum(-(-q // 3) for _, q in dec.intervals)
-
-
-def critical_cellword_from_word(word):
-    """The critical cell with the given underlying word: pairs at m_t + 3j + 1.
-
-    Requires a valid descent decomposition; within each run the joined pairs
-    sit at positions (m_t + 3j + 1, m_t + 3j + 2), leaving every third entry
-    free, matching the structure forced by the matching algorithm.
+    The descents split into maximal runs {m, ..., m + q} of consecutive
+    positions.  The word has a critical cell iff q is not 0 mod 3 for every
+    run, and the cell's pairs sit at m + 3j + 1 for 0 <= j < ceil(q / 3):
+    every third descent of a run is free, starting with m.
     """
-    dec = decompose_descents(word)
-    if not dec.valid:
-        raise ValueError("word has no critical cell: invalid descent decomposition")
     pairs = []
-    for m, q in dec.intervals:
-        for j in range(-(-q // 3)):
-            pairs.append(m + 3 * j + 1)
-    return cellword(word, pairs)
+    k = 0
+    while k < len(descents):
+        m = descents[k]
+        while k + 1 < len(descents) and descents[k + 1] == descents[k] + 1:
+            k += 1
+        q = descents[k] - m
+        if q % 3 == 0:
+            return None
+        pairs.extend(range(m + 1, m + q + 1, 3))
+        k += 1
+    return tuple(pairs)
 
 
 # -- enumeration ----------------------------------------------------------
@@ -257,9 +232,13 @@ def enumerate_words(spec, cap=DEFAULT_CAP):
     Steps from the sorted word by the next-permutation rule (Knuth's
     Algorithm L): swap the last ascent's left letter with the last letter
     greater than it, then reverse the suffix after it.  Nothing recurses,
-    so the word length is not bounded by the recursion limit.
+    so the word length is not bounded by the recursion limit.  Raises
+    CapExceeded, before any word is built, when the letters of one word or
+    the number of words exceed `cap`.
     """
     spec = as_spec(spec)
+    if spec.ell > cap:
+        raise CapExceeded(f"words of {spec.ell} letters exceed the cap {cap}")
     count = spec.multinomial()
     if count > cap:
         raise CapExceeded(f"{count} words exceed the cap {cap}")
@@ -321,29 +300,22 @@ def placements(descents):
 
 
 def word_placements(words, cap=DEFAULT_CAP):
-    """(word, start, Placements of its descents) for each word, in order.
+    """(word, Placements of its descents) for each word, in order.
 
-    start[d] counts the cells of dimension d of the words before this one,
-    which is where this word's d-cells begin in the sorted cells of Hom(spec)
-    when `words` are all the words of the spec in lexicographic order.
     Words with the same descent set share one Placements.  Raises
     CapExceeded before the word whose cells take the total past `cap`.
     """
     memo = {}
-    count = []
     total = 0
     for w in words:
-        des = tuple(p for p in range(1, len(w)) if w[p - 1] > w[p])
+        des = descents(w)
         info = memo.get(des)
         if info is None:
             info = memo[des] = placements(des)
         total += sum(map(len, info.by_dim))
         if total > cap:
             raise CapExceeded(f"cell enumeration exceeds the cap {cap}")
-        count.extend([0] * (len(info.by_dim) - len(count)))
-        yield w, tuple(count), info
-        for d, ps in enumerate(info.by_dim):
-            count[d] += len(ps)
+        yield w, info
 
 
 # -- critical cells of Hom(r, s, t) ---------------------------------------

@@ -121,11 +121,10 @@ def test_criterion_04_bijection():
                     else hc.match_product_of_chains(hc.chain_product_complex(spec)))
         from_words = {}
         for w in hc.enumerate_words(spec):
-            dec = hc.decompose_descents(w)
-            if dec.valid:
-                cw = hc.critical_cellword_from_word(w)
+            pairs = hc.critical_pairs(hc.descents(w))
+            if pairs is not None:
+                cw = hc.cellword(w, pairs)
                 from_words.setdefault(cw.dim, set()).add(cw)
-                assert cw.dim == hc.critical_dimension(dec)
         from_matching = {d: set(v) for d, v in hc.critical_cells(matching).items()}
         assert from_words == from_matching, spec
     dt = time.perf_counter() - t0

@@ -517,7 +517,7 @@ def test_cubicality_suite_equals_is_cubical_on_every_image(spec, data):
 
     cx = chain_product_complex(spec)
     verdicts = [is_cubical(cellword_to_multihom(cw, spec))
-                for cw in cx.word_table.cells_by_word()]
+                for cells in cx.cells.values() for cw in cells]
     assert cli._cubicality(cx) == (all(verdicts), f"{len(verdicts)} cells checked")
     # the mask rule is is_cubical on the spliced image for any mask, not only a cell's
     ell = sum(spec)
@@ -576,20 +576,45 @@ def test_cubicality_fails_unless_it_decides_every_cell(capsys, monkeypatch):
 
 
 def test_bijection_failure_names_the_first_differing_cell(capsys, monkeypatch):
-    from homchains import morse
+    # B_3 has the critical cells 123 and 3(21), of the descent sets () and (1, 2)
+    from homchains import words
 
-    real = morse.critical_cells
-    critical = [c for v in real(match_product_of_chains(chain_product_complex((1, 1, 1)))).values()
-                for c in v]
-    first = min(critical)
-
-    def one_short(matching):
-        return {d: [c for c in v if c != first] for d, v in real(matching).items()}
-
-    monkeypatch.setattr(morse, "critical_cells", one_short)
+    real = words.critical_pairs
+    monkeypatch.setattr(words, "critical_pairs", lambda des: None if des == () else real(des))
     code, out, _ = run(capsys, "verify", "--spec", "1,1,1", "--suite", "bijection")
-    assert (code, out) == (1, f"bijection: FAIL ({len(critical) - 1} critical cells; "
-                              f"{render_cellword(first)} is critical only by the word rule)\n")
+    assert (code, out) == (1, "bijection: FAIL (2 critical cells; "
+                              "123 is critical only by the matching)\n")
+    # (32)1 by the rule, 3(21) by the matching: the least by key is named
+    monkeypatch.setattr(words, "critical_pairs", lambda des: (1,) if des == (1, 2) else real(des))
+    code, out, _ = run(capsys, "verify", "--spec", "1,1,1", "--suite", "bijection")
+    assert (code, out) == (1, "bijection: FAIL (2 critical cells; "
+                              "(32)1 is critical only by the word rule)\n")
+
+
+@pytest.mark.parametrize("pairs", [(1, 2), (3,), (1, 1)])
+def test_bijection_fails_on_a_rule_placement_that_is_no_cell(capsys, monkeypatch, pairs):
+    from homchains import words
+
+    real = words.critical_pairs
+    monkeypatch.setattr(words, "critical_pairs", lambda des: pairs if des == (1, 2) else real(des))
+    code, out, err = run(capsys, "verify", "--spec", "1,1,1", "--suite", "bijection")
+    assert (code, err) == (1, "")
+    assert out == (f"bijection: FAIL (2 critical cells; the word rule puts pairs at {pairs} "
+                   "in 321, no cell)\n")
+
+
+def test_a_chain_longer_than_the_cap_fails_fast():
+    # 10^20 letters in one word: the cap check comes before the word is built
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from homchains.cli import main\n"
+             "sys.exit(main(['report', '--spec', '99999999999999999999']))\n")
+    src = str(Path(homchains.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [("report", "--spec", "1,1,1"), ("build", "--spec", "1,1")])

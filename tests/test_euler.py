@@ -51,10 +51,22 @@ def test_alternating_sums_match_formula():
 
 
 def test_table_contains_all_methods():
-    entries = euler_table(6)
-    assert len(entries) == 6 * 3
-    methods = {e.method for e in entries}
-    assert methods == {"formula", "recursion", "closed_form"}
+    # one (n, chi_n) per n, once the three methods agree on it
+    table = euler_table(6)
+    assert table == tuple((n, euler_formula(n)) for n in range(1, 7))
+    assert all(chi == euler_recursion(n) == euler_closed_form(n) for n, chi in table)
+
+
+def test_euler_command_fails_when_the_methods_disagree(monkeypatch, capsys):
+    from homchains import euler
+    from homchains.cli import main
+
+    monkeypatch.setattr(euler, "euler_recursion", lambda n: euler_formula(n) + (n == 3))
+    assert main(["euler", "--n-max", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal check failed: Euler methods disagree at n = 3")
 
 
 def test_betti_alternating_sum_matches_chi():

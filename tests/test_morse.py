@@ -13,13 +13,14 @@ from homchains import (
     FinitePoset,
     antichain,
     as_spec,
+    cellword,
     chain,
     chain_product_complex,
     check_critical_structure,
     check_fiber_monotonicity,
     critical_cells,
-    critical_cellword_from_word,
-    decompose_descents,
+    critical_pairs,
+    descents,
     enumerate_words,
     fiber_trace,
     hom_complex_generic,
@@ -215,8 +216,8 @@ def test_critical_cells_op():
 def test_bijection_small():
     for spec in [(1, 1, 1), (2, 2), (1, 1, 2), (1, 1, 1, 1), (2, 3)]:
         m = matching_of(spec)
-        from_words = {critical_cellword_from_word(w) for w in enumerate_words(spec)
-                      if decompose_descents(w).valid}
+        rule = {w: critical_pairs(descents(w)) for w in enumerate_words(spec)}
+        from_words = {cellword(w, ps) for w, ps in rule.items() if ps is not None}
         from_match = {c for v in critical_cells(m).values() for c in v}
         assert from_words == from_match
 

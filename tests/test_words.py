@@ -12,10 +12,8 @@ from homchains import (
     cellword,
     chain_product_complex,
     count_critical_rst,
-    critical_cellword_from_word,
-    critical_dimension,
-    decompose_descents,
-    descent_set,
+    critical_pairs,
+    descents,
     enumerate_words,
     parse_cellword,
     render_cellword,
@@ -51,11 +49,11 @@ def test_chainspec_validation():
 
 
 def test_descent_set_paper_examples():
-    assert descent_set(word_of("237649851")) == frozenset({3, 4, 6, 7, 8})
-    assert descent_set((1, 1, 2, 3)) == frozenset()
+    assert descents(word_of("237649851")) == (3, 4, 6, 7, 8)
+    assert descents((1, 1, 2, 3)) == ()
     # positions 6 and 7 hold equal letters, so 6 is not a (strict) descent
     w = word_of("22232116543213343235")
-    assert descent_set(w) == frozenset({4, 5}) | frozenset(range(8, 13)) | frozenset({16, 17})
+    assert descents(w) == (4, 5, 8, 9, 10, 11, 12, 16, 17)
 
 
 def naive_runs(word):
@@ -71,43 +69,43 @@ def naive_runs(word):
 
 
 def test_decompose_paper_examples():
-    d = decompose_descents(word_of("237649851"))
-    assert d.intervals == ((3, 1), (6, 2)) and d.valid
-    assert d.starts == (3, 6)
-    d = decompose_descents(word_of("22232116543213343235"))
-    assert d.starts == (4, 8, 16)
-    assert d.intervals == ((4, 1), (8, 4), (16, 1)) and d.valid
+    # runs (3, 1), (6, 2): a pair at m + 1 in each
+    w = word_of("237649851")
+    assert naive_runs(w) == [(3, 1), (6, 2)]
+    assert critical_pairs(descents(w)) == (4, 7)
+    # runs (4, 1), (8, 4), (16, 1): the run of q = 4 takes pairs at 9 and 12
+    w = word_of("22232116543213343235")
+    assert naive_runs(w) == [(4, 1), (8, 4), (16, 1)]
+    assert critical_pairs(descents(w)) == (5, 9, 12, 17)
 
 
 def test_decompose_derived_examples():
-    assert decompose_descents((3, 2, 1)).intervals == ((1, 1),)
-    assert decompose_descents((3, 2, 1)).valid
+    assert critical_pairs(descents((3, 2, 1))) == (2,)
     # 3214 has the same descent set {1, 2} as 321
-    d = decompose_descents((3, 2, 1, 4))
-    assert list(d.intervals) == naive_runs((3, 2, 1, 4)) == [(1, 1)]
-    assert d.valid
-    d = decompose_descents((2, 1, 4, 3))
-    assert d.intervals == ((1, 0), (3, 0)) and not d.valid
+    assert naive_runs((3, 2, 1, 4)) == [(1, 1)]
+    assert critical_pairs(descents((3, 2, 1, 4))) == (2,)
+    # two runs with q = 0: no critical cell
+    assert critical_pairs(descents((2, 1, 4, 3))) is None
+    assert critical_pairs((1, 2, 3, 4)) is None  # q = 3
+    assert critical_pairs((1, 2, 3, 4, 5)) == (2, 5)  # q = 4
 
 
 def test_critical_dimension():
-    assert critical_dimension(decompose_descents(word_of("237649851"))) == 2
-    assert critical_dimension(decompose_descents((1, 2, 3))) == 0
-    from homchains.words import DescentDecomposition
-
-    assert critical_dimension(DescentDecomposition(((4, 2), (8, 4), (16, 1)), True)) == 4
-    with pytest.raises(ValueError):
-        critical_dimension(DescentDecomposition(((1, 0),), False))
+    # the dimension is the sum of ceil(q / 3) over the runs
+    assert len(critical_pairs(descents(word_of("237649851")))) == 2
+    assert critical_pairs(descents((1, 2, 3))) == ()
+    assert len(critical_pairs((4, 5, 6, 8, 9, 10, 11, 12, 16, 17))) == 4
+    assert critical_pairs((1,)) is None
 
 
 def test_critical_cellword_paper_examples():
-    cw = critical_cellword_from_word(word_of("237649851"))
+    w = word_of("237649851")
+    cw = cellword(w, critical_pairs(descents(w)))
     assert render_cellword(cw) == "237(64)9(85)1"
-    cw = critical_cellword_from_word(word_of("22232116543213343235"))
+    w = word_of("22232116543213343235")
+    cw = cellword(w, critical_pairs(descents(w)))
     assert render_cellword(cw) == "2223(21)16(54)3(21)334(32)35"
-    assert critical_cellword_from_word((1, 1, 2, 3)).pairs == ()
-    with pytest.raises(ValueError):
-        critical_cellword_from_word((2, 1, 4, 3))
+    assert critical_pairs(descents(word_of("2143"))) is None
 
 
 def test_enumerate_words_counts():
@@ -144,12 +142,18 @@ def test_enumerate_words_cap():
         list(enumerate_words((1,) * 8, cap=100))
 
 
+def test_enumerate_words_caps_the_letters_of_a_word():
+    # one word of 5 letters under a cap of 4: the cap fires before the word is built
+    with pytest.raises(CapExceeded, match="5 letters"):
+        next(enumerate_words((5,), cap=4))
+
+
 def test_enumerate_cellwords_counts():
     # cells of Hom(B_3): 6 vertices + 6 edges
-    cells = list(chain_product_complex((1, 1, 1)).word_table.cells_by_word())
-    assert len(cells) == 12
-    dims = [c.dim for c in cells]
-    assert dims.count(0) == 6 and dims.count(1) == 6
+    cells = chain_product_complex((1, 1, 1)).cells
+    assert sorted(cells) == [0, 1]
+    assert all(c.dim == d for d, cs in cells.items() for c in cs)
+    assert len(cells[0]) == 6 and len(cells[1]) == 6
 
 
 def test_cellword_validation():
@@ -181,30 +185,28 @@ def test_release_orders():
 @given(spec_and_word())
 def test_decomposition_covers_descents(sw):
     spec, w = sw
-    d = decompose_descents(w)
-    covered = set()
-    for m, q in d.intervals:
-        covered |= set(range(m, m + q + 1))
-    assert covered == set(descent_set(w))
-    # runs are maximal: separated by a non-descent
-    for (m1, q1), (m2, _) in zip(d.intervals, d.intervals[1:]):
-        assert m1 + q1 + 1 < m2
-    assert d.valid == all(q % 3 for _, q in d.intervals)
+    runs = naive_runs(w)
+    assert descents(w) == tuple(j for m, q in runs for j in range(m, m + q + 1))
+    # the rule: no run with q = 0 mod 3, and pairs at m + 3j + 1 in each run
+    want = None
+    if all(q % 3 for _, q in runs):
+        want = tuple(m + 3 * j + 1 for m, q in runs for j in range(-(-q // 3)))
+    assert critical_pairs(descents(w)) == want
 
 
 @given(spec_and_word())
 def test_reconstruction_round_trip(sw):
     spec, w = sw
-    d = decompose_descents(w)
-    if not d.valid:
+    pairs = critical_pairs(descents(w))
+    if pairs is None:
         return
-    cw = critical_cellword_from_word(w)
+    cw = cellword(w, pairs)  # pairs are disjoint and strictly descending
     assert cw.word == w
-    assert cw.dim == critical_dimension(d)
+    assert cw.dim == sum(-(-q // 3) for _, q in naive_runs(w))
     # pairs sit on descents, and releasing them in order-preserving fashion
     # recovers the same underlying word
     for p in cw.pairs:
-        assert p in descent_set(w)
+        assert p in descents(w)
     released = cw
     while released.pairs:
         released = release(released, 1, "beta")
