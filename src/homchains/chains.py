@@ -9,14 +9,16 @@ incidences that the reduction relies on are checked with the matching, by
 morse.validate_acyclic.  Cell-word faces and their signs come from
 words.signed_faces.  The Morse complex reduces each critical cell's
 boundary along the acyclicity certificate's order and lists no path.
-Alternating paths are walked on cell keys, through a key-level match
-oracle (ComplexMatchContext, morse.SpecMatchContext) of two methods:
+Alternating paths are walked through a match oracle of two methods:
 facets(cell), the cell's (face, sign) pairs, and up(cell), its up-partner
-or None.  A path is the tuple of its cells.  path_censuses sums their
-weights and pairs them by the sign-reversing involution on cell words, an
-independent account of the same incidences.
-morse_complex, path_censuses and ComplexMatchContext take the certificate
-alone: it holds its matching, and the matching holds its complex, so a
+or None.  A path is the tuple of its cells.  path_censuses walks cell
+indices, through ComplexMatchContext on the same face tables and up arrays
+that the Morse complex reads, and keys only the paths it keeps; it sums
+their weights and pairs them by the sign-reversing involution, which reads
+cell-word face positions: an independent account of the same incidences.
+morse.SpecMatchContext is the same oracle on cell words, without a complex.
+morse_complex, path_censuses and ComplexMatchContext take the certificate:
+it holds its matching, and the matching holds its complex, so a
 certificate reaches only the tables it certified, and no path is walked on
 a matching that was not certified acyclic.
 """
@@ -31,7 +33,6 @@ from itertools import islice
 from typing import NamedTuple
 
 from .complexes import CellComplex, FaceTable
-from .words import CellWord, release
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -271,46 +272,40 @@ def homology(cx):
 
 
 class ComplexMatchContext:
-    """The match oracle on cell keys over the matching a certificate holds,
-    and the complex that matching holds: facets(cell) lists the cell's
-    (face, sign) pairs, and up(cell) is its up-partner, or None."""
+    """The match oracle between dimensions d and d - 1 of the matching a
+    certificate holds, on cell indices: facets(j) lists the d-cell j's
+    (face, sign) pairs, a slice of the complex's face table, and up(i) is
+    the (d-1)-cell i's up-partner, or None."""
 
-    def __init__(self, certificate):
-        self.matching = certificate.matching
-        self.cx = self.matching.cx
+    def __init__(self, certificate, d):
+        matching = certificate.matching
+        self.cx, self.d, self._up = matching.cx, d, matching.up[d - 1]
 
-    def facets(self, cell):
-        d, j = self.cx.locate(cell)
-        lower = self.cx.cells.get(d - 1)
-        return tuple((lower[i], sign) for i, sign in self.cx.faces(d, j))
+    def facets(self, j):
+        return self.cx.faces(self.d, j)
 
-    def up(self, cell):
-        d, i = self.cx.locate(cell)
-        u = self.matching.up[d][i]
-        return None if u < 0 else self.cx.cells[d + 1][u]
+    def up(self, i):
+        u = self._up[i]
+        return None if u < 0 else u
 
 
-def _facet_sign(ctx, face, cell):
-    for f, s in ctx.facets(cell):
-        if f == face:
-            return s
-    raise KeyError(face)
+def _position(ctx, face, cell):
+    """The position of face among ctx.facets(cell); ValueError if it is none of them."""
+    return [f for f, _ in ctx.facets(cell)].index(face)
 
 
 def path_weight(path, ctx):
     """w(c) = (-1)^t [a_1:sigma][tau:u(a_t)] prod [a_i:u(a_i)] prod [a_{i+1}:u(a_i)]
-    of the path c = (sigma, a_1, u(a_1), ..., a_t, u(a_t), tau), a tuple of cells."""
+    of the path c = (sigma, a_1, u(a_1), ..., a_t, u(a_t), tau), a tuple of
+    cells: (-1)^t times the incidence of each cell in its neighbours one
+    dimension up."""
     t = (len(path) - 2) // 2
     if t < 1:
         raise ValueError("alternating path needs at least one matched step")
     sign = -1 if t % 2 else 1
-    sign *= _facet_sign(ctx, path[1], path[0])              # [a_1 : sigma]
-    sign *= _facet_sign(ctx, path[-1], path[-2])            # [tau : u(a_t)]
-    for i in range(t):
-        a, u = path[1 + 2 * i], path[2 + 2 * i]
-        sign *= _facet_sign(ctx, a, u)                      # [a_i : u(a_i)]
-        if i + 1 < t:
-            sign *= _facet_sign(ctx, path[3 + 2 * i], u)    # [a_{i+1} : u(a_i)]
+    for k in range(1, len(path)):
+        face, cell = (path[k], path[k - 1]) if k % 2 else (path[k - 1], path[k])
+        sign *= ctx.facets(cell)[_position(ctx, face, cell)][1]
     return sign
 
 
@@ -339,54 +334,43 @@ def alternating_paths_from(sigma, ctx, targets):
     return paths
 
 
-def _pair_change(lower, upper):
-    """Left position of the single joined pair present in upper but not in lower."""
-    extra = set(upper.pairs) - set(lower.pairs)
-    if len(extra) != 1:
-        raise ValueError("cells do not differ by one joined pair")
-    return extra.pop()
-
-
-def _release_at(cell, p, order):
-    t = cell.pairs.index(p) + 1
-    return release(cell, t, order)
-
-
 def involution_partner(path, ctx):
     """The sign-reversing partner path: re-release the pivot pair in the other order.
 
-    The pivot is the last non-swap step, whose next face a_{i+1} is not a_i
-    with the two entries joined in u(a_i) exchanged (the initial release
-    from sigma when every matched step is a swap, as always happens between
+    A cell word lists its faces pair by pair, the t-th pair's alpha release
+    at position 2(t - 1) and its beta release after it, as
+    words.signed_faces and complexes.chain_product_complex do.  So the
+    other release of the pair behind face position k is position k ^ 1,
+    and two faces release the same pair when their positions agree in
+    k >> 1.  The pivot is the last non-swap step, whose faces a_i and
+    a_{i+1} of u(a_i) release different pairs (the initial release from
+    sigma when every matched step is a swap, as always happens between
     dimensions 1 and 0); after it the partner path is forced, each matched
-    join being undone by the swap release, until the target critical cell
-    is reached.
+    join being undone by its other release, until the target critical cell
+    is reached.  A walk that leaves the matched region or comes back to a
+    cell raises ValueError.
     """
     tau = path[-1]
+    # out[i]: the position of path[2i + 1] among the faces of path[2i]
+    out = [_position(ctx, path[k + 1], path[k]) for k in range(0, len(path) - 1, 2)]
     j = 0  # pivot 0 means the release from sigma itself
-    for i in range(1, (len(path) - 2) // 2 + 1):
-        u = path[2 * i]
-        if _pair_change(path[2 * i - 1], u) != _pair_change(path[2 * i + 1], u):
+    for i in range(1, len(out)):
+        if _position(ctx, path[2 * i - 1], path[2 * i]) >> 1 != out[i] >> 1:
             j = i
-    u_j = path[2 * j]
-    a_next = path[2 * j + 1]
-    p = _pair_change(a_next, u_j)
-    # released in the opposite order: beta keeps the word of u_j, alpha swaps
-    order = "beta" if a_next.word != u_j.word else "alpha"
-    out = list(path[: 2 * j + 1])
-    x = _release_at(u_j, p, order)
-    limit = 4 * len(tau.word) ** 2 + 4
-    for _ in range(limit):
-        out.append(x)
+    partner, u, k, seen = list(path[:2 * j + 1]), path[2 * j], out[j], set()
+    while True:
+        x = ctx.facets(u)[k ^ 1][0]
+        partner.append(x)
         if x == tau:
-            return tuple(out)
+            return tuple(partner)
+        if x in seen:
+            raise ValueError("partner walk does not terminate")
+        seen.add(x)
         u = ctx.up(x)
         if u is None:
             raise ValueError("partner walk left the matched region")
-        out.append(u)
-        # joining never changes the word, so the swap release is always alpha
-        x = _release_at(u, _pair_change(x, u), "alpha")
-    raise ValueError("partner walk did not terminate")
+        partner.append(u)
+        k = _position(ctx, x, u)
 
 
 @dataclass(frozen=True)
@@ -405,23 +389,14 @@ def _pairing(paths, weights, ctx):
     sorted index pairs, or None when it is not a weight-reversing
     involution on them."""
     index = {p: k for k, p in enumerate(paths)}
-    pairing = []
-    seen = set()
-    for k, p in enumerate(paths):
-        if k in seen:
-            continue
-        try:
-            q = involution_partner(p, ctx)
-            m = index.get(q)
-            if m is None or m == k or m in seen or involution_partner(q, ctx) != p:
-                return None
-        except ValueError:
-            return None
-        if weights[k] * weights[m] != -1:
-            return None
-        seen.update((k, m))
-        pairing.append((min(k, m), max(k, m)))
-    return tuple(sorted(pairing))
+    try:
+        partner = [index.get(involution_partner(p, ctx)) for p in paths]
+    except ValueError:
+        return None
+    if any(m is None or m == k or partner[m] != k or weights[k] * weights[m] != -1
+           for k, m in enumerate(partner)):
+        return None
+    return tuple((k, m) for k, m in enumerate(partner) if k < m)
 
 
 def path_censuses(certificate):
@@ -430,26 +405,31 @@ def path_censuses(certificate):
     by cell keys, in the order the paths are found.
 
     The certificate of validate_acyclic holds the matching, acyclic so that
-    every walk ends, and the matching its complex; paths are walked on cell
-    keys through ComplexMatchContext.  The Morse incidence of tau in sigma,
-    which morse_complex computes by reduction, is the census total plus the
-    direct incidence, the sign of tau in ctx.facets(sigma) or 0.  The
-    sign-reversing pairing is defined on cell words; on other keys it is None.
+    every walk ends, and the matching its complex.  Paths are walked on cell
+    indices, through ComplexMatchContext on the face tables and up arrays
+    that validate_acyclic and morse_complex read, and each found path is
+    then keyed through cells[d] and cells[d - 1] alternately.  The Morse
+    incidence of tau in sigma, which morse_complex computes by reduction,
+    is the census total plus the direct incidence, the sign of tau among
+    sigma's faces or 0.  The sign-reversing pairing reads cell-word face
+    positions, so it is made on a spec complex only; elsewhere it is None.
     """
-    ctx = ComplexMatchContext(certificate)
-    cx, matching = ctx.cx, ctx.matching
+    matching = certificate.matching
+    cx = matching.cx
     censuses = {}
     for d in range(1, cx.dim + 1):
-        targets = {cx.cells[d - 1][i] for i in matching.critical.get(d - 1, ())}
+        targets = set(matching.critical.get(d - 1, ()))
         if not targets:
             continue
-        for j in matching.critical.get(d, ()):
-            sigma = cx.cells[d][j]
+        ctx = ComplexMatchContext(certificate, d)
+        keys = (cx.cells[d], cx.cells[d - 1])
+        for sigma in matching.critical.get(d, ()):
             for tau, paths in alternating_paths_from(sigma, ctx, targets).items():
-                paths = tuple(paths)
                 weights = tuple(path_weight(p, ctx) for p in paths)
-                pairing = _pairing(paths, weights, ctx) if isinstance(sigma, CellWord) else None
-                censuses[(sigma, tau)] = PathCensus(paths, weights, pairing, sum(weights))
+                pairing = None if cx.word_table is None else _pairing(paths, weights, ctx)
+                paths = tuple(tuple(keys[k % 2][c] for k, c in enumerate(p)) for p in paths)
+                censuses[(keys[0][sigma], keys[1][tau])] = PathCensus(
+                    paths, weights, pairing, sum(weights))
     return censuses
 
 

@@ -51,10 +51,11 @@ class FaceTable(NamedTuple):
     Cell j has the (d-1)-cells idx[ptr[j]:ptr[j + 1]] as its faces, with
     incidence numbers sgn[ptr[j]:ptr[j + 1]].  In a cell complex they are
     +1 or -1; in a Morse complex (chains.morse_complex) sgn is a list of
-    nonzero integers of any size.
+    nonzero integers of any size.  A spec complex, whose d-cells all have
+    2d faces, keeps ptr as the range of that stride, not as a copy of it.
     """
 
-    ptr: array  # 'i', one more entry than there are d-cells
+    ptr: array  # 'i', one more entry than there are d-cells; a range in a spec complex
     idx: array  # 'i', indices into cells[d - 1]
     sgn: array  # 'b', +1 or -1; a list of ints in a Morse complex
 
@@ -275,8 +276,7 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     faces = {}
     for d, out in idx.items():
         n = sizes[d]
-        faces[d] = FaceTable(array("i", range(0, 2 * d * n + 1, 2 * d)), out,
-                             _sign_block(d) * n)
+        faces[d] = FaceTable(range(0, 2 * d * n + 1, 2 * d), out, _sign_block(d) * n)
     cells = {d: WordCells(table, d, n) for d, n in enumerate(sizes)}
     return CellComplex.from_faces(cells, faces, word_table=table)
 

@@ -7,6 +7,12 @@ from __future__ import annotations
 
 import math
 
+from .posets import CapExceeded
+
+# chi_n has about n log n digits, so the table's time grows steeply with n (on
+# a 2-vCPU host, 0.35-0.5 s at n = 400 and 5 s at n = 800): larger n are refused
+EULER_MAX_N = 400
+
 
 def f_vector_bn(n, k):
     """Number of k-cells of Hom(B_n): n!/2^k * C(n-k, k).
@@ -54,7 +60,10 @@ def euler_closed_form(n):
 
 def euler_table(n_max):
     """((n, chi_n), ...) for n = 1..n_max; raises AssertionError if the
-    formula, the recursion and the closed form ever disagree."""
+    formula, the recursion and the closed form ever disagree, and
+    CapExceeded at once when n_max exceeds EULER_MAX_N."""
+    if n_max > EULER_MAX_N:
+        raise CapExceeded(f"n = {n_max} exceeds the Euler-table guard {EULER_MAX_N}")
     out = []
     for n in range(1, n_max + 1):
         values = (euler_formula(n), euler_recursion(n), euler_closed_form(n))

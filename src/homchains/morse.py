@@ -286,16 +286,12 @@ class SpecMatchContext:
 
     def __init__(self, spec):
         self.spec = as_spec(spec)
-        self._cache = {}
 
     def facets(self, cell):
         return signed_faces(cell)
 
     def up(self, cell):
-        out = self._cache.get(cell)
-        if out is None:
-            mask = sum(1 << p for p in cell.pairs)
-            out = self._cache[cell] = _classify(_schedule(cell.word, descents(cell.word)), mask)
+        out = _classify(_schedule(cell.word, descents(cell.word)), sum(1 << p for p in cell.pairs))
         return _partner(cell, out) if out > 0 else None
 
 

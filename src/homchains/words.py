@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import combinations, count
 from typing import NamedTuple
 
 from .posets import CapExceeded
@@ -274,29 +275,20 @@ class Placements(NamedTuple):
 def placements(descents):
     """The Placements of a sorted tuple of descent positions.
 
-    A placement is a tuple of pairwise non-adjacent positions drawn from the
-    descents; extending placements with later descents, depth first, lists
-    each dimension in lexicographic order.
+    A placement of d pairs is a combination of d descents no two of which
+    are adjacent; combinations lists each dimension in lexicographic order,
+    and the first dimension that has none ends the list.
     """
-    by_dim = [[()]]
-    acc = []
-
-    def rec(start):
-        for k in range(start, len(descents)):
-            p = descents[k]
-            if acc and p - acc[-1] < 2:
-                continue
-            acc.append(p)
-            if len(by_dim) == len(acc):
-                by_dim.append([])
-            by_dim[len(acc)].append(tuple(acc))
-            rec(k + 1)
-            acc.pop()
-
-    rec(0)
+    by_dim = []
+    for d in count():
+        ps = tuple(c for c in combinations(descents, d)
+                   if all(q - p > 1 for p, q in zip(c, c[1:])))
+        if not ps:
+            break
+        by_dim.append(ps)
     masks = tuple(tuple(sum(1 << p for p in pairs) for pairs in ps) for ps in by_dim)
     rank = {m: r for ms in masks for r, m in enumerate(ms)}
-    return Placements(descents, tuple(map(tuple, by_dim)), masks, rank)
+    return Placements(descents, tuple(by_dim), masks, rank)
 
 
 def word_placements(words, cap=DEFAULT_CAP):

@@ -36,6 +36,7 @@ from homchains import (
 from homchains.chains import _dense_snf, path_weight
 from homchains.complexes import FaceTable, _generic_signed_faces
 from homchains.morse import MorseMatching, SpecMatchContext
+from homchains.words import release
 
 
 # -- incidence ------------------------------------------------------------
@@ -50,8 +51,6 @@ def test_pair_incidence_worked_example():
 
 
 def test_pair_incidence_opposite_signs():
-    from homchains.words import release
-
     cw = parse_cellword("(64)5(32)(71)")
     got = signed_faces(cw)
     assert [f for f, _ in got] == [release(cw, t, order) for t in (1, 2, 3)
@@ -416,9 +415,10 @@ def interval_matching():
 def test_morse_incidence_with_direct_and_path_terms():
     cx, m = interval_matching()
     cert = validate_acyclic(m)
-    ctx = ComplexMatchContext(cert)
     # v2 is a face of e12 that no path reaches, v0 one path's end and no face
-    assert dict(ctx.facets("e12")) == {"v1": -1, "v2": 1}
+    d, j = cx.locate("e12")
+    assert {cx.cells[d - 1][i]: s for i, s in cx.faces(d, j)} == {"v1": -1, "v2": 1}
+    assert ComplexMatchContext(cert, d).facets(j) == cx.faces(d, j)
     censuses = path_censuses(cert)
     assert list(censuses) == [("e12", "v0")]
     census = censuses[("e12", "v0")]
@@ -463,30 +463,33 @@ def test_morse_complex_equals_path_sums_on_random_matchings():
     zigzag = ideal_lattice(FinitePoset(5, [(0, 1), (2, 1), (2, 3), (4, 3)]))
     complexes = [chain_product_complex(spec) for spec in [(1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]]
     complexes.append(hom_complex_generic(chain(5), zigzag))
-    n_matchings = n_nonzero = n_by_paths = 0
+    n_matchings = n_nonzero = n_by_paths = n_generic = 0
     for cx in complexes:
         for _ in range(60):
             m = random_acyclic_matching(cx, rng)
             cert = validate_acyclic(m)
             mc = morse_complex(cert)
-            ctx = ComplexMatchContext(cert)
             censuses = path_censuses(cert)
+            if cx.word_table is None:  # no cell-word face positions to pair by
+                n_generic += len(censuses)
+                assert all(c.pairing is None for c in censuses.values())
             by_paths = False
             for d in range(1, cx.dim + 1):
                 entries = dense(mc.boundary[d], len(mc.cells[d - 1]))
                 assert 0 not in mc.boundary[d].sgn
                 for c, sigma in enumerate(mc.cells[d]):
-                    direct = dict(ctx.facets(sigma))
+                    direct = dict(cx.faces(d, m.critical[d][c]))
                     for r, tau in enumerate(mc.cells[d - 1]):
                         census = censuses.get((sigma, tau))
                         total = 0 if census is None else census.total
-                        assert entries[r][c] == direct.get(tau, 0) + total
+                        assert entries[r][c] == direct.get(m.critical[d - 1][r], 0) + total
                         by_paths |= total != 0
             n_matchings += 1
             n_nonzero += any(t.idx for t in mc.boundary.values())
             n_by_paths += by_paths
     assert n_matchings >= 200
     assert 2 * n_nonzero > n_matchings and 2 * n_by_paths > n_matchings
+    assert n_generic > 0
 
 
 def hexagon_fence_matching():
@@ -533,7 +536,8 @@ def test_no_census_without_a_certificate():
     # a square v0 v1 v2 v3 with a chord f and an edge g out to w; each v_i is
     # matched to the edge that leaves it, so a walk from g or f along the
     # pairs goes round the square for ever: the matching has no certificate,
-    # and a census or a ComplexMatchContext takes nothing else
+    # and a census or a ComplexMatchContext takes nothing else (the context
+    # also takes the upper dimension of the cells it walks between)
     ends = {"e01": ("v0", "v1"), "e12": ("v1", "v2"), "e23": ("v2", "v3"),
             "e30": ("v3", "v0"), "f": ("v0", "v2"), "g": ("v0", "w")}
     boundary = {v: () for v in ("v0", "v1", "v2", "v3", "w")}
@@ -544,8 +548,8 @@ def test_no_census_without_a_certificate():
     with pytest.raises(AcyclicityError) as err:
         validate_acyclic(m)
     assert len(err.value.cycle) == 8
-    for build in (path_censuses, ComplexMatchContext):
-        assert list(inspect.signature(build).parameters) == ["certificate"]
+    assert list(inspect.signature(path_censuses).parameters) == ["certificate"]
+    assert list(inspect.signature(ComplexMatchContext).parameters) == ["certificate", "d"]
 
 
 def test_paper_alternating_path_involution():
@@ -568,6 +572,79 @@ def test_paper_alternating_path_involution():
     assert involution_partner(c_prime, ctx) == c
     assert len(c_prime) - len(c) == 2  # one matched step more
     assert path_weight(c, ctx) * path_weight(c_prime, ctx) == -1
+
+
+def reference_partner(path, ctx):
+    """involution_partner on cell-word keys, by the pairs themselves: the
+    pivot pair is re-released in the other order with words.release, and
+    each later join undone by its alpha release."""
+    def released(lower, upper):  # t of the pair of upper that lower releases
+        (p,) = set(upper.pairs) - set(lower.pairs)
+        return upper.pairs.index(p) + 1
+
+    j = 0
+    for i in range(1, (len(path) - 2) // 2 + 1):
+        if released(path[2 * i - 1], path[2 * i]) != released(path[2 * i + 1], path[2 * i]):
+            j = i
+    u, a = path[2 * j], path[2 * j + 1]
+    x = release(u, released(a, u), "beta" if a.word != u.word else "alpha")
+    out = list(path[:2 * j + 1])
+    for _ in range(4 * len(x.word) ** 2 + 4):
+        out.append(x)
+        if x == path[-1]:
+            return tuple(out)
+        u = ctx.up(x)
+        out.append(u)
+        x = release(u, released(x, u), "alpha")
+    raise AssertionError("reference partner walk did not end")
+
+
+@pytest.mark.parametrize("spec", [(1,) * 6, (2, 2, 3)])
+def test_involution_by_face_positions_matches_key_level_release(spec):
+    cx = chain_product_complex(spec)
+    cert = validate_acyclic(match_product_of_chains(cx))
+    spec_ctx = SpecMatchContext(spec)
+    n_paths = 0
+    for census in path_censuses(cert).values():
+        d = census.paths[0][0].dim
+        ctx = ComplexMatchContext(cert, d)
+        for k, path in enumerate(census.paths):
+            want = reference_partner(path, spec_ctx)
+            assert involution_partner(path, spec_ctx) == want
+            # the same walk on indices, through the face tables
+            at = tuple(cx.locate(c)[1] for c in path)
+            got = involution_partner(at, ctx)
+            assert tuple(cx.cells[d - i % 2][c] for i, c in enumerate(got)) == want
+            assert any(k in pair and want == census.paths[sum(pair) - k]
+                       for pair in census.pairing)
+            n_paths += 1
+    assert n_paths > 0
+
+
+class LoopingOracle:
+    """A match oracle whose two matched pairs (a, U) and (b, V) lead into
+    each other: the other release of a in U is b, and that of b in V is a."""
+
+    faces = {"S": (("T", 1), ("a", -1)), "U": (("a", 1), ("b", -1)),
+             "V": (("b", 1), ("a", -1))}
+
+    def facets(self, cell):
+        return self.faces[cell]
+
+    def up(self, cell):
+        return {"a": "U", "b": "V"}.get(cell)
+
+
+def test_partner_walk_that_cycles_raises():
+    with pytest.raises(ValueError, match="does not terminate"):
+        involution_partner(("S", "T"), LoopingOracle())
+
+
+def test_spec_complex_face_pointers_are_a_stride():
+    cx = chain_product_complex((1, 1, 2, 2))
+    for d, (ptr, idx, _) in cx.boundary.items():
+        assert ptr == range(0, 2 * d * len(cx.cells[d]) + 1, 2 * d)
+        assert ptr[-1] == len(idx)
 
 
 def _recursion_depth():

@@ -74,3 +74,18 @@ def test_betti_alternating_sum_matches_chi():
         h = homology(chain_product_complex((1,) * n))
         assert sum((-1) ** d * b for d, b in enumerate(h.betti)) == euler_formula(n)
         assert h.torsion_free
+
+
+def test_euler_table_refuses_past_its_guard(capsys):
+    from homchains import CapExceeded
+    from homchains.cli import main
+    from homchains.euler import EULER_MAX_N
+
+    assert EULER_MAX_N >= 20
+    with pytest.raises(CapExceeded):
+        euler_table(EULER_MAX_N + 1)
+    assert main(["euler", "--n-max", "100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: n = 100000 exceeds")

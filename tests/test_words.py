@@ -20,6 +20,7 @@ from homchains import (
 )
 from homchains.words import (
     CellWord,
+    placements,
     release,
     rst_cell_from_selections,
     rst_selections_from_cell,
@@ -154,6 +155,23 @@ def test_enumerate_cellwords_counts():
     assert sorted(cells) == [0, 1]
     assert all(c.dim == d for d, cs in cells.items() for c in cs)
     assert len(cells[0]) == 6 and len(cells[1]) == 6
+
+
+def test_placements_are_the_nonadjacent_subsets_of_the_descents():
+    # every descent set of a word of at most 10 letters, against all subsets
+    for ell in range(1, 11):
+        for bits in range(1 << (ell - 1)):
+            des = tuple(p for p in range(1, ell) if bits >> (p - 1) & 1)
+            subsets = [c for d in range(len(des) + 1) for c in itertools.combinations(des, d)
+                       if all(q - p >= 2 for p, q in zip(c, c[1:]))]
+            want = [sorted(c for c in subsets if len(c) == d)
+                    for d in range(max(map(len, subsets)) + 1)]
+            info = placements(des)
+            assert info.descents == des
+            assert [list(ps) for ps in info.by_dim] == want
+            assert list(map(list, info.masks)) == [[sum(1 << p for p in c) for c in ps]
+                                                    for ps in want]
+            assert all(info.rank[m] == r for ms in info.masks for r, m in enumerate(ms))
 
 
 def test_cellword_validation():
