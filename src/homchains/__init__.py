@@ -43,7 +43,6 @@ from .complexes import (
     is_cubical,
     maximal_chain_complex,
     verify_fold_consequence,
-    word_ideals,
 )
 from .morse import (
     AcyclicityError,

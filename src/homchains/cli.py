@@ -17,13 +17,13 @@ The digest is hashed by the interpreter's own SHA-256 module, so `report`
 and `match` never load OpenSSL's libcrypto (only an interpreter built
 without that module falls back to hashlib).
 
-The `cubicality` suite builds no cell key and no multihom per cell
-(_cubicality).  Per word, complexes.word_ideals runs once and every vertex
-coordinate must be a single ideal; per cell, the pair mask must sit on
-positions whose joined coordinate holds 2 ideals, no two adjacent, which is
-complexes.is_cubical on the cell's image.  On (2,2,2,3) the suite takes
-about 0.09 s for 72,750 cells, 0.06 s of it in the 7,560 bridge calls,
-where an image and an is_cubical call per cell took 0.28 s.
+The `cubicality` suite (_cubicality) decides each cell from its pair mask
+alone: the pairs must sit on positions 1..ell - 1, no two adjacent, and
+the cells decided must be all of the complex's.  That is
+complexes.is_cubical on the cell's image under cellword_to_multihom; the
+tests hold the evidence that the cell-word model is Hom itself (against
+hom_complex_generic and a per-position map).  It takes about 0.02 s on
+(2,2,2,3) and 0.06 s on B_8.
 
 The `bijection` suite (_bijection) reads each word's descents from the word
 table and compares (dimension, index) pairs, building a cell key only to
@@ -221,17 +221,15 @@ class _Run:
 
 
 def _cubicality(cx):
-    """(ok, detail) of the cubicality suite on a spec complex."""
+    """(ok, detail) of the cubicality suite on a spec complex: every pair
+    mask m lies on positions 1..ell - 1 with no two bits adjacent."""
     table = cx.word_table
+    outside = ~((1 << table.spec.ell) - 2)
     checked = 0
     for word, info in zip(table.words, table.placements):
-        vertex, joined = complexes.word_ideals(word, table.spec)
-        single = all(len(c) == 1 for c in vertex)
-        # ~doubled, for doubled the positions whose joined coordinate holds 2 ideals
-        outside = ~sum(1 << p for p, c in enumerate(joined) if c is not None and len(c) == 2)
         for ps, ms in zip(info.by_dim, info.masks):
             for m in ms:
-                if m & outside or m & (m >> 1) or not single:
+                if m & outside or m & (m >> 1):
                     cell = words.CellWord(word, ps[ms.index(m)])
                     return False, f"non-cubical cell {words.render_cellword(cell)}"
             checked += len(ms)

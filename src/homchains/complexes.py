@@ -17,11 +17,11 @@ start in each dimension, and cells[d] is a WordCells view over it that
 builds a CellWord only when one is read.  The keys name cells in
 rendering, digests and per-cell traces.
 
-The cubicality suite of `verify` runs word_ideals, the bridge from a word
-to multihoms, once per word: it checks that every vertex coordinate is a
-single ideal and decides each cell from its pair mask, with no cell key or
-image built.  On (2,2,2,3) that takes about 0.09 s, 0.06 s of it in the
-bridge.
+cellword_to_multihom is the one bridge from a cell word to its multihom.
+The cubicality suite of `verify` does not call it: it decides each cell
+from its pair mask, as is_cubical reads on the bridge's image.  The tests
+check the bridge against a per-position map and the cell-word model
+against hom_complex_generic.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .words import (
     as_spec,
     check_content,
     enumerate_words,
+    face_signs,
     word_placements,
 )
 
@@ -221,11 +222,6 @@ class WordCells(Sequence):
         return f"WordCells(d={self.d}, n={self._n})"
 
 
-def _sign_block(d):
-    # words.signed_faces: the t-th pair (1-based) gives alpha (-1)^t, then beta -(-1)^t
-    return array("b", [s for t in range(1, d + 1) for s in ((-1) ** t, -((-1) ** t))])
-
-
 def chain_product_complex(spec, cap=DEFAULT_CAP):
     """Hom of a product of chains, built directly from parenthesized words.
 
@@ -239,7 +235,7 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     a bisect on the words before it.  A d-cell j has 2d faces: its
     t-th pair released in the alpha order (the word with the pair swapped)
     at ptr[j] + 2(t - 1), then in the beta order (the same word) right
-    after, with the signs of words.signed_faces.  morse.match_product_of_chains
+    after, with the signs of words.face_signs.  morse.match_product_of_chains
     reads each matched partner from this order.
     """
     spec = as_spec(spec)
@@ -276,39 +272,9 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     faces = {}
     for d, out in idx.items():
         n = sizes[d]
-        faces[d] = FaceTable(range(0, 2 * d * n + 1, 2 * d), out, _sign_block(d) * n)
+        faces[d] = FaceTable(range(0, 2 * d * n + 1, 2 * d), out, array("b", face_signs(d)) * n)
     cells = {d: WordCells(table, d, n) for d, n in enumerate(sizes)}
     return CellComplex.from_faces(cells, faces, word_table=table)
-
-
-def word_ideals(word, spec):
-    """The vertex image of a word of the spec and the joined coordinate at each position.
-
-    With I_p the ideal of the first p letters, returns ((I_0,), ..., (I_ell,))
-    and a list whose entry p (1 <= p <= ell - 1) is (I_{p-1} plus the
-    element of letter p + 1, I_p): the coordinate of a pair at p; entry 0
-    is None.  A cell's image is the vertex image with entry p spliced in at
-    each of its pairs p.  So if every vertex coordinate is a single ideal,
-    the cell with pair mask m is_cubical exactly when not m & ~doubled and
-    not m & (m >> 1), for doubled the mask of the positions whose joined
-    coordinate holds 2 ideals.  Raises ValueError for a word whose letters
-    are not the spec's.
-    """
-    spec = as_spec(spec)
-    check_content(word, spec)
-    nxt = [0, *itertools.accumulate(spec.i[:-1], initial=0)]
-    elems, ideal, ideals = [], [], [()]
-    for t in word:
-        nxt[t] += 1
-        e = nxt[t]
-        elems.append(e)
-        bisect.insort(ideal, e)
-        ideals.append(tuple(ideal))
-    joined = [None]
-    for prev, cur, e in zip(ideals, ideals[1:], elems[1:]):
-        k = bisect.bisect(prev, e)
-        joined.append((prev[:k] + (e,) + prev[k:], cur))
-    return tuple((v,) for v in ideals), joined
 
 
 def cellword_to_multihom(cw, spec):
@@ -320,15 +286,27 @@ def cellword_to_multihom(cw, spec):
     Coordinate p is (I_p,) for I_p the ideal of the first p letters, except
     that a pair at p makes it (I_{p-1} plus the element of letter p + 1,
     I_p).  Each pair sets its own coordinate, so overlapping pairs give
-    adjacent doubled coordinates, which is_cubical rejects.  The vertex
-    image and the joined coordinates are word_ideals' for the cell's word.
+    adjacent doubled coordinates, which is_cubical rejects.  Raises
+    ValueError for a word whose letters are not the spec's, or a pair
+    outside positions 1..ell - 1.
     """
-    vertex, joined = word_ideals(cw.word, spec)
-    image = list(vertex)
+    spec = as_spec(spec)
+    check_content(cw.word, spec)
+    nxt = [0, *itertools.accumulate(spec.i[:-1], initial=0)]
+    elems, ideal, ideals = [], [], [()]
+    for t in cw.word:
+        nxt[t] += 1
+        e = nxt[t]
+        elems.append(e)
+        bisect.insort(ideal, e)
+        ideals.append(tuple(ideal))
+    image = [(v,) for v in ideals]
     for p in cw.pairs:
-        if not 0 < p < len(joined):
+        if not 0 < p < len(elems):
             raise ValueError(f"pair position {p} out of range")
-        image[p] = joined[p]
+        prev, e = ideals[p - 1], elems[p]
+        k = bisect.bisect(prev, e)
+        image[p] = (prev[:k] + (e,) + prev[k:], ideals[p])
     return tuple(image)
 
 
@@ -486,7 +464,7 @@ def is_cubical(X):
     adjacent; every cell of Hom(C_m, L) has this shape for a distributive
     lattice L.  The coordinates are read once, stopping at the first that
     breaks the rule.  On the image of a cell word with pair mask m it reads
-    as not m & ~doubled and not m & (m >> 1) (see word_ideals).
+    as not m & (m >> 1).
     """
     doubled = False
     for c in X:

@@ -186,12 +186,15 @@ def signed_faces(cw):
     (-1)^q for the order-preserving (beta) release and (-1)^(q+1) for the
     swapped (alpha) release; the two signs are always opposite.
     """
-    out = []
-    for t in range(1, len(cw.pairs) + 1):
-        sa = -1 if t % 2 else 1
-        out.append((release(cw, t, "alpha"), sa))
-        out.append((release(cw, t, "beta"), -sa))
-    return tuple(out)
+    releases = (release(cw, t, order)
+                for t in range(1, len(cw.pairs) + 1) for order in ("alpha", "beta"))
+    return tuple(zip(releases, face_signs(len(cw.pairs))))
+
+
+def face_signs(d):
+    """The incidences of a d-cell's 2d faces, in the order signed_faces lists
+    them: the t-th pair (1-based) gives alpha (-1)^t, then beta -(-1)^t."""
+    return tuple(s for t in range(1, d + 1) for s in ((-1) ** t, -((-1) ** t)))
 
 
 # -- descents -------------------------------------------------------------

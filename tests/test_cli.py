@@ -513,35 +513,35 @@ def test_internal_check_failure_is_one_line(capsys, monkeypatch):
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=7)
        .map(sorted).filter(lambda spec: sum(spec) <= 7), st.data())
 def test_cubicality_suite_equals_is_cubical_on_every_image(spec, data):
-    from homchains import cli, complexes
+    from homchains import cli
 
     cx = chain_product_complex(spec)
     verdicts = [is_cubical(cellword_to_multihom(cw, spec))
                 for cells in cx.cells.values() for cw in cells]
     assert cli._cubicality(cx) == (all(verdicts), f"{len(verdicts)} cells checked")
-    # the mask rule is is_cubical on the spliced image for any mask, not only a cell's
+    # the suite's mask rule is is_cubical on the spliced image for any mask,
+    # not only a cell's, and a mask outside 1..ell - 1 is no image at all
     ell = sum(spec)
     word = data.draw(st.sampled_from(cx.word_table.words))
-    mask = data.draw(st.integers(0, (1 << ell) - 1)) & ~1
-    pairs = tuple(p for p in range(1, ell) if mask >> p & 1)
-    vertex, joined = complexes.word_ideals(word, spec)
-    doubled = sum(1 << p for p, c in enumerate(joined) if c is not None and len(c) == 2)
-    rule = not mask & ~doubled and not mask & (mask >> 1)
-    assert rule == is_cubical(cellword_to_multihom(CellWord(word, pairs), spec))
+    mask = data.draw(st.integers(0, (1 << (ell + 1)) - 1))
+    cw = CellWord(word, tuple(p for p in range(ell + 1) if mask >> p & 1))
+    if mask & ~((1 << ell) - 2):
+        with pytest.raises(ValueError, match="out of range"):
+            cellword_to_multihom(cw, spec)
+    else:
+        assert (not mask & (mask >> 1)) == is_cubical(cellword_to_multihom(cw, spec))
 
 
-def test_cubicality_fails_on_a_joined_coordinate_of_three_ideals(capsys, monkeypatch):
+def test_cubicality_suite_builds_no_multihom(capsys, monkeypatch):
     from homchains import complexes
 
-    real = complexes.word_ideals
+    def forbidden(*args):
+        raise AssertionError("the cubicality suite called the bridge")
 
-    def three_ideals(word, spec):
-        vertex, joined = real(word, spec)
-        return vertex, [None] + [c + c[:1] for c in joined[1:]]
-
-    monkeypatch.setattr(complexes, "word_ideals", three_ideals)
-    code, out, err = run(capsys, "verify", "--spec", "1,1,1", "--suite", "cubicality")
-    assert (code, out, err) == (1, "cubicality: FAIL (non-cubical cell 1(32))\n", "")
+    for name in ("cellword_to_multihom", "is_cubical", "word_ideals"):
+        monkeypatch.setattr(complexes, name, forbidden, raising=False)
+    code, out, err = run(capsys, "verify", "--spec", "2,2,2,3", "--suite", "cubicality")
+    assert (code, out, err) == (0, "cubicality: PASS (72750 cells checked)\n", "")
 
 
 def tamper_last_word(monkeypatch, change):
