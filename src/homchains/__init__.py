@@ -16,7 +16,6 @@ from .posets import (
     delete_element,
     disjoint_union,
     find_folds,
-    fold_collapse_sequence,
     ideal_lattice,
     parse_poset_text,
     product,
@@ -42,7 +41,6 @@ from .complexes import (
     hom_complex_generic,
     is_cubical,
     maximal_chain_complex,
-    verify_fold_consequence,
 )
 from .morse import (
     AcyclicityError,
@@ -65,6 +63,7 @@ from .chains import (
     morse_complex,
     path_censuses,
     smith_normal_form,
+    verify_fold_consequence,
 )
 from .euler import euler_closed_form, euler_formula, euler_recursion, euler_table, f_vector_bn
 

@@ -1,5 +1,6 @@
 """Integer cellular chain complexes: the d o d = 0 check on face tables,
-Smith-normal-form homology, and the Morse complex of an acyclic matching.
+Smith-normal-form homology, the fold check built on it, and the Morse
+complex of an acyclic matching.
 
 A boundary is always a FaceTable (complexes.FaceTable): check_squared and
 Smith normal form read it as written, and the Morse complex is a
@@ -17,6 +18,9 @@ that the Morse complex reads, and keys only the paths it keeps; it sums
 their weights and pairs them by the sign-reversing involution, which reads
 cell-word face positions: an independent account of the same incidences.
 morse.SpecMatchContext is the same oracle on cell words, without a complex.
+verify_fold_consequence compares the homology of Hom(Q, P) and Hom(Q, P - x)
+for a fold removal, by SNF on both whole complexes: the independent check
+that the command line never runs.
 morse_complex, path_censuses and ComplexMatchContext take the certificate:
 it holds its matching, and the matching holds its complex, so a
 certificate reaches only the tables it certified, and no path is walked on
@@ -32,7 +36,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .complexes import CellComplex, FaceTable
+from .complexes import CellComplex, FaceTable, hom_complex_generic
+from .posets import delete_element, find_folds
+from .words import DEFAULT_CAP
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -77,70 +83,38 @@ def _eliminate_unit(rowdata, cols, heap, r0, c0):
 
 
 def _dense_snf(A):
-    """Textbook SNF of a small dense integer matrix.
+    """Textbook SNF of a small dense integer matrix, a list of row lists
+    that it consumes: the nonzero invariant factors, positive, each dividing
+    the next.
 
-    Returns the nonzero invariant factors: positive, each dividing the next.
+    Each pass moves an entry of least |v| to the corner and subtracts
+    multiples of the pivot row and column from the other rows and columns.
+    A remainder left in them is the next, smaller pivot.  Otherwise a row
+    the pivot does not divide is added to the pivot row; once there is none,
+    |pivot| is emitted and its row and column dropped.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    t = 0
     out = []
-    while True:
-        piv = None
-        pv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v and (pv is None or abs(v) < pv):
-                    piv, pv = (i, j), abs(v)
-        if piv is None:
-            break
-        i0, j0 = piv
-        A[t], A[i0] = A[i0], A[t]
+    while nonzero := [(abs(v), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v]:
+        _, i, j = min(nonzero)
+        A[0], A[i] = A[i], A[0]
         for row in A:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            if A[t][t] < 0:
-                A[t] = [-x for x in A[t]]
-            restart = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            d = A[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % d:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[bad])]
-        out.append(A[t][t])
-        t += 1
-        if t == min(m, n):
-            break
+            row[0], row[j] = row[j], row[0]
+        top, p = A[0], A[0][0]
+        for row in A[1:]:
+            if q := row[0] // p:
+                row[:] = [x - q * y for x, y in zip(row, top)]
+        qs = [(j, v // p) for j, v in enumerate(top) if j and v // p]
+        for row in A:
+            for j, q in qs:
+                row[j] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in A[1:]):
+            continue
+        bad = next((row for row in A[1:] if any(x % p for x in row)), None)
+        if bad is not None:
+            A[0] = [x + y for x, y in zip(top, bad)]
+            continue
+        out.append(abs(p))
+        A = [row[1:] for row in A[1:]]
     return out
 
 
@@ -266,6 +240,43 @@ def homology(cx):
         torsion.append(tuple(f for f in factors.get(d + 1, ()) if f > 1))
     euler = sum((-1) ** d * b for d, b in enumerate(betti))
     return HomologyReport(tuple(betti), tuple(torsion), euler)
+
+
+# -- fold consequences ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FoldReport:
+    """Homology comparison of Hom(Q, P) and Hom(Q, P - x) for a fold removal."""
+
+    removed: int
+    witnesses: tuple
+    before: object
+    after: object
+    agree: bool
+
+
+def verify_fold_consequence(Q, P, x, cap=DEFAULT_CAP):
+    """Check the homological consequence of the collapse Hom(Q,P) -> Hom(Q,P-x).
+
+    P - x must be a fold of P (witnessed by some y); builds both strict-map
+    homomorphism complexes and reports whether all Betti numbers and torsion
+    agree, each taken by SNF on the whole complex.
+    """
+    witnesses = tuple(y for xx, y in find_folds(P) if xx == x)
+    if not witnesses:
+        raise ValueError(f"removing element {x} is not a fold of P")
+    before = homology(hom_complex_generic(Q, P, cap=cap))
+    P2, _ = delete_element(P, x)
+    after = homology(hom_complex_generic(Q, P2, cap=cap))
+    width = max(len(before.betti), len(after.betti))
+
+    def pad(t, fill):
+        return tuple(t) + (fill,) * (width - len(t))
+
+    agree = (pad(before.betti, 0) == pad(after.betti, 0)
+             and pad(before.torsion, ()) == pad(after.torsion, ()))
+    return FoldReport(x, witnesses, before, after, agree)
 
 
 # -- Morse complex, alternating paths and censuses ------------------------

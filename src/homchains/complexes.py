@@ -21,7 +21,8 @@ cellword_to_multihom is the one bridge from a cell word to its multihom.
 The cubicality suite of `verify` does not call it: it decides each cell
 from its pair mask, as is_cubical reads on the bridge's image.  The tests
 check the bridge against a per-position map and the cell-word model
-against hom_complex_generic.
+against hom_complex_generic.  Homology, and the fold check that compares it
+across a fold removal, live in chains, which builds on this module.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import bisect
 import itertools
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .posets import CapExceeded, GradedPoset, _bits, chain, delete_element, find_folds
+from .posets import CapExceeded, GradedPoset, _bits, chain
 from .words import (
     DEFAULT_CAP,
     CellWord,
@@ -483,42 +483,3 @@ def _assert_cubical(cx):
         for X in cs:
             if not is_cubical(X):
                 raise AssertionError(f"non-cubical cell {X!r}")
-
-
-# -- fold consequences -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FoldReport:
-    """Homology comparison of Hom(Q, P) and Hom(Q, P - x) for a fold removal."""
-
-    removed: int
-    witnesses: tuple
-    before: object
-    after: object
-    agree: bool
-
-
-def verify_fold_consequence(Q, P, x, cap=DEFAULT_CAP):
-    """Check the homological consequence of the collapse Hom(Q,P) -> Hom(Q,P-x).
-
-    P - x must be a fold of P (witnessed by some y); builds both strict-map
-    homomorphism complexes and reports whether all Betti numbers and torsion
-    agree.
-    """
-    witnesses = tuple(y for xx, y in find_folds(P) if xx == x)
-    if not witnesses:
-        raise ValueError(f"removing element {x} is not a fold of P")
-    from .chains import homology  # chains builds on this module
-
-    before = homology(hom_complex_generic(Q, P, cap=cap))
-    P2, _ = delete_element(P, x)
-    after = homology(hom_complex_generic(Q, P2, cap=cap))
-    width = max(len(before.betti), len(after.betti))
-
-    def pad(t, fill):
-        return tuple(t) + (fill,) * (width - len(t))
-
-    agree = (pad(before.betti, 0) == pad(after.betti, 0)
-             and pad(before.torsion, ()) == pad(after.torsion, ()))
-    return FoldReport(x, witnesses, before, after, agree)

@@ -354,32 +354,6 @@ def is_chain(P):
                for x in range(P.n)) and len(P.minimals()) == 1
 
 
-def fold_collapse_sequence(P):
-    """A sequence of fold removals reducing P to a chain, found by backtracking search.
-
-    Returns a list of steps (x, y, poset_after): x and y are ids in the poset
-    before the step, y witnesses the fold, and poset_after is
-    delete_element(before, x)[0], with the dense ids of delete_element.
-    Raises ValueError if no fold sequence reaches a chain.
-    """
-    steps = []
-
-    def rec(cur):
-        if is_chain(cur):
-            return True
-        for x, y in find_folds(cur):
-            nxt, _ = delete_element(cur, x)
-            steps.append((x, y, nxt))
-            if rec(nxt):
-                return True
-            steps.pop()
-        return False
-
-    if not rec(P):
-        raise ValueError("no fold sequence reduces this poset to a chain")
-    return steps
-
-
 # -- text format ----------------------------------------------------------
 
 

@@ -60,9 +60,6 @@ class ChainSpec:
     def sorted_word(self):
         return tuple(j for j, v in enumerate(self.i, start=1) for _ in range(v))
 
-    def __str__(self):
-        return ",".join(str(v) for v in self.i)
-
 
 def as_spec(spec):
     if isinstance(spec, ChainSpec):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homchains
+from homchains import morse
 from homchains.cli import main
 from homchains.posets import format_poset_text
 from homchains import (
@@ -326,8 +327,6 @@ def test_report_deterministic(capsys):
 
 
 def test_verify_validates_acyclicity_once(capsys, monkeypatch):
-    from homchains import morse
-
     calls = []
     real = morse.validate_acyclic
 
@@ -457,23 +456,31 @@ def test_corrupted_face_index_is_an_internal_check_failure(capsys, monkeypatch):
         assert err == "error: internal check failed: face index out of range at dimension 2\n"
 
 
+def cyclic(cx):
+    """Hom(B_3) is a hexagon: match each vertex to the next edge around it,
+    a matching with an alternating cycle through all 12 cells."""
+    ends = [[v for v, _ in cx.faces(1, e)] for e in range(len(cx.cells[1]))]
+    up, v = {}, 0
+    while v not in up:
+        up[v] = e = next(e for e, vs in enumerate(ends) if v in vs and e not in up.values())
+        v = next(w for w in ends[e] if w != v)
+    return morse.MorseMatching.from_pairs(
+        cx, {cx.cells[0][v]: cx.cells[1][e] for v, e in up.items()})
+
+
 def test_report_on_an_alternating_cycle_is_an_internal_check_failure(capsys, monkeypatch):
-    # Hom(B_3) is a hexagon: match each vertex to the next edge around it
-    from homchains import morse
-
-    def cyclic(cx):
-        ends = [[v for v, _ in cx.faces(1, e)] for e in range(len(cx.cells[1]))]
-        up, v = {}, 0
-        while v not in up:
-            up[v] = e = next(e for e, vs in enumerate(ends) if v in vs and e not in up.values())
-            v = next(w for w in ends[e] if w != v)
-        return morse.MorseMatching.from_pairs(
-            cx, {cx.cells[0][v]: cx.cells[1][e] for v, e in up.items()})
-
     monkeypatch.setattr(morse, "match_product_of_chains", cyclic)
     code, out, err = run(capsys, "report", "--spec", "1,1,1")
     assert (code, out) == (1, "")
     assert err == "error: internal check failed: alternating cycle through 12 cells\n"
+
+
+def test_acyclicity_suite_fails_on_an_alternating_cycle(capsys, monkeypatch):
+    # a verification failure, reported on stdout, not an internal check failure
+    monkeypatch.setattr(morse, "match_product_of_chains", cyclic)
+    code, out, err = run(capsys, "verify", "--suite", "acyclicity", "--spec", "1,1,1")
+    assert (code, err) == (1, "")
+    assert out == "acyclicity: FAIL (alternating cycle through 12 cells)\n"
 
 
 def test_euler_command(capsys):
@@ -547,8 +554,6 @@ def test_cubicality_suite_builds_no_multihom(capsys, monkeypatch):
 def tamper_last_word(monkeypatch, change):
     """After the matching is built, give the last word of the complex the
     Placements that change(Placements) returns."""
-    from homchains import morse
-
     real = morse.match_product_of_chains
 
     def tampered(cx):

@@ -33,6 +33,7 @@ from homchains import (
     render_cellword,
     validate_acyclic,
 )
+from homchains import morse
 from homchains.complexes import FaceTable
 from homchains.morse import MorseMatching, SpecMatchContext, _trace
 from test_chains import random_acyclic_matching, shuffled_covers
@@ -328,6 +329,30 @@ def test_critical_structure_small():
         assert check_critical_structure(m) == []
 
 
+def test_critical_structure_reports_a_dropped_pair():
+    # Hom(B_3) without the pair 132 / 1(32): both cells are left critical,
+    # and neither has the structure of a critical cell
+    cx = chain_product_complex((1, 1, 1))
+    up, _ = key_partners(match_product_of_chains(cx))
+    del up[parse_cellword("132")]
+    bad = check_critical_structure(MorseMatching.from_pairs(cx, up))
+    assert sorted((kind, render_cellword(cw), j) for kind, cw, j in bad) == [
+        ("free-run-increasing", "132", 2), ("pair-after-free-descent", "132", 2),
+        ("pair-predecessor", "1(32)", 2), ("run-start-free", "1(32)", 2)]
+
+
+def test_fiber_monotonicity_reports_a_misclassified_cell(monkeypatch):
+    # B_4 with the cell 4321 classified critical: class `a` is then not
+    # inherited downward from two of its cofaces
+    cx = chain_product_complex((1, 1, 1, 1))
+    word = parse_cellword("4321").word
+    planted = (morse._schedule(word, descents(word)), 0)
+    real = morse._classify
+    monkeypatch.setattr(morse, "_classify", lambda schedule, mask:
+                        0 if (schedule, mask) == planted else real(schedule, mask))
+    assert check_fiber_monotonicity(cx) == (0, 2)
+
+
 def test_certificate_rejects_swapped_pair():
     # Hom(B_3): pair 123 with (21)3 instead of 213; the pair count is unchanged
     spec = (1, 1, 1)
@@ -455,8 +480,6 @@ def test_matching_rejects_swapped_alpha_and_beta_faces():
 
 def test_matching_rejects_an_unclaimed_lower_cell(monkeypatch):
     # classify the upper cell 1(32) as critical, leaving its lower partner 132 unclaimed
-    from homchains import morse
-
     real = morse._classify
     schedule = morse._schedule((1, 3, 2), (2,))
 

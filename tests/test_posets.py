@@ -13,7 +13,6 @@ from homchains import (
     delete_element,
     disjoint_union,
     find_folds,
-    fold_collapse_sequence,
     ideal_lattice,
     parse_poset_text,
     product,
@@ -220,25 +219,6 @@ def test_fold_rerouting_property():
         for c in before:
             rerouted = tuple(remap[y if e == x else e] for e in c)
             assert rerouted in after
-
-
-def test_fold_collapse_sequence_grid():
-    g = product([chain(2), chain(3)])
-    steps = fold_collapse_sequence(g)
-    assert is_chain(steps[-1][2])
-    assert steps[-1][2].n == 2 + 3 + 1
-
-
-def test_fold_collapse_sequence_steps_are_ids():
-    # each step names ids of the poset before it, and deletes x from it
-    for P in [product([chain(1), chain(2)]), product([chain(2), chain(2)])]:
-        before = P
-        for x, y, after in fold_collapse_sequence(P):
-            assert (x, y) in find_folds(before)
-            want, _ = delete_element(before, x)
-            assert (after.n, after.covers) == (want.n, want.covers)
-            before = after
-        assert is_chain(before)
 
 
 def test_delete_element_recomputes_covers():
