@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -202,8 +201,7 @@ def check_squared(cx):
             lo = hi
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     """Betti numbers and torsion invariant factors per dimension."""
 
     betti: tuple
@@ -245,8 +243,7 @@ def homology(cx):
 # -- fold consequences ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoldReport:
+class FoldReport(NamedTuple):
     """Homology comparison of Hom(Q, P) and Hom(Q, P - x) for a fold removal."""
 
     removed: int
@@ -384,8 +381,7 @@ def involution_partner(path, ctx):
         k = _position(ctx, x, u)
 
 
-@dataclass(frozen=True)
-class PathCensus:
+class PathCensus(NamedTuple):
     """The alternating paths between one critical pair, as tuples of cells,
     with their weights, their total and the sign-reversing pairing."""
 

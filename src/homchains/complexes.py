@@ -149,7 +149,7 @@ def _face_table(cells, boundary, lower):
 # -- the cubical model for products of chains -------------------------------
 
 
-class WordTable:
+class WordTable(NamedTuple):
     """The chain spec of a spec complex and its words, each stored once.
 
     spec is the ChainSpec, words lists its words in lexicographic order,
@@ -159,11 +159,10 @@ class WordTable:
     rank of its pair placement.
     """
 
-    def __init__(self, spec, words, placements, starts):
-        self.spec = spec
-        self.words = words
-        self.placements = placements
-        self.starts = starts
+    spec: object  # words.ChainSpec
+    words: list
+    placements: list
+    starts: list
 
     def locate(self, cell):
         """(dimension, index) of a cell word: a bisect on the words, then the

@@ -42,7 +42,7 @@ the tables it certified.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .words import CellWord, as_spec, check_content, descents, signed_faces
 
@@ -127,8 +127,8 @@ def _unmatched(cells):
     return {d: array("i", [-1]) * len(cs) for d, cs in cells.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class MorseMatching:
+class MorseMatching(NamedTuple("MorseMatching",
+                                [("cx", object), ("up", Mates), ("critical", dict)])):
     """A partial pairing of the cells of a complex, by cell index.
 
     `cx` is the complex the matching was built on, and the indices refer
@@ -139,22 +139,22 @@ class MorseMatching:
     partner out of range, or a cell that is claimed twice or both claimed
     and matched up, and derives critical[d], the indices of the unmatched
     d-cells in increasing order, for the dimensions that have any.
-    Nothing of the record can change afterwards, so a certificate binds to
-    the object, and through it to the complex.
+    Nothing of the record can change afterwards, and _make refuses to build
+    one around the constructor, so a certificate binds to the object, and
+    through it to the complex.  Each matching holds its own Mates, so two
+    matchings are equal only when they are one object.
     """
 
-    cx: "CellComplex" = field(repr=False)  # complexes.CellComplex
-    up: Mates  # lower cell -> index of its joined partner
-    critical: dict = field(init=False)  # dim -> sorted tuple of cell indices
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, cx, up):
         ups, critical = {}, {}
-        claimed = {d: bytearray(len(cs)) for d, cs in self.cx.cells.items()}
-        if set(self.up) != set(claimed):
-            raise ValueError(f"up partners for dimensions {sorted(self.up)} of a "
+        claimed = {d: bytearray(len(cs)) for d, cs in cx.cells.items()}
+        if set(up) != set(claimed):
+            raise ValueError(f"up partners for dimensions {sorted(up)} of a "
                              f"complex with cells of dimensions {sorted(claimed)}")
         for d in sorted(claimed):
-            below, mates = claimed[d], memoryview(bytes(self.up[d])).cast("i")
+            below, mates = claimed[d], memoryview(bytes(up[d])).cast("i")
             if len(mates) != len(below):
                 raise ValueError(f"{len(mates)} up partners for the {len(below)} "
                                  f"cells of dimension {d}")
@@ -175,8 +175,11 @@ class MorseMatching:
             if free:
                 critical[d] = tuple(free)
         n_pairs = sum(c.count(1) for c in claimed.values())
-        object.__setattr__(self, "up", Mates(ups, n_pairs))
-        object.__setattr__(self, "critical", critical)
+        return super().__new__(cls, cx, Mates(ups, n_pairs), critical)
+
+    @classmethod
+    def _make(cls, iterable):
+        raise ValueError("a matching is built from its complex and up partners alone")
 
     @classmethod
     def from_pairs(cls, cx, up):
@@ -253,8 +256,7 @@ def critical_cells(matching):
             for d, v in sorted(matching.critical.items())}
 
 
-@dataclass(frozen=True)
-class FiberTrace:
+class FiberTrace(NamedTuple):
     """Per-loop record of one cell through the matching algorithm."""
 
     cell: CellWord
@@ -381,8 +383,7 @@ class AcyclicityError(CertificationError):
         super().__init__(f"alternating cycle through {len(self.cycle)} cells")
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(NamedTuple):
     """Per dimension pair, a topological order of the matched pairs.
 
     orders[d] lists, once each, the (d-1)-cells a matched up to a d-cell
@@ -392,7 +393,7 @@ class MatchingCertificate:
     """
 
     orders: dict  # d -> array('i') of the lower cells of the pairs
-    matching: MorseMatching = field(repr=False)
+    matching: MorseMatching
 
 
 def validate_acyclic(matching):

@@ -320,28 +320,18 @@ def find_folds(P):
 
 
 def delete_element(P, x):
-    """The induced subposet P - x with dense ids; returns (poset, old_id -> new_id)."""
+    """The induced subposet P - x with dense ids; returns (poset, old_id -> new_id).
+
+    A cover of P - x is a cover of P that misses x, or a down-cover a and an
+    up-cover b of x with nothing but x between them.
+    """
     if not 0 <= x < P.n:
         raise ValueError(f"no element {x}")
-    keep = [i for i in range(P.n) if i != x]
-    remap = {old: new for new, old in enumerate(keep)}
-    above = []
-    for a in keep:
-        m = 0
-        for b in _bits(P.above(a)):
-            if b != x:
-                m |= 1 << remap[b]
-        above.append(m)
-    below = [0] * len(keep)
-    for a, m in enumerate(above):
-        for b in _bits(m):
-            below[b] |= 1 << a
-    covers = []
-    for a in range(len(keep)):
-        for b in _bits(above[a]):
-            if above[a] & below[b] == 0:
-                covers.append((a, b))
-    return FinitePoset(len(keep), covers), remap
+    remap = {old: new for new, old in enumerate(i for i in range(P.n) if i != x)}
+    covers = [(a, b) for a, b in P.covers if x not in (a, b)]
+    covers += [(a, b) for a in P.down_covers[x] for b in P.up_covers[x]
+               if P.above(a) & P.below(b) == 1 << x]
+    return FinitePoset(P.n - 1, [(remap[a], remap[b]) for a, b in covers]), remap
 
 
 def is_chain(P):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import combinations, count
 from typing import NamedTuple
 
@@ -25,20 +24,28 @@ from .posets import CapExceeded
 DEFAULT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Nondecreasing positive chain lengths (i_1, ..., i_n)."""
+class ChainSpec(NamedTuple("ChainSpec", [("i", tuple)])):
+    """Nondecreasing positive chain lengths (i_1, ..., i_n).
 
-    i: tuple
+    The constructor normalises and validates; _make goes through it, so
+    _replace validates too.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "i", tuple(int(v) for v in self.i))
-        if not self.i:
+    __slots__ = ()
+
+    def __new__(cls, i):
+        i = tuple(int(v) for v in i)
+        if not i:
             raise ValueError("empty chain spec")
-        if any(v < 1 for v in self.i):
+        if any(v < 1 for v in i):
             raise ValueError("chain lengths must be positive")
-        if any(a > b for a, b in zip(self.i, self.i[1:])):
+        if any(a > b for a, b in zip(i, i[1:])):
             raise ValueError("chain lengths must be nondecreasing")
+        return super().__new__(cls, i)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def n(self):

@@ -123,6 +123,21 @@ def test_traced_run_matches_the_untraced_one(capsys, tmp_path, argv):
     assert traced["metrics"]["morse.critical_cells"] == sum(map(len, m.critical.values()))
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter, the modules `import homchains.cli` adds to the
+    # ones start-up loaded include neither of these two costly imports
+    code = ("import sys; before = set(sys.modules); import homchains.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(homchains.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    added = set(done.stdout.split())
+    assert "homchains.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("spec", ["1,1,1,1,1", "1,1,1,1,1,1", "2,2,2", "2,2,3", "1,2,3"])
 def test_matching_digest_is_sha256_of_sorted_rendered_pairs(capsys, spec):
     # the digest the CLI streams word by word equals one built from sorted cell keys
@@ -294,7 +309,8 @@ def test_missing_input_usage_error(capsys):
         assert ("--poset" in err) == (command == "build")
 
 
-ZIGZAG5 = str(Path(__file__).parent / "data" / "zigzag5.poset")
+DATA = Path(__file__).parent / "data"
+ZIGZAG5 = str(DATA / "zigzag5.poset")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -306,6 +322,10 @@ ZIGZAG5 = str(Path(__file__).parent / "data" / "zigzag5.poset")
     (("build", "--poset", "no-such-file.poset"), "No such file"),
     (("euler", "--n-max", "0"), "'0' is not a positive integer"),
     (("euler", "--n-max", "-3"), "'-3' is not a positive integer"),
+    (("build", "--poset", str(DATA / "cyclic.poset")),
+     "argument --poset: cover relation contains a cycle"),
+    (("build", "--poset", str(DATA / "ungraded.poset")),
+     "argument --poset: not graded: maximal elements of unequal rank"),
 ])
 def test_input_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

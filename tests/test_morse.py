@@ -1,6 +1,5 @@
 """The matching algorithm, fiber traces, acyclicity validation."""
 
-import dataclasses
 import random
 import tracemalloc
 from array import array
@@ -341,6 +340,34 @@ def test_critical_structure_reports_a_dropped_pair():
         ("pair-predecessor", "1(32)", 2), ("run-start-free", "1(32)", 2)]
 
 
+def test_critical_structure_reports_a_free_descent_three_later():
+    # Hom(B_5) without the pair 21354 / 213(54): the free descent at 1 of
+    # 213(54) has a joined descent three positions later
+    cx = chain_product_complex((1, 1, 1, 1, 1))
+    up, _ = key_partners(match_product_of_chains(cx))
+    assert up.pop(parse_cellword("21354")) == parse_cellword("213(54)")
+    bad = check_critical_structure(MorseMatching.from_pairs(cx, up))
+    assert [(kind, render_cellword(cw), j) for kind, cw, j in bad] == [
+        ("pair-after-free-descent", "21354", 1), ("pair-after-free-descent", "21354", 4),
+        ("free-run-increasing", "21354", 1), ("free-run-increasing", "21354", 4),
+        ("pair-after-free-descent", "213(54)", 1), ("free-three-later", "213(54)", 1),
+        ("run-start-free", "213(54)", 4), ("free-run-increasing", "213(54)", 1),
+        ("pair-predecessor", "213(54)", 4)]
+
+
+def test_fiber_monotonicity_reports_a_position_that_grows_upward(monkeypatch):
+    # B_3 with the vertices of 213's schedule, 213 and 312, classified
+    # critical: 312 reaches loop (1, 1) with its 1 left of where its coface
+    # 3(21) has it, and `a` is not inherited downward from (21)3 and (31)2
+    cx = chain_product_complex((1, 1, 1))
+    word = parse_cellword("213").word
+    planted = (morse._schedule(word, descents(word)), 0)
+    real = morse._classify
+    monkeypatch.setattr(morse, "_classify", lambda schedule, mask:
+                        0 if (schedule, mask) == planted else real(schedule, mask))
+    assert check_fiber_monotonicity(cx) == (1, 2)
+
+
 def test_fiber_monotonicity_reports_a_misclassified_cell(monkeypatch):
     # B_4 with the cell 4321 classified critical: class `a` is then not
     # inherited downward from two of its cofaces
@@ -405,12 +432,20 @@ def test_matching_cannot_change():
     cx = chain_product_complex((1, 1, 1, 1))
     m = match_product_of_chains(cx)
     lower = next(i for i, u in enumerate(m.up[0]) if u >= 0)
+    critical, up = dict(m.critical), {d: bytes(m.up[d]) for d in cx.cells}
+
+    def unchanged():
+        return m.critical == critical and {d: bytes(m.up[d]) for d in cx.cells} == up
+
     with pytest.raises(TypeError):
         m.up[0][lower] = -1
+    assert unchanged()
     with pytest.raises(ValueError):
-        dataclasses.replace(m, critical={**m.critical, 0: m.critical[0] + (lower,)})
-    with pytest.raises(dataclasses.FrozenInstanceError):
+        m._replace(critical={**m.critical, 0: m.critical[0] + (lower,)})
+    assert unchanged()
+    with pytest.raises(AttributeError):
         m.critical = {}
+    assert unchanged()
 
 
 def test_certificate_is_bound_to_its_matching_object():

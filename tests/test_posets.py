@@ -1,6 +1,7 @@
 """Poset construction, products, ideal lattices, and fold detection."""
 
 import itertools
+import random
 
 import pytest
 
@@ -228,11 +229,47 @@ def test_delete_element_recomputes_covers():
     assert q.covers == ((0, 1),)
 
 
+def transitive_closure(n, relation):
+    lt = set(relation)
+    for c in range(n):
+        lt |= {(a, b) for a in range(n) for b in range(n) if (a, c) in lt and (c, b) in lt}
+    return lt
+
+
+def transitive_reduction(n, lt):
+    """The covers of a transitively closed strict order, sorted."""
+    return sorted((a, b) for a, b in lt if not any((a, c) in lt and (c, b) in lt for c in range(n)))
+
+
+def test_delete_element_covers_the_induced_order():
+    # random posets on shuffled ids: the covers of P - x are the transitive
+    # reduction of the order that P induces on the other elements
+    rng = random.Random(1812)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        ids = rng.sample(range(n), n)
+        lt = transitive_closure(n, [(ids[a], ids[b]) for a, b in itertools.combinations(range(n), 2)
+                                    if rng.random() < 0.3])
+        P = FinitePoset(n, transitive_reduction(n, lt))
+        for x in range(n):
+            q, remap = delete_element(P, x)
+            assert remap == {old: new for new, old in enumerate(v for v in range(n) if v != x)}
+            induced = {(remap[a], remap[b]) for a, b in lt if x not in (a, b)}
+            assert list(q.covers) == transitive_reduction(n - 1, induced)
+
+
 def test_graded_validation_rejects_bad_rank():
     with pytest.raises(ValueError):
         GradedPoset(2, [(0, 1)], rank=[0, 2])
-    with pytest.raises(ValueError):
-        GradedPoset(3, [(0, 1)], rank=[0, 1, 1])  # maximal elements of unequal rank
+    with pytest.raises(ValueError, match="minimal element has nonzero rank"):
+        GradedPoset(3, [(0, 1)], rank=[0, 1, 1])
+    with pytest.raises(ValueError, match="maximal elements of unequal rank"):
+        GradedPoset(3, [(0, 1)], rank=[0, 1, 0])
+
+
+def test_cyclic_covers_are_rejected():
+    with pytest.raises(ValueError, match="contains a cycle"):
+        FinitePoset(2, [(0, 1), (1, 0)])
 
 
 def test_graded_validation_rejects_non_cover():

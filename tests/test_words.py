@@ -47,6 +47,10 @@ def test_chainspec_validation():
         ChainSpec((2, 1))
     with pytest.raises(ValueError):
         ChainSpec((0, 1))
+    # _replace builds through the constructor, so it validates and normalises too
+    with pytest.raises(ValueError, match="nondecreasing"):
+        ChainSpec((1, 2))._replace(i=(2, 1))
+    assert ChainSpec((1, 2))._replace(i=["1", 3]).i == (1, 3)
 
 
 def test_descent_set_paper_examples():
