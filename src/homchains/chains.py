@@ -7,7 +7,11 @@ Smith normal form read it as written, and the Morse complex is a
 CellComplex whose tables hold its integer incidences.  check_squared is the
 one d o d check, on a full complex and on a Morse complex alike; the +1/-1
 incidences that the reduction relies on are checked with the matching, by
-morse.validate_acyclic.  Cell-word faces and their signs come from
+morse.validate_acyclic.  On tables that list faces pair by pair, the
+column pass of the columns module clears each cell whose d o d cancels as
+in a cube: pairs t and u released in either order meet with opposite
+signs.  A per-cell loop checks the rest, and only it raises.  Cell-word
+faces and their signs come from
 words.signed_faces.  The Morse complex reduces each critical cell's
 boundary along the acyclicity certificate's order and lists no path.
 Alternating paths are walked through a match oracle of two methods:
@@ -32,9 +36,9 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import defaultdict
-from itertools import islice
 from typing import NamedTuple
 
+from .columns import uncleared
 from .complexes import CellComplex, FaceTable, hom_complex_generic
 from .posets import delete_element, find_folds
 from .words import DEFAULT_CAP
@@ -178,14 +182,23 @@ def check_squared(cx):
     by cell, the incidence products along each face's own faces are summed
     per (d-2)-cell and must all vanish.  It reads the tables as written and
     derives no face anew.
+
+    The loop runs over the cells that columns.uncleared leaves.  On a table
+    that lists faces pair by pair, as a spec complex's does, that column
+    pass clears each cell whose faces differ and whose d o d cancels as in
+    a cube: releasing pairs t < u in either order reaches one (d-2)-cell
+    with opposite signs, and these 4 C(d, 2) pairs of composites split all
+    4d(d - 1) of them.  It never rejects a cell.  A Morse complex or a
+    generic Hom, whose ptr is an array, gets every cell checked here, and
+    only this loop raises, so every verdict and message is the loop's.
     """
     for d in sorted(cx.boundary):
         ptr, idx, sgn = cx.boundary[d]
         if idx and not (min(idx) >= 0 and max(idx) < len(cx.cells[d - 1])):
             raise ArithmeticError(f"face index out of range at dimension {d}")
         lower = cx.boundary.get(d - 1)
-        lo = 0
-        for hi in islice(ptr, 1, None):
+        for j in uncleared(cx, d):
+            lo, hi = ptr[j], ptr[j + 1]
             if len(set(idx[lo:hi])) != hi - lo:
                 raise ArithmeticError(f"repeated facet in boundary at dimension {d}")
             if lower is not None:
@@ -198,7 +211,6 @@ def check_squared(cx):
                         acc[g] = get(g, 0) + s * lsgn[k]
                 if any(acc.values()):
                     raise ArithmeticError(f"boundary squared is nonzero at dimension {d}")
-            lo = hi
 
 
 class HomologyReport(NamedTuple):
@@ -297,25 +309,35 @@ class ComplexMatchContext:
         return None if u < 0 else u
 
 
-def _position(ctx, face, cell):
-    """The position of face among ctx.facets(cell); ValueError if it is none of them."""
-    return [f for f, _ in ctx.facets(cell)].index(face)
+def _position(faces, face):
+    """The position of face among faces, a cell's (face, sign) pairs; ValueError if absent."""
+    return [f for f, _ in faces].index(face)
 
 
-def path_weight(path, ctx):
+def path_steps(path, ctx):
+    """The (position, sign) of each step of path among the faces of the
+    higher of its two cells, each read from ctx.facets once."""
+    steps = []
+    for k in range(1, len(path)):
+        face, cell = (path[k], path[k - 1]) if k % 2 else (path[k - 1], path[k])
+        faces = ctx.facets(cell)
+        p = _position(faces, face)
+        steps.append((p, faces[p][1]))
+    return steps
+
+
+def path_weight(path, ctx, steps=None):
     """w(c) = (-1)^t [a_1:sigma][tau:u(a_t)] prod [a_i:u(a_i)] prod [a_{i+1}:u(a_i)]
     of the path c = (sigma, a_1, u(a_1), ..., a_t, u(a_t), tau), a tuple of
     cells: (-1)^t times the incidence of each cell in its neighbours one
-    dimension up."""
+    dimension up, the signs of its path_steps."""
     t = (len(path) - 2) // 2
     if t < 1:
         raise ValueError("alternating path needs at least one matched step")
     sign = -1 if t % 2 else 1
-    for k in range(1, len(path)):
-        face, cell = (path[k], path[k - 1]) if k % 2 else (path[k - 1], path[k])
-        sign *= ctx.facets(cell)[_position(ctx, face, cell)][1]
+    for _, s in steps or path_steps(path, ctx):
+        sign *= s
     return sign
-
 
 def alternating_paths_from(sigma, ctx, targets):
     """The alternating paths from sigma to the targets, as tuples of cells,
@@ -342,7 +364,7 @@ def alternating_paths_from(sigma, ctx, targets):
     return paths
 
 
-def involution_partner(path, ctx):
+def involution_partner(path, ctx, steps=None):
     """The sign-reversing partner path: re-release the pivot pair in the other order.
 
     A cell word lists its faces pair by pair, the t-th pair's alpha release
@@ -356,18 +378,18 @@ def involution_partner(path, ctx):
     dimensions 1 and 0); after it the partner path is forced, each matched
     join being undone by its other release, until the target critical cell
     is reached.  A walk that leaves the matched region or comes back to a
-    cell raises ValueError.
+    cell raises ValueError.  It reads path's positions from steps.
     """
     tau = path[-1]
-    # out[i]: the position of path[2i + 1] among the faces of path[2i]
-    out = [_position(ctx, path[k + 1], path[k]) for k in range(0, len(path) - 1, 2)]
+    pos = [p for p, _ in steps or path_steps(path, ctx)]
     j = 0  # pivot 0 means the release from sigma itself
-    for i in range(1, len(out)):
-        if _position(ctx, path[2 * i - 1], path[2 * i]) >> 1 != out[i] >> 1:
+    for i in range(1, len(path) // 2):
+        if pos[2 * i - 1] >> 1 != pos[2 * i] >> 1:
             j = i
-    partner, u, k, seen = list(path[:2 * j + 1]), path[2 * j], out[j], set()
+    partner, u, k, seen = list(path[:2 * j + 1]), path[2 * j], pos[2 * j], set()
+    faces = ctx.facets(u)
     while True:
-        x = ctx.facets(u)[k ^ 1][0]
+        x = faces[k ^ 1][0]
         partner.append(x)
         if x == tau:
             return tuple(partner)
@@ -378,7 +400,8 @@ def involution_partner(path, ctx):
         if u is None:
             raise ValueError("partner walk left the matched region")
         partner.append(u)
-        k = _position(ctx, x, u)
+        faces = ctx.facets(u)
+        k = _position(faces, x)
 
 
 class PathCensus(NamedTuple):
@@ -391,13 +414,13 @@ class PathCensus(NamedTuple):
     total: int
 
 
-def _pairing(paths, weights, ctx):
+def _pairing(paths, steps, weights, ctx):
     """The sign-reversing pairing of the paths by involution_partner, as
     sorted index pairs, or None when it is not a weight-reversing
     involution on them."""
     index = {p: k for k, p in enumerate(paths)}
     try:
-        partner = [index.get(involution_partner(p, ctx)) for p in paths]
+        partner = [index.get(involution_partner(p, ctx, s)) for p, s in zip(paths, steps)]
     except ValueError:
         return None
     if any(m is None or m == k or partner[m] != k or weights[k] * weights[m] != -1
@@ -432,8 +455,9 @@ def path_censuses(certificate):
         keys = (cx.cells[d], cx.cells[d - 1])
         for sigma in matching.critical.get(d, ()):
             for tau, paths in alternating_paths_from(sigma, ctx, targets).items():
-                weights = tuple(path_weight(p, ctx) for p in paths)
-                pairing = None if cx.word_table is None else _pairing(paths, weights, ctx)
+                steps = [path_steps(p, ctx) for p in paths]
+                weights = tuple(path_weight(p, ctx, s) for p, s in zip(paths, steps))
+                pairing = None if cx.word_table is None else _pairing(paths, steps, weights, ctx)
                 paths = tuple(tuple(keys[k % 2][c] for k, c in enumerate(p)) for p in paths)
                 censuses[(keys[0][sigma], keys[1][tau])] = PathCensus(
                     paths, weights, pairing, sum(weights))

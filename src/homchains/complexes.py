@@ -53,7 +53,10 @@ class FaceTable(NamedTuple):
     incidence numbers sgn[ptr[j]:ptr[j + 1]].  In a cell complex they are
     +1 or -1; in a Morse complex (chains.morse_complex) sgn is a list of
     nonzero integers of any size.  A spec complex, whose d-cells all have
-    2d faces, keeps ptr as the range of that stride, not as a copy of it.
+    2d faces, keeps ptr as the range of that stride, not as a copy of it,
+    and lists them pair by pair: position 2t + x releases the t-th pair
+    (0-based), alpha for x = 0 and beta for x = 1.  chains.check_squared
+    reads that order when it clears cells column by column.
     """
 
     ptr: array  # 'i', one more entry than there are d-cells; a range in a spec complex

@@ -33,7 +33,9 @@ from homchains import (
     smith_normal_form,
     validate_acyclic,
 )
-from homchains.chains import _dense_snf, path_weight
+from homchains import chains
+from homchains.chains import _dense_snf, path_steps, path_weight
+from homchains.columns import uncleared
 from homchains.complexes import FaceTable, _generic_signed_faces
 from homchains.morse import MorseMatching, SpecMatchContext
 from homchains.words import release
@@ -331,23 +333,93 @@ def test_homology_rejects_repeated_facets_and_takes_integer_incidences():
     assert (h.betti, h.torsion) == ((1, 0), ((2,), ()))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([(1, 1, 1, 1), (2, 2, 2), (1, 1, 1, 2), (1, 1, 1, 1, 1)]), st.data())
-def test_face_check_agrees_with_matrix_product(spec, data):
-    # flip one sign of a cell of dimension >= 2: check_squared must reject the
-    # complex at the lowest dimension e whose dense product d_(e-1) d_e is nonzero
+def squared_verdict(cx):
+    """The message check_squared raises on cx, or None when it passes."""
+    try:
+        check_squared(cx)
+    except ArithmeticError as err:
+        return str(err)
+    return None
+
+
+def with_array_pointers(cx):
+    """cx with every ptr an array('i') copy: tables the column pass of
+    check_squared does not read, so the per-cell loop checks every cell."""
+    faces = {d: FaceTable(array("i", t.ptr), t.idx, t.sgn) for d, t in cx.boundary.items()}
+    return CellComplex.from_faces(cx.cells, faces, cx.word_table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1, 1, 1), (2, 2, 2), (1, 1, 1, 2), (1, 1, 1, 1, 1)]),
+       st.sampled_from(["flip", "move"]), st.data())
+def test_face_check_agrees_with_matrix_product(spec, mutation, data):
+    # flip one sign of a cell of dimension d >= 2, or move one face of a cell
+    # of dimension d >= 1 to another in-range (d-1)-cell.  The column pass
+    # and the per-cell loop alone (array pointers) give one verdict: a
+    # repeated facet at d, or else the lowest dimension e whose dense
+    # product d_(e-1) d_e is nonzero, which is d itself for a flipped sign
     cx = chain_product_complex(spec)
     check_squared(cx)
-    d = data.draw(st.integers(2, cx.dim))
-    sgn = cx.boundary[d].sgn
-    k = data.draw(st.integers(0, len(sgn) - 1))
-    sgn[k] = -sgn[k]
+    d = data.draw(st.integers(2 if mutation == "flip" else 1, cx.dim))
+    ptr, idx, sgn = cx.boundary[d]
+    k = data.draw(st.integers(0, len(idx) - 1))
+    if mutation == "flip":
+        sgn[k] = -sgn[k]
+    else:
+        other = data.draw(st.integers(0, len(cx.cells[d - 1]) - 2))
+        idx[k] = other + (other >= idx[k])
+    got = squared_verdict(cx)
+    assert squared_verdict(with_array_pointers(cx)) == got
+    idx.append(0)  # a check that raised leaves no buffer export behind
+    idx.pop()
+    j = k // (2 * d)
+    if len(set(idx[ptr[j]:ptr[j + 1]])) < 2 * d:
+        assert got == f"repeated facet in boundary at dimension {d}"
+        return
     nonzero = [e for e in range(2, cx.dim + 1)
                if dense_product_is_nonzero(dense(cx.boundary[e - 1], len(cx.cells[e - 2])),
                                            dense(cx.boundary[e], len(cx.cells[e - 1])))]
-    assert nonzero[0] == d
-    with pytest.raises(ArithmeticError, match=f"boundary squared is nonzero at dimension {d}"):
+    assert got == (f"boundary squared is nonzero at dimension {nonzero[0]}" if nonzero else None)
+    if mutation == "flip":
+        assert nonzero[0] == d
+
+
+@pytest.mark.parametrize("spec", [(1,) * 5, (2, 2, 2)])
+@pytest.mark.parametrize("change", ["negate", "swap"])
+def test_tables_the_column_pass_cannot_clear_still_pass(spec, change):
+    # in one top-dimensional cell, negate all 2d signs, or swap the face
+    # blocks of its first and last pairs, indices and signs together: d o d
+    # stays 0 and the homology is unchanged, but the cell no longer lists its
+    # faces as the column pass reads them, so the per-cell loop decides it.
+    # On B_5 (d = 2) both changes break a sign column; on (2,2,2) (d = 3)
+    # the swap keeps them and breaks the pairing of that cell alone
+    want = homology(chain_product_complex(spec))
+    cx = chain_product_complex(spec)
+    assert all(uncleared(cx, e) == [] for e in cx.boundary)
+    d = cx.dim
+    table = cx.boundary[d]
+    j = len(cx.cells[d]) // 2
+    lo = table.ptr[j]
+    if change == "negate":
+        for k in range(lo, lo + 2 * d):
+            table.sgn[k] = -table.sgn[k]
+    else:
+        for x in (0, 1):
+            p, q = lo + x, lo + 2 * (d - 1) + x
+            table.idx[p], table.idx[q] = table.idx[q], table.idx[p]
+            table.sgn[p], table.sgn[q] = table.sgn[q], table.sgn[p]
+    assert j in uncleared(cx, d)
+    check_squared(cx)
+    assert homology(cx) == want
+    # a check that raised leaves no buffer export behind: the tables resize
+    table.idx[lo] = table.idx[lo + 1]
+    with pytest.raises(ArithmeticError, match=f"repeated facet in boundary at dimension {d}"):
         check_squared(cx)
+    for t in cx.boundary.values():
+        t.idx.append(0)
+        t.idx.pop()
+        t.sgn.append(0)
+        t.sgn.pop()
 
 
 def dense_product_is_nonzero(lower, upper):
@@ -619,6 +691,50 @@ def test_involution_by_face_positions_matches_key_level_release(spec):
                        for pair in census.pairing)
             n_paths += 1
     assert n_paths > 0
+
+
+@pytest.mark.parametrize("spec", [(1,) * 6, (2, 2, 2)])
+def test_census_reads_each_step_once(spec, monkeypatch):
+    # path_censuses reads each path's (position, sign) steps once, through
+    # ComplexMatchContext.facets, and its weights and partners read them; the
+    # partner walk reads each cell it passes once more.  The walk that finds
+    # the paths is not counted.  Weights and partners equal those read anew.
+    cert = validate_acyclic(match_product_of_chains(chain_product_complex(spec)))
+    facets, walk = ComplexMatchContext.facets, chains.alternating_paths_from
+    calls, walking = [0], [False]
+
+    def counted(self, j):
+        calls[0] += not walking[0]
+        return facets(self, j)
+
+    def uncounted(*args):
+        walking[0] = True
+        try:
+            return walk(*args)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(ComplexMatchContext, "facets", counted)
+    monkeypatch.setattr(chains, "alternating_paths_from", uncounted)
+    censuses = path_censuses(cert)
+    paths = [p for c in censuses.values() for p in c.paths]
+    steps = sum(len(p) - 1 for p in paths)
+    # the partner of a path of len(q) cells costs at most len(q) / 2 reads,
+    # and partners pair the paths, so their lengths sum to that of the paths
+    assert 0 < steps <= calls[0] <= steps + (steps + len(paths)) // 2
+    cx = cert.matching.cx
+    for (sigma, tau), census in censuses.items():
+        d = sigma.dim
+        ctx = ComplexMatchContext(cert, d)
+        at = [tuple(cx.locate(c)[1] for c in p) for p in census.paths]
+        calls[0] = 0
+        got = [path_steps(p, ctx) for p in at]
+        assert calls[0] == sum(len(p) - 1 for p in at)
+        assert tuple(path_weight(p, ctx, s) for p, s in zip(at, got)) == census.weights
+        assert calls[0] == sum(len(p) - 1 for p in at)
+        assert census.weights == tuple(path_weight(p, ctx) for p in at)
+        for p, s in zip(at, got):
+            assert involution_partner(p, ctx, s) == involution_partner(p, ctx)
 
 
 class LoopingOracle:
