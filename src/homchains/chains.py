@@ -6,14 +6,16 @@ A boundary is always a FaceTable (complexes.FaceTable): check_squared and
 Smith normal form read it as written, and the Morse complex is a
 CellComplex whose tables hold its integer incidences.  check_squared is the
 one d o d check, on a full complex and on a Morse complex alike; the +1/-1
-incidences that the reduction relies on are checked with the matching, by
-morse.validate_acyclic.  On tables that list faces pair by pair, the
+incidences that the Morse complex relies on are checked with the matching,
+by morse.validate_acyclic.  On tables that list faces pair by pair, the
 column pass of the columns module clears each cell whose d o d cancels as
 in a cube: pairs t and u released in either order meet with opposite
 signs.  A per-cell loop checks the rest, and only it raises.  Cell-word
 faces and their signs come from
-words.signed_faces.  The Morse complex reduces each critical cell's
-boundary along the acyclicity certificate's order and lists no path.
+words.signed_faces.  The Morse complex sweeps the acyclicity
+certificate's order twice per dimension, forward to mark the pairs the
+critical cells reach and back to give each its flow, its image in the
+critical cells, once; it lists no path.
 Alternating paths are walked through a match oracle of two methods:
 facets(cell), the cell's (face, sign) pairs, and up(cell), its up-partner
 or None.  A path is the tuple of its cells.  path_censuses walks cell
@@ -36,6 +38,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import defaultdict
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 from .columns import uncleared
@@ -235,21 +238,13 @@ def homology(cx):
     cross-checks, verify_fold_consequence and the tests.
     """
     check_squared(cx)
-    top = cx.dim
-    ranks = {}
-    factors = {}
-    for d in range(1, top + 1):
-        snf = smith_normal_form(cx.boundary[d])
-        ranks[d] = snf.rank
-        factors[d] = snf.factors
-    betti = []
-    torsion = []
-    for d in range(top + 1):
-        nd = len(cx.cells[d])
-        betti.append(nd - ranks.get(d, 0) - ranks.get(d + 1, 0))
-        torsion.append(tuple(f for f in factors.get(d + 1, ()) if f > 1))
-    euler = sum((-1) ** d * b for d, b in enumerate(betti))
-    return HomologyReport(tuple(betti), tuple(torsion), euler)
+    snf = {d: smith_normal_form(cx.boundary[d]) for d in range(1, cx.dim + 1)}
+    empty = SNFResult((), 0)
+    betti = tuple(len(cx.cells[d]) - snf.get(d, empty).rank - snf.get(d + 1, empty).rank
+                  for d in range(cx.dim + 1))
+    torsion = tuple(tuple(f for f in snf.get(d + 1, empty).factors if f > 1)
+                    for d in range(cx.dim + 1))
+    return HomologyReport(betti, torsion, sum((-1) ** d * b for d, b in enumerate(betti)))
 
 
 # -- fold consequences ---------------------------------------------------
@@ -278,13 +273,8 @@ def verify_fold_consequence(Q, P, x, cap=DEFAULT_CAP):
     before = homology(hom_complex_generic(Q, P, cap=cap))
     P2, _ = delete_element(P, x)
     after = homology(hom_complex_generic(Q, P2, cap=cap))
-    width = max(len(before.betti), len(after.betti))
-
-    def pad(t, fill):
-        return tuple(t) + (fill,) * (width - len(t))
-
-    agree = (pad(before.betti, 0) == pad(after.betti, 0)
-             and pad(before.torsion, ()) == pad(after.torsion, ()))
+    agree = all(x == y for x, y in zip_longest(zip(before.betti, before.torsion),
+                                               zip(after.betti, after.torsion), fillvalue=(0, ())))
     return FoldReport(x, witnesses, before, after, agree)
 
 
@@ -439,7 +429,7 @@ def path_censuses(certificate):
     indices, through ComplexMatchContext on the face tables and up arrays
     that validate_acyclic and morse_complex read, and each found path is
     then keyed through cells[d] and cells[d - 1] alternately.  The Morse
-    incidence of tau in sigma, which morse_complex computes by reduction,
+    incidence of tau in sigma, which morse_complex computes from flows,
     is the census total plus the direct incidence, the sign of tau among
     sigma's faces or 0.  The sign-reversing pairing reads cell-word face
     positions, so it is made on a spec complex only; elsewhere it is None.
@@ -464,77 +454,74 @@ def path_censuses(certificate):
     return censuses
 
 
+def _image(table, j, flow, wide, c=1):
+    """c times the sum of [g:j] flow(g) over the faces g of cell j, as
+    {row: coefficient}, nonzero entries only."""
+    ptr, idx, sgn = table
+    acc = defaultdict(int)
+    for g, t in zip(idx[ptr[j]:ptr[j + 1]], sgn[ptr[j]:ptr[j + 1]]):
+        if f := flow[g]:
+            acc[abs(f) - 1] += t if f > 0 else -t
+        elif g in wide:
+            for r, v in wide[g].items():
+                acc[r] += t * v
+    return {r: c * v for r, v in acc.items() if v}
+
+
 def morse_complex(certificate):
     """The chain complex on the critical cells of a certified matching, as a
-    CellComplex keyed by the critical cells' keys.
+    CellComplex keyed by the critical cells' keys, with the homology of the
+    complex cx the matching holds.
 
     Takes the certificate validate_acyclic issued, which holds the matching,
-    which holds the complex cx it was built on: only the certified tables
-    are reduced.
-    The homology of the result equals that of cx.
-    The boundary of each critical d-cell sigma is reduced along the pair
-    order of certificate.orders[d], then along the other (d-1)-cells by
-    index: the earliest (d-1)-cell a still carrying a nonzero coefficient c
-    is taken off.  A critical a keeps c as the incidence of a in sigma's face table
-    (written in row order, nonzero entries only), an a matched downward is
-    dropped, and an a matched up to u is traded for the other faces of u:
-    c a becomes c a - c [a:u] d(u), which adds -c [a:u] [g:u] to each face
-    g != a of u; [a:u] is +1 or -1, which validate_acyclic certifies, and so
-    its own inverse.  A face of u that is matched up comes after a in the
-    pair order, and every other face after all pairs, so every cell is taken
-    off once, after all its contributions.  Each entry
-    is therefore the direct incidence plus the weights of all alternating
-    paths from sigma to tau, as path_censuses counts them, without listing
-    a path.  homology checks d o d = 0 on the result before its SNF.
+    which holds cx: only the certified tables are read.  The flow of a
+    (d-1)-cell is its image in the critical (d-1)-cells: tau for a critical
+    tau, 0 for a cell matched downward, and -[a:u] times the sum of
+    [g:u] flow(g) over the faces g != a of u for a pair (a, u); [a:u] is
+    +1 or -1, which validate_acyclic certifies, and so its own inverse.  A
+    forward sweep of certificate.orders[d] marks the pairs the critical
+    d-cells reach, and a backward sweep gives each its flow once, after the
+    flows it reads.  The column of a critical sigma is the sum of
+    [g:sigma] flow(g), in row order, nonzero entries only: the direct
+    incidence plus the weights of all alternating paths from sigma to tau,
+    as path_censuses counts them, without listing a path.  A flow is kept
+    as a code, 0 or +-(r + 1) for +-1 times row r, as every flow of the
+    spec complexes measured is, and any other in a dict.  homology checks
+    d o d = 0 on the result before its SNF.
     """
     matching = certificate.matching
     cx = matching.cx
-    top = cx.dim
-    crit = {d: matching.critical.get(d, ()) for d in range(top + 1)}
-    cells = {d: tuple(cx.cells[d][i] for i in crit[d]) for d in crit}
-    tables = {}
-    for d in range(1, top + 1):
-        mptr, midx, msgn = array("i", [0]) * (len(crit[d]) + 1), array("i"), []
-        row = {tau: r for r, tau in enumerate(crit[d - 1])}
-        if row and crit[d]:
-            ptr, idx, sgn = cx.boundary[d]
-            up = matching.up[d - 1]
-            order = certificate.orders[d]
-            n = len(order)
-            # a pair's lower cell is taken off at its rank in the order, every
-            # other (d-1)-cell g after all pairs, at n + g
-            pos = array("i", range(n, n + len(cx.cells[d - 1])))
-            for k, a in enumerate(order):
-                pos[a] = k
-            for col, sigma in enumerate(crit[d]):
-                coef = {}
-                lo, hi = ptr[sigma], ptr[sigma + 1]
-                for g, s in zip(idx[lo:hi], sgn[lo:hi]):
-                    coef[g] = coef.get(g, 0) + s
-                heap = [pos[g] for g in coef]
-                heapq.heapify(heap)
-                while heap:
-                    key = heapq.heappop(heap)
-                    a = order[key] if key < n else key - n
-                    c = coef.pop(a)
-                    if not c:
-                        continue
-                    if a in row:
-                        midx.append(row[a])
-                        msgn.append(c)
-                        continue
-                    u = up[a]
-                    if u < 0:
-                        continue  # matched downward
-                    lo, hi = ptr[u], ptr[u + 1]
-                    faces, signs = idx[lo:hi], sgn[lo:hi]
-                    k = -c * signs[faces.index(a)]
-                    for g, t in zip(faces, signs):
-                        if g != a:
-                            if g not in coef:
-                                coef[g] = 0
-                                heapq.heappush(heap, pos[g])
-                            coef[g] += k * t
-                mptr[col + 1] = len(midx)
-        tables[d] = FaceTable(mptr, midx, msgn)
+    tables = {d: _morse_table(certificate, d) for d in range(1, cx.dim + 1)}
+    cells = {d: tuple(cx.cells[d][i] for i in matching.critical.get(d, ()))
+             for d in range(cx.dim + 1)}
     return CellComplex.from_faces(cells, tables)
+
+
+def _morse_table(certificate, d):
+    """The Morse boundary of the critical d-cells, by the sweeps of
+    morse_complex.  A pair's own flow is still 0 when its flow is taken,
+    so the image of its partner u sums over the faces g != a of u."""
+    matching = certificate.matching
+    rows, cols = matching.critical.get(d - 1, ()), matching.critical.get(d, ())
+    table = ptr, idx, sgn = matching.cx.boundary[d]
+    up, order = matching.up[d - 1], certificate.orders[d]
+    flow, wide, reached = array("i", [0]) * len(up), {}, bytearray(len(up))
+    for r, tau in enumerate(rows):
+        flow[tau] = r + 1
+    for u in chain(cols, (up[a] for a in order if reached[a])):
+        for g in idx[ptr[u]:ptr[u + 1]]:
+            reached[g] = 1
+    for a in reversed(order):
+        if reached[a]:
+            acc = _image(table, up[a], flow, wide, -sgn[idx.index(a, ptr[up[a]])])
+            if len(acc) == 1 and (v := sum(acc.values())) in (1, -1):
+                flow[a] = v * (min(acc) + 1)
+            elif acc:
+                wide[a] = acc
+    mptr, midx, msgn = array("i", [0]), array("i"), []
+    for j in cols:
+        acc = _image(table, j, flow, wide)
+        midx.extend(sorted(acc))
+        msgn.extend(map(acc.get, sorted(acc)))
+        mptr.append(len(midx))
+    return FaceTable(mptr, midx, msgn)

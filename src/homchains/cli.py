@@ -266,6 +266,17 @@ def _bijection(matching):
     return True, detail
 
 
+def _zero_incidence(mc):
+    """(ok, detail) of the zero-incidence suite: the Morse complex mc fails
+    it at its first nonzero incidence [tau : sigma], named by cell words."""
+    for d in sorted(mc.boundary):
+        for j, sigma in enumerate(mc.cells[d]):
+            for i, c in mc.faces(d, j):
+                tau = words.render_cellword(mc.cells[d - 1][i])
+                return False, f"Morse incidence [{tau} : {words.render_cellword(sigma)}] = {c}"
+    return True, "all Morse boundaries zero"
+
+
 def _suite_results(args, names):
     """Run verification suites for a chain spec; yields (name, ok, detail)."""
     spec = args.spec
@@ -284,8 +295,7 @@ def _suite_results(args, names):
         elif name == "bijection":
             results.append((name, *_bijection(matching)))
         elif name == "zero-incidence":
-            ok = not any(t.idx for t in run.morse_complex.boundary.values())
-            results.append((name, ok, "all Morse boundaries zero" if ok else "nonzero entry"))
+            results.append((name, *_zero_incidence(run.morse_complex)))
         elif name == "torsion-free":
             hreport = run.homology
             results.append((name, hreport.torsion_free, f"betti {hreport.betti}"))

@@ -388,7 +388,10 @@ class MatchingCertificate(NamedTuple):
 
     orders[d] lists, once each, the (d-1)-cells a matched up to a d-cell
     u(a), by index, so that a comes before every other face of u(a) that is
-    matched up.  The certificate holds the matching it was issued for, which
+    matched up.  So chains.morse_complex reads orders[d] forward to mark
+    the pairs the critical d-cells reach, as a pair comes before the pairs
+    it reaches, and backward to give each pair its flow after the flows it
+    reads.  The certificate holds the matching it was issued for, which
     holds its complex: the stages after it take the certificate alone.
     """
 
@@ -410,8 +413,8 @@ def validate_acyclic(matching):
     raises CertificationError, and an alternating cycle its subclass
     AcyclicityError (both are ValueErrors).  An
     incidence other than +1 or -1 raises ArithmeticError, as a failed d o d
-    check does: chains.morse_complex, which reduces along the certified
-    pairs, takes each [a:u] as its own inverse.
+    check does: chains.morse_complex, which sweeps the certified pairs,
+    takes each [a:u] as its own inverse.
     """
     cx = matching.cx
     orders = {}

@@ -1,7 +1,9 @@
 """Incidence numbers, the d o d check, Smith normal form, homology, and
 Morse-complex incidences."""
 
+import heapq
 import inspect
+import itertools
 import random
 import sys
 import tracemalloc
@@ -447,6 +449,22 @@ def test_check_squared_memory_per_cell():
     assert peak / cx.n_cells() < 2
 
 
+def test_morse_complex_memory_per_cell():
+    # heap peak of the Morse complex of B_7 (35,280 cells): one flow code and
+    # one mark per (d-1)-cell of one dimension at a time, and the result
+    cx = chain_product_complex((1,) * 7)
+    cert = validate_acyclic(match_product_of_chains(cx))
+    morse_complex(cert)  # warm caches of the interpreter
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        morse_complex(cert)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / cx.n_cells() < 4
+
+
 @st.composite
 def small_specs(draw, max_sum=7):
     """Sorted chain lengths with sum at most max_sum."""
@@ -528,6 +546,125 @@ def random_acyclic_matching(cx, rng):
         if len(up) == want:
             break
     return MorseMatching.from_pairs(cx, up)
+
+
+def reduced_morse_complex(certificate):
+    """The Morse complex by a per-cell reduction, the reference for
+    chains.morse_complex: each critical d-cell's boundary is reduced on a
+    heap, pairs in the certificate's order first, then the other (d-1)-cells
+    by index.  The
+    earliest cell with a nonzero coefficient c is taken off: a critical one
+    keeps c as its entry, one matched downward is dropped, and one matched
+    up to u adds -c [a:u] [g:u] to each other face g of u."""
+    matching = certificate.matching
+    cx = matching.cx
+    crit = {d: matching.critical.get(d, ()) for d in range(cx.dim + 1)}
+    tables = {}
+    for d in range(1, cx.dim + 1):
+        mptr, midx, msgn = array("i", [0]) * (len(crit[d]) + 1), array("i"), []
+        row = {tau: r for r, tau in enumerate(crit[d - 1])}
+        ptr, idx, sgn = cx.boundary[d]
+        up, order = matching.up[d - 1], certificate.orders[d]
+        n = len(order)
+        pos = array("i", range(n, n + len(cx.cells[d - 1])))
+        for k, a in enumerate(order):
+            pos[a] = k
+        for col, sigma in enumerate(crit[d] if row else ()):
+            coef = {}
+            for g, s in cx.faces(d, sigma):
+                coef[g] = coef.get(g, 0) + s
+            heap = [pos[g] for g in coef]
+            heapq.heapify(heap)
+            while heap:
+                key = heapq.heappop(heap)
+                a = order[key] if key < n else key - n
+                c = coef.pop(a)
+                if c and a in row:
+                    midx.append(row[a])
+                    msgn.append(c)
+                elif c and up[a] >= 0:
+                    faces = cx.faces(d, up[a])
+                    k = -c * dict(faces)[a]
+                    for g, t in faces:
+                        if g != a:
+                            if g not in coef:
+                                coef[g] = 0
+                                heapq.heappush(heap, pos[g])
+                            coef[g] += k * t
+            mptr[col + 1] = len(midx)
+        tables[d] = FaceTable(mptr, midx, msgn)
+    cells = {d: tuple(cx.cells[d][i] for i in crit[d]) for d in crit}
+    return CellComplex.from_faces(cells, tables)
+
+
+def assert_same_as_reduction(certificate):
+    """morse_complex(certificate) has the reduction's cells and, per
+    dimension, its ptr, idx and sgn entry for entry."""
+    got, want = morse_complex(certificate), reduced_morse_complex(certificate)
+    assert got.cells == want.cells
+    assert list(got.boundary) == list(want.boundary)
+    for d, (ptr, idx, sgn) in want.boundary.items():
+        assert got.boundary[d] == (ptr, idx, sgn)
+        assert list(map(type, got.boundary[d])) == [array, array, list]
+    return got
+
+
+@pytest.mark.parametrize("spec", [(1,) * 6, (2, 2, 2), (1, 1, 2, 2)])
+def test_morse_complex_equals_the_reduction_on_spec_matchings(spec):
+    cx = chain_product_complex(spec)
+    assert_same_as_reduction(validate_acyclic(match_product_of_chains(cx)))
+
+
+def test_morse_complex_equals_the_reduction_on_random_matchings():
+    # the matchings test_morse_complex_equals_path_sums_on_random_matchings
+    # draws: the same seed, complexes and order of draws
+    rng = random.Random(20141)
+    zigzag = ideal_lattice(FinitePoset(5, [(0, 1), (2, 1), (2, 3), (4, 3)]))
+    complexes = [chain_product_complex(spec) for spec in [(1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]]
+    complexes.append(hom_complex_generic(chain(5), zigzag))
+    n_matchings = 0
+    for cx in complexes:
+        for _ in range(60):
+            assert_same_as_reduction(validate_acyclic(random_acyclic_matching(cx, rng)))
+            n_matchings += 1
+    assert n_matchings == 240
+
+
+class InOrder:
+    """A stand-in for random.Random that leaves the covers in order and
+    asks for every pair: random_acyclic_matching then makes the greedy
+    maximal acyclic matching, covers taken by dimension, cell and face."""
+
+    @staticmethod
+    def shuffle(covers):
+        pass
+
+    @staticmethod
+    def randint(lo, hi):
+        return hi
+
+
+def projective_plane():
+    """The 6-vertex triangulation of RP^2, its simplices as sorted vertex
+    tuples, with simplicial signs: the face without the k-th vertex has
+    sign (-1)^k."""
+    facets = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+    cells = {d: sorted({s for f in facets for s in itertools.combinations(f, d + 1)})
+             for d in range(3)}
+    boundary = {s: tuple((s[:k] + s[k + 1:], (-1) ** k) for k in range(len(s)) if d)
+                for d in cells for s in cells[d]}
+    return CellComplex(cells, boundary)
+
+
+def test_morse_complex_keeps_the_torsion_of_the_projective_plane():
+    cx = projective_plane()
+    assert cx.f_vector() == (6, 15, 10)
+    mc = assert_same_as_reduction(validate_acyclic(random_acyclic_matching(cx, InOrder())))
+    got, want = homology(mc), homology(cx)
+    assert want.torsion == ((), (2,), ()) and want.betti == (1, 0, 0)
+    assert (got.betti, got.torsion) == (want.betti, want.torsion)
+    assert any(abs(s) == 2 for t in mc.boundary.values() for s in t.sgn)
 
 
 def test_morse_complex_equals_path_sums_on_random_matchings():

@@ -439,6 +439,22 @@ def test_snf_guard_trips_on_the_full_complex(capsys, monkeypatch):
     assert err == "error: internal check failed: Smith normal form on the full complex\n"
 
 
+def test_zero_incidence_failure_names_the_first_nonzero_incidence(capsys, monkeypatch):
+    # one pair of the hexagon B_3 matched by hand leaves five critical
+    # vertices and five critical edges, with nonzero Morse incidences; the
+    # first edge, 1(32), keeps its face 123 with the sign -1
+    from homchains import chains, cli
+
+    def hand_built(run):
+        m = morse.MorseMatching.from_pairs(run.cx, {parse_cellword("213"): parse_cellword("(21)3")})
+        return chains.morse_complex(morse.validate_acyclic(m))
+
+    monkeypatch.setattr(cli._Run, "morse_complex", property(hand_built))
+    code, out, err = run(capsys, "verify", "--spec", "1,1,1", "--suite", "zero-incidence")
+    assert (code, err) == (1, "")
+    assert out == "zero-incidence: FAIL (Morse incidence [123 : 1(32)] = -1)\n"
+
+
 def test_report_checks_boundary_squared_on_the_full_complex(capsys, monkeypatch):
     from homchains import complexes
 
