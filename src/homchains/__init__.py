@@ -13,6 +13,7 @@ from .posets import (
     GradedPoset,
     antichain,
     chain,
+    chain_factors,
     delete_element,
     disjoint_union,
     find_folds,

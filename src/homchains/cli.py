@@ -178,7 +178,7 @@ def cmd_match(args):
     if args.emit_pairs:
         payload["pairs"] = [list(pair) for pair in pairs]
         lines.extend(f"{a} <-> {b}" for a, b in pairs)
-    if args.emit_trace:
+    if args.emit_trace is not None:
         cell = words.parse_cellword(args.emit_trace)
         trace = morse.fiber_trace(args.spec, cell)
         partner = words.render_cellword(trace.partner) if trace.partner else None
@@ -372,7 +372,9 @@ def _parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec", type=_spec, help=spec_help)
     source.add_argument("--poset", type=_poset,
-                        help="poset file: `id rank` lines then `lower upper` covers")
+                        help="poset file: `id rank` lines then `lower upper` covers; "
+                             "a product of chains, whatever its ids, builds as the --spec "
+                             "of its lengths")
     common(p)
     p.set_defaults(fn=cmd_build)
 

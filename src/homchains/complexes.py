@@ -5,7 +5,8 @@ of A, all of whose representative systems are strictly order-preserving
 maps A -> B; the generic complexes key cells by tuples of sorted tuples.
 For a product of chains the complex is cubical and a cell is a
 parenthesized multiset permutation (CellWord): a word plus a placement of
-pairs among its descents.
+pairs among its descents.  maximal_chain_complex builds that model for
+every poset that posets.chain_factors proves a product of chains.
 
 A CellComplex indexes each cell by its position in the sequence cells[d]
 (sorted, for the complexes built here), and stores the boundary of the
@@ -33,7 +34,7 @@ from array import array
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .posets import CapExceeded, GradedPoset, _bits, chain
+from .posets import CapExceeded, GradedPoset, _bits, chain, chain_factors
 from .words import (
     DEFAULT_CAP,
     CellWord,
@@ -190,7 +191,7 @@ class WordCells(Sequence):
 
     Cell i belongs to the last word whose start is at most i, and is that
     word's placement i - start in Placements.by_dim[d].  Iteration goes word
-    by word.
+    by word; a slice is a tuple, as cells[d] of a generic complex is.
     """
 
     __slots__ = ("table", "d", "_starts", "_n")
@@ -205,10 +206,9 @@ class WordCells(Sequence):
         return self._n
 
     def __getitem__(self, i):
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError("cell index out of range")
+        i = range(self._n)[i]  # a range for a slice; raises as a tuple index would
+        if type(i) is range:
+            return tuple(map(self.__getitem__, i))
         starts, table = self._starts, self.table
         k = bisect.bisect_right(starts, i) - 1
         return CellWord(table.words[k], table.placements[k].by_dim[self.d][i - starts[k]])
@@ -442,17 +442,17 @@ def _generic_signed_faces(X):
 def maximal_chain_complex(P, cap=DEFAULT_CAP):
     """Hom(P) = Hom(C_m, P) for a graded poset P of rank m.
 
-    Vertices are the maximal chains of P.  For a product of chains (a
-    chain_spec, as chain, product and ideal_lattice tag it, its lengths in
-    any order) the cubical cell-word model of the sorted spec is used: the
-    factors of a product may be permuted.  Otherwise the complex is built
-    generically from strict maps, and checked cubical when P is tagged an
-    ideal lattice.
+    Vertices are the maximal chains of P.  When chain_factors finds P
+    isomorphic to a product of chains, however it was built and its ids
+    assigned, the cubical cell-word model of the sorted lengths is used,
+    under the same caps as a spec: the factors of a product may be
+    permuted.  Otherwise the complex is built generically from strict maps,
+    and checked cubical when P is an ideal lattice (it has ideal_masks).
     """
     if not isinstance(P, GradedPoset):
         raise ValueError("maximal_chain_complex needs a graded poset")
-    if P.chain_spec is not None:
-        return chain_product_complex(as_spec(sorted(P.chain_spec)), cap=cap)
+    if (lengths := chain_factors(P)) is not None:
+        return chain_product_complex(lengths, cap=cap)
     cx = hom_complex_generic(chain(P.top_rank), P, cap=cap)
     if P.ideal_masks is not None:
         _assert_cubical(cx)

@@ -2,14 +2,15 @@
 
 A poset is its covers over dense integer ids 0..n-1, and a graded poset
 adds its ranks; every outward reference is an id.  Whatever else is known
-of a poset (whether it is a disjoint union of chains, say) is read off its
-covers.  Instances are immutable after construction and safe to share
-across threads.
+of a poset is read off its covers, however its ids run: chain_factors,
+for one, decides whether it is a product of chains.  Instances are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 
 class CapExceeded(RuntimeError):
@@ -21,6 +22,16 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _reach(order, covers, n):
+    """Per element, the bitmask of all elements reached along its covers;
+    order lists every element after those its covers lead to."""
+    reach = [0] * n
+    for x in order:
+        for y in covers[x]:
+            reach[x] |= reach[y] | 1 << y
+    return tuple(reach)
 
 
 class FinitePoset:
@@ -50,31 +61,18 @@ class FinitePoset:
         self.down_covers = tuple(tuple(sorted(v)) for v in down)
 
         order = self._toposort()
-        above = [0] * self.n
-        for x in reversed(order):
-            m = 0
-            for b in self.up_covers[x]:
-                m |= above[b] | (1 << b)
-            above[x] = m
-        below = [0] * self.n
-        for x in order:
-            m = 0
-            for a in self.down_covers[x]:
-                m |= below[a] | (1 << a)
-            below[x] = m
-        self._above = tuple(above)
-        self._below = tuple(below)
+        self._above = above = _reach(reversed(order), self.up_covers, self.n)
+        self._below = below = _reach(order, self.down_covers, self.n)
         for a, b in self.covers:
             if above[a] & below[b]:
                 raise ValueError(f"({a}, {b}) is not a cover: an element lies between")
 
     def _toposort(self):
-        indeg = [len(self.down_covers[x]) for x in range(self.n)]
-        ready = sorted(x for x in range(self.n) if indeg[x] == 0)
-        out = []
         import heapq
 
-        heapq.heapify(ready)
+        indeg = [len(v) for v in self.down_covers]
+        ready = [x for x in range(self.n) if indeg[x] == 0]  # ascending, so a heap
+        out = []
         while ready:
             x = heapq.heappop(ready)
             out.append(x)
@@ -112,11 +110,6 @@ class FinitePoset:
         """A fixed linear extension (smallest-id-first topological order)."""
         return self._linext
 
-    @property
-    def is_chain_poset(self):
-        """True when the ids 0..n-1 form a chain in that order."""
-        return self.covers == tuple((i, i + 1) for i in range(self.n - 1))
-
     def maximal_chains(self, cap=None):
         """All maximal chains, as tuples of ids, by DFS from the minimal elements.
 
@@ -150,13 +143,12 @@ class GradedPoset(FinitePoset):
     """A finite poset with a rank function making every maximal chain the same length.
 
     Validated on construction: covers raise rank by exactly one, all minimal
-    elements have rank 0 and all maximal elements share the top rank.  The
-    constructors that know more tag it: chain_spec holds the factor lengths
-    of a product of chains, and ideal_masks the ideal behind each element of
-    an ideal lattice.
+    elements have rank 0 and all maximal elements share the top rank.
+    ideal_lattice records the ideal behind each element in ideal_masks;
+    whether P is a product of chains is read off its covers (chain_factors).
     """
 
-    def __init__(self, n, covers, rank, chain_spec=None, ideal_masks=None):
+    def __init__(self, n, covers, rank, ideal_masks=None):
         super().__init__(n, covers)
         self.rank = tuple(int(r) for r in rank)
         if len(self.rank) != self.n:
@@ -172,8 +164,6 @@ class GradedPoset(FinitePoset):
             top = max(self.rank)
             if any(self.rank[x] != top for x in self.maximals()):
                 raise ValueError("not graded: maximal elements of unequal rank")
-        # chain_spec tags a product of chains (factor lengths, in factor order).
-        self.chain_spec = chain_spec
         # ideal_masks maps lattice element -> bitmask of base-poset elements.
         self.ideal_masks = ideal_masks
 
@@ -189,12 +179,7 @@ def chain(m):
     """The chain C_m = 0 < 1 < ... < m, with rank(i) = i."""
     if m < 0:
         raise ValueError("chain length must be nonnegative")
-    return GradedPoset(
-        m + 1,
-        [(i, i + 1) for i in range(m)],
-        rank=range(m + 1),
-        chain_spec=(m,) if m >= 1 else None,
-    )
+    return GradedPoset(m + 1, [(i, i + 1) for i in range(m)], rank=range(m + 1))
 
 
 def antichain(k):
@@ -203,7 +188,9 @@ def antichain(k):
 
 
 def product(ps):
-    """Componentwise-order product of graded posets; rank of a tuple is the rank sum."""
+    """Componentwise-order product of graded posets, with mixed-radix ids (the
+    last factor's fastest); rank of a tuple is the rank sum.  A product of
+    chains is not tagged: chain_factors reads it back off the covers."""
     ps = list(ps)
     if not ps:
         raise ValueError("product of an empty list of posets")
@@ -211,11 +198,8 @@ def product(ps):
         if not isinstance(p, GradedPoset):
             raise ValueError("product factors must be graded posets")
     sizes = [p.n for p in ps]
-    k = len(ps)
-    strides = [1] * k
-    for j in range(k - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    n = strides[0] * sizes[0]
+    strides = [math.prod(sizes[j + 1:]) for j in range(len(ps))]
+    n = math.prod(sizes)
     ranks = [0] * n
     covers = []
     for tup in itertools.product(*(range(s) for s in sizes)):
@@ -224,10 +208,7 @@ def product(ps):
         for j, p in enumerate(ps):
             for b in p.up_covers[tup[j]]:
                 covers.append((i, i + (b - tup[j]) * strides[j]))
-    spec = None
-    if all(p.is_chain_poset and p.n >= 2 for p in ps):
-        spec = tuple(p.n - 1 for p in ps)
-    return GradedPoset(n, covers, rank=ranks, chain_spec=spec)
+    return GradedPoset(n, covers, rank=ranks)
 
 
 def product_of_chains(lengths):
@@ -254,33 +235,20 @@ def disjoint_union(ps):
 IDEAL_LATTICE_MAX_BASE = 20
 
 
-def _chain_lengths(P):
-    """The lengths of P's chains, by increasing minimal element, or None
-    unless P is a nonempty disjoint union of chains."""
-    if not P.n or any(len(u) > 1 or len(d) > 1
-                      for u, d in zip(P.up_covers, P.down_covers)):
-        return None
-    return tuple(1 + P.above(m).bit_count() for m in P.minimals())
-
-
 def ideal_lattice(P):
     """The distributive lattice J(P) of lower order ideals of P, ordered by inclusion.
 
     Elements are materialized as bitsets over P and listed in graded
     lexicographic order under the canonical linear extension of P; the rank
     of an ideal is its cardinality.  When P is a disjoint union of chains,
-    however its ids are assigned, J(P) is a product of chains, one per
-    chain of P with as many steps as it has elements; chain_spec lists
-    these lengths by increasing minimal element.
+    J(P) is the product of chains with as many steps as they have elements,
+    which chain_factors reads off its covers.
     """
     if P.n > IDEAL_LATTICE_MAX_BASE:
         raise CapExceeded(f"|P| = {P.n} exceeds the ideal-lattice guard {IDEAL_LATTICE_MAX_BASE}")
     ext = P.linear_extension()
     pos = {el: i for i, el in enumerate(ext)}
-    down_masks = [0] * P.n
-    for x in range(P.n):
-        for a in P.down_covers[x]:
-            down_masks[x] |= 1 << a
+    down_masks = [sum(1 << a for a in P.down_covers[x]) for x in range(P.n)]
     levels = [[0]]
     for _size in range(P.n):
         nxt = set()
@@ -297,8 +265,40 @@ def ideal_lattice(P):
             if P.above(x) & J == 0:  # x maximal in J, so J - x is an ideal
                 covers.append((index[J ^ (1 << x)], index[J]))
     ranks = [bin(I).count("1") for I in masks]
-    return GradedPoset(len(masks), covers, rank=ranks,
-                       chain_spec=_chain_lengths(P), ideal_masks=tuple(masks))
+    return GradedPoset(len(masks), covers, rank=ranks, ideal_masks=tuple(masks))
+
+
+def chain_factors(P):
+    """The lengths i_1 <= ... <= i_n, n >= 1, when P is isomorphic to the
+    product of chains C_{i_1} x ... x C_{i_n}, and None otherwise.
+
+    Such a P is J(Q) for Q a disjoint union of chains (Birkhoff), and its
+    join-irreducibles (the elements with one lower cover) are Q: a chain
+    of them rises from each atom.  Each x is sent to the number of
+    join-irreducibles at or below it in each chain.  The answer is yes only
+    when that map is a bijection onto the grid prod_k [0, i_k] that takes
+    each cover to a unit step, and P has as many covers as the grid; it then
+    carries covers onto covers, so it is an isomorphism.
+    """
+    down = P.down_covers
+    irr = [x for x in range(P.n) if len(down[x]) == 1]
+    atoms = sum(1 << x for x in irr if not down[down[x][0]])
+    chains = dict.fromkeys(_bits(atoms), 0)  # atom -> its chain of join-irreducibles
+    for x in irr:
+        roots = (P.below(x) | 1 << x) & atoms
+        if not roots or roots & (roots - 1):  # above no atom, or above two
+            return None
+        chains[roots.bit_length() - 1] |= 1 << x
+    lengths = sorted(c.bit_count() for c in chains.values())
+    size = math.prod(i + 1 for i in lengths)
+    if not chains or P.n != size or len(P.covers) != sum(size // (i + 1) * i for i in lengths):
+        return None
+    point = [tuple(((P.below(x) | 1 << x) & c).bit_count() for c in chains.values())
+             for x in range(P.n)]
+    # counts only grow along a cover, so a unit step is one of sum 1
+    if len(set(point)) != P.n or any(sum(point[b]) - sum(point[a]) != 1 for a, b in P.covers):
+        return None
+    return tuple(lengths)
 
 
 # -- folds ----------------------------------------------------------------
@@ -336,12 +336,7 @@ def delete_element(P, x):
 
 def is_chain(P):
     """True when P is a single totally ordered chain."""
-    if P.n <= 1:
-        return True
-    if len(P.covers) != P.n - 1:
-        return False
-    return all(len(P.up_covers[x]) <= 1 and len(P.down_covers[x]) <= 1
-               for x in range(P.n)) and len(P.minimals()) == 1
+    return P.n <= 1 or len(chain_factors(P) or ()) == 1
 
 
 # -- text format ----------------------------------------------------------

@@ -70,12 +70,16 @@ def test_build_long_chain_spec(capsys):
 
 
 def test_build_poset_long_chain(tmp_path, capsys):
-    # Hom(C_1199, C_1199): the strict-map search must not recurse once per element
+    # Hom(C_1199, C_1199) builds as the spec 1199, under the caps of --spec
     path = tmp_path / "chain1200.poset"
     path.write_text(format_poset_text(product_of_chains((1199,))))
     code, out, err = run(capsys, "build", "--poset", str(path))
     assert (code, err) == (0, "")
     assert "f-vector: (1,)" in out
+    for source in (("--poset", str(path)), ("--spec", "1199")):
+        code, out, err = run(capsys, "build", *source, "--max-cells", "1000")
+        assert (code, out) == (2, "")
+        assert err == "error: words of 1199 letters exceed the cap 1000\n"
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -326,6 +330,8 @@ ZIGZAG5 = str(DATA / "zigzag5.poset")
      "argument --poset: cover relation contains a cycle"),
     (("build", "--poset", str(DATA / "ungraded.poset")),
      "argument --poset: not graded: maximal elements of unequal rank"),
+    (("match", "--spec", "1,1,1", "--emit-trace", ""),
+     "error: word content does not match the chain spec"),
 ])
 def test_input_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 """Hom complexes: generic construction, the cubical cell-word model, folds."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,10 @@ from homchains import (
     FinitePoset,
     GradedPoset,
     antichain,
+    as_spec,
     cellword_to_multihom,
     chain,
+    chain_factors,
     chain_product_complex,
     delete_element,
     disjoint_union,
@@ -24,6 +27,7 @@ from homchains import (
     is_cubical,
     maximal_chain_complex,
     parse_cellword,
+    parse_poset_text,
     product,
     product_of_chains,
     render_cellword,
@@ -33,6 +37,8 @@ from homchains import (
 from homchains import complexes
 from homchains.complexes import _assert_cubical, _strict_maps
 from homchains.euler import f_vector_bn
+
+DATA = Path(__file__).parent / "data"
 
 
 def all_cells(spec):
@@ -385,6 +391,19 @@ def test_spec_cells_are_a_sequence_of_cell_words(spec):
                 cells[i]
 
 
+def test_spec_cells_slice_like_a_tuple():
+    cells = chain_product_complex((1, 1, 1)).cells[1]
+    want = tuple(cells)
+    assert cells[:3] == want[:3] and all(type(c) is CellWord for c in cells[:3])
+    for s in (slice(None), slice(2, None), slice(None, None, -2), slice(-4, -1),
+              slice(5, 2), slice(100, None)):
+        assert type(cells[s]) is type(want[s]) is tuple
+        assert cells[s] == want[s]
+    for bad in ("1", 1.0, None, (1,)):
+        with pytest.raises(TypeError):
+            cells[bad]
+
+
 def test_spec_complex_locate_rejects_foreign_keys():
     cx = chain_product_complex((1, 2, 3))
     missing = [
@@ -450,9 +469,9 @@ def test_fold_consequence_requires_fold():
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(1, 2), min_size=1, max_size=3), st.data())
-def test_ideal_lattice_of_shuffled_chains_is_tagged(lengths, data):
-    # chains of the given lengths on randomly permuted ids: the spec lists
-    # the lengths in increasing order of each chain's minimal element
+def test_ideal_lattice_of_shuffled_chains_is_recognised(lengths, data):
+    # chains of the given lengths on randomly permuted ids: J of their union
+    # is read off its covers as the product of chains of the sorted lengths
     n = sum(lengths)
     ids = data.draw(st.permutations(range(n)))
     blocks, off = [], 0
@@ -461,11 +480,35 @@ def test_ideal_lattice_of_shuffled_chains_is_tagged(lengths, data):
         off += v
     P = FinitePoset(n, [(b[k], b[k + 1]) for b in blocks for k in range(len(b) - 1)])
     L = ideal_lattice(P)
-    assert L.chain_spec == tuple(len(b) for b in sorted(blocks))
+    assert chain_factors(L) == tuple(sorted(lengths))
     generic = hom_complex_generic(chain(n), L)
     built = maximal_chain_complex(L)
     assert built.word_table is not None  # the cell-word model of the sorted spec
     assert built.f_vector() == generic.f_vector()
+
+
+def test_parsed_product_with_shuffled_ids_builds_as_its_spec():
+    P = parse_poset_text((DATA / "product122.poset").read_text())
+    built = maximal_chain_complex(P)
+    assert built.word_table is not None
+    assert built.word_table.spec == as_spec((1, 2, 2))
+    generic = hom_complex_generic(chain(P.top_rank), P)
+    assert built.f_vector() == generic.f_vector() == (30, 48, 15)
+    assert homology(built).betti == homology(generic).betti
+
+
+@pytest.mark.parametrize("n, f", [(5, (16, 24, 8)), (7, (272, 680, 490, 85))])
+def test_zigzag_ideal_lattice_builds_generically(n, f):
+    cx = maximal_chain_complex(zigzag_ideal_lattice(n))
+    assert cx.word_table is None
+    assert cx.f_vector() == f
+
+
+def test_strict_maps_need_no_recursion():
+    # Hom(C_1199, C_1199): the strict-map search must not recurse once per element
+    cx = hom_complex_generic(chain(1199), chain(1199))
+    assert cx.f_vector() == (1,)
+    assert cx.cells[0] == (tuple((k,) for k in range(1200)),)
 
 
 def test_ideal_lattice_of_the_empty_poset_is_a_point():

@@ -1,6 +1,7 @@
 """Poset construction, products, ideal lattices, and fold detection."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from homchains import (
     GradedPoset,
     antichain,
     chain,
+    chain_factors,
     delete_element,
     disjoint_union,
     find_folds,
@@ -59,7 +61,7 @@ def test_product_b3():
     b3 = product([chain(1)] * 3)
     assert b3.n == 8
     assert len(b3.covers) == 12
-    assert b3.chain_spec == (1, 1, 1)
+    assert chain_factors(b3) == (1, 1, 1)
 
 
 def test_product_grid():
@@ -116,7 +118,7 @@ def test_disjoint_union_antichain():
     u = disjoint_union([chain(0)] * 3)
     assert u.n == 3 and u.covers == ()
     assert u.minimals() == (0, 1, 2)
-    assert ideal_lattice(u).chain_spec == (1, 1, 1)
+    assert chain_factors(ideal_lattice(u)) == (1, 1, 1)
 
 
 def test_disjoint_union_empty():
@@ -148,7 +150,7 @@ def test_ideal_lattice_is_product_of_chains(lengths):
     u = disjoint_union([chain(v - 1) for v in lengths])
     j = ideal_lattice(u)
     p = product_of_chains(lengths)
-    assert j.chain_spec == tuple(lengths)
+    assert chain_factors(j) == tuple(lengths)
     sizes = [v + 1 for v in lengths]
     strides = [1] * len(sizes)
     for k in range(len(sizes) - 2, -1, -1):
@@ -168,13 +170,121 @@ def test_ideal_lattice_is_product_of_chains(lengths):
 
 
 def test_ideal_lattice_reads_chains_off_the_covers():
-    # however the ids run, the chains come in increasing order of their bottoms
-    assert ideal_lattice(FinitePoset(3, [(1, 2), (2, 0)])).chain_spec == (3,)
-    assert ideal_lattice(FinitePoset(3, [(2, 0)])).chain_spec == (1, 2)
-    assert ideal_lattice(FinitePoset(3, [(0, 2)])).chain_spec == (2, 1)
-    assert ideal_lattice(FinitePoset(3, [(0, 2), (1, 2)])).chain_spec is None
-    assert ideal_lattice(FinitePoset(3, [(0, 1), (0, 2)])).chain_spec is None
-    assert ideal_lattice(antichain(0)).chain_spec is None
+    # however the ids run, J of a union of chains is read as a product of chains
+    assert chain_factors(ideal_lattice(FinitePoset(3, [(1, 2), (2, 0)]))) == (3,)
+    assert chain_factors(ideal_lattice(FinitePoset(3, [(2, 0)]))) == (1, 2)
+    assert chain_factors(ideal_lattice(FinitePoset(3, [(0, 2)]))) == (1, 2)
+    assert chain_factors(ideal_lattice(FinitePoset(3, [(0, 2), (1, 2)]))) is None
+    assert chain_factors(ideal_lattice(FinitePoset(3, [(0, 1), (0, 2)]))) is None
+    assert chain_factors(ideal_lattice(antichain(0))) is None
+
+
+def relabel(P, ids):
+    """P with element x renamed ids[x]."""
+    rank = [0] * P.n
+    for x, r in zip(ids, P.rank):
+        rank[x] = r
+    return GradedPoset(P.n, [(ids[a], ids[b]) for a, b in P.covers], rank=rank)
+
+
+def specs(ell):
+    """Every chain spec of at most ell letters, each in every factor order."""
+    return [(v, *rest) for v in range(1, ell + 1) for rest in [(), *specs(ell - v)]]
+
+
+# the sorted specs of the products of chains with at most 8 elements
+SMALL_SPECS = [s for s in specs(7) if list(s) == sorted(s) and math.prod(v + 1 for v in s) <= 8]
+
+
+def isomorphic_to_product(P, lengths):
+    """Brute force: some rank-preserving bijection carries P's covers onto
+    those of the product of chains."""
+    Q = product_of_chains(lengths)
+    if Q.n != P.n or len(Q.covers) != len(P.covers) or sorted(Q.rank) != sorted(P.rank):
+        return False
+    levels_p = [[x for x in range(P.n) if P.rank[x] == r] for r in range(P.top_rank + 1)]
+    levels_q = [[x for x in range(Q.n) if Q.rank[x] == r] for r in range(Q.top_rank + 1)]
+    want = set(Q.covers)
+    for images in itertools.product(*map(itertools.permutations, levels_q)):
+        f = {x: y for xs, ys in zip(levels_p, images) for x, y in zip(xs, ys)}
+        if {(f[a], f[b]) for a, b in P.covers} == want:
+            return True
+    return False
+
+
+def random_graded_poset(rng):
+    """A graded poset on at most 8 shuffled ids: random covers between
+    random rank levels, or a product of chains with a cover added or
+    removed (None when that breaks gradedness)."""
+    if rng.random() < 0.5:
+        n = rng.randint(1, 8)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        levels = [list(range(a, b)) for a, b in zip([0, *cuts], [*cuts, n])]
+        p = rng.random()
+        covers = set()
+        for lo, hi in zip(levels, levels[1:]):
+            covers |= {(a, b) for a in lo for b in hi if rng.random() < p}
+            covers |= {(rng.choice(lo), b) for b in hi if not any((a, b) in covers for a in lo)}
+            covers |= {(a, rng.choice(hi)) for a in lo if not any((a, b) in covers for b in hi)}
+        rank = [r for r, level in enumerate(levels) for _ in level]
+    else:
+        Q = product_of_chains(rng.choice(SMALL_SPECS))
+        n, rank, covers = Q.n, Q.rank, set(Q.covers)
+        step = rng.randrange(3)
+        if step == 1:
+            covers.remove(rng.choice(sorted(covers)))
+        elif step == 2:
+            covers.add(rng.choice([(a, b) for a in range(n) for b in range(n)
+                                   if rank[b] == rank[a] + 1]))
+    try:
+        P = GradedPoset(n, covers, rank=rank)
+    except ValueError:
+        return None
+    return relabel(P, rng.sample(range(n), n))
+
+
+def test_chain_factors_agrees_with_brute_force_isomorphism():
+    rng = random.Random(1812_07335)
+    found = tried = 0
+    for _ in range(3000):
+        P = random_graded_poset(rng)
+        if P is None:
+            continue
+        tried += 1
+        want = [s for s in SMALL_SPECS if isomorphic_to_product(P, s)]
+        assert chain_factors(P) == (want[0] if want else None), (P.covers, P.rank)
+        found += bool(want)
+    assert tried > 2000 and 300 < found < tried - 300
+
+
+@pytest.mark.parametrize("lengths", specs(6))
+def test_chain_factors_reads_every_product(lengths):
+    want = tuple(sorted(lengths))
+    rng = random.Random(hash(lengths))
+    P = product_of_chains(lengths)
+    J = ideal_lattice(disjoint_union([chain(v - 1) for v in lengths]))
+    for L in (P, J):
+        assert chain_factors(L) == want
+        assert chain_factors(relabel(L, rng.sample(range(L.n), L.n))) == want
+
+
+def test_chain_factors_refuses_what_is_not_a_product_of_chains():
+    def zigzag(n):
+        return FinitePoset(n, [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)])
+
+    m3 = GradedPoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], rank=[0, 1, 1, 1, 2])
+    for P in (ideal_lattice(zigzag(5)), ideal_lattice(zigzag(7)), m3,
+              disjoint_union([chain(2), chain(2)]), disjoint_union([chain(1), chain(3)]),
+              chain(0), antichain(0)):
+        assert chain_factors(P) is None
+
+
+def test_chain_factors_trusts_no_constructor():
+    # a chain built by hand is the chain C_2, and a chain with a point is still a chain
+    assert chain_factors(GradedPoset(3, [(0, 1), (1, 2)], [0, 1, 2])) == (2,)
+    assert chain_factors(product([chain(0), chain(2), chain(0)])) == (2,)
+    assert chain_factors(product([chain(1), ideal_lattice(antichain(2))])) == (1, 1, 1)
+    assert chain_factors(chain(1199)) == (1199,)
 
 
 def test_ideal_lattice_lattice_property():
