@@ -230,7 +230,7 @@ def _cubicality(cx):
         for ps, ms in zip(info.by_dim, info.masks):
             for m in ms:
                 if m & outside or m & (m >> 1):
-                    cell = words.CellWord(word, ps[ms.index(m)])
+                    cell = words.CellWord(tuple(word), ps[ms.index(m)])
                     return False, f"non-cubical cell {words.render_cellword(cell)}"
             checked += len(ms)
     if checked != cx.n_cells():

@@ -13,10 +13,11 @@ A CellComplex indexes each cell by its position in the sequence cells[d]
 d-cells as a FaceTable: face indices into cells[d - 1] and signs in
 compressed sparse rows.  The generic complexes keep cells[d] as a tuple of
 keys.  A spec complex keeps its cells implicit: a WordTable holds its
-chain spec and stores each word once, with its shared Placements and its
-start in each dimension, and cells[d] is a WordCells view over it that
-builds a CellWord only when one is read.  The keys name cells in
-rendering, digests and per-cell traces.
+chain spec and stores each word once, as a bytes of its letters (so a
+spec has at most 255 chains), with its shared Placements and its start in
+each dimension, and cells[d] is a WordCells view over it that builds a
+CellWord, with a tuple word, only when one is read.  The keys name cells
+in rendering, digests and per-cell traces.
 
 cellword_to_multihom is the one bridge from a cell word to its multihom.
 The cubicality suite of `verify` does not call it: it decides each cell
@@ -152,15 +153,19 @@ def _face_table(cells, boundary, lower):
 
 # -- the cubical model for products of chains -------------------------------
 
+MAX_CHAINS = 255  # a word's letters 1..n are stored one byte each
+
 
 class WordTable(NamedTuple):
     """The chain spec of a spec complex and its words, each stored once.
 
     spec is the ChainSpec, words lists its words in lexicographic order,
-    placements[k] is the shared Placements of word k's descents, and
-    starts[d][k] is the index in cells[d] of word k's first d-cell, for each
-    dimension d of the complex.  A cell's index is its word's start plus the
-    rank of its pair placement.
+    each as one bytes of its letters (42 bytes for 9 letters, against 112
+    for a tuple; bytes compare as the tuples do), placements[k] is the
+    shared Placements of word k's descents, and starts[d][k] is the index
+    in cells[d] of word k's first d-cell, for each dimension d of the
+    complex.  A cell's index is its word's start plus the rank of its pair
+    placement.  Cell keys keep tuple words: locate and WordCells convert.
     """
 
     spec: object  # words.ChainSpec
@@ -171,9 +176,13 @@ class WordTable(NamedTuple):
     def locate(self, cell):
         """(dimension, index) of a cell word: a bisect on the words, then the
         rank of its pair mask.  Raises KeyError for a key that is not a
-        cell of the complex."""
+        cell of the complex, a word other than a tuple of letters 1..n
+        included."""
         try:
             word, pairs = cell
+            if not isinstance(word, tuple):
+                raise TypeError("a cell key's word is a tuple")
+            word = bytes(word)
             k = bisect.bisect_left(self.words, word)
             if self.words[k] == word:
                 info = self.placements[k]
@@ -190,8 +199,9 @@ class WordCells(Sequence):
     over its WordTable, which builds a key only when one is read.
 
     Cell i belongs to the last word whose start is at most i, and is that
-    word's placement i - start in Placements.by_dim[d].  Iteration goes word
-    by word; a slice is a tuple, as cells[d] of a generic complex is.
+    word's placement i - start in Placements.by_dim[d]; its key holds the
+    word as a tuple.  Iteration goes word by word; a slice is a tuple, as
+    cells[d] of a generic complex is.
     """
 
     __slots__ = ("table", "d", "_starts", "_n")
@@ -211,12 +221,13 @@ class WordCells(Sequence):
             return tuple(map(self.__getitem__, i))
         starts, table = self._starts, self.table
         k = bisect.bisect_right(starts, i) - 1
-        return CellWord(table.words[k], table.placements[k].by_dim[self.d][i - starts[k]])
+        return CellWord(tuple(table.words[k]), table.placements[k].by_dim[self.d][i - starts[k]])
 
     def __iter__(self):
         d = self.d
         for w, info in zip(self.table.words, self.table.placements):
             if d < len(info.by_dim):
+                w = tuple(w)
                 for pairs in info.by_dim[d]:
                     yield CellWord(w, pairs)
 
@@ -232,21 +243,25 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     cells of each dimension come sorted, all cells of one word together,
     and a cell's index is its word's start in its dimension plus the rank
     of its pair placement among that word's.  The cells stay implicit: the
-    complex keeps a WordTable and a WordCells view per dimension.  The
-    alpha face of a pair lies in the word with that pair swapped, found by
-    a bisect on the words before it.  A d-cell j has 2d faces: its
-    t-th pair released in the alpha order (the word with the pair swapped)
-    at ptr[j] + 2(t - 1), then in the beta order (the same word) right
-    after, with the signs of words.face_signs.  morse.match_product_of_chains
-    reads each matched partner from this order.
+    complex keeps a WordTable, whose words are bytes, and a WordCells view
+    per dimension.  A spec of more than MAX_CHAINS chains raises
+    CapExceeded before any word is built.  The alpha face of a pair lies
+    in the word with that pair swapped, found by a bisect on the words
+    before it.  A d-cell j has 2d faces: its t-th pair released in the
+    alpha order (the word with the pair swapped) at ptr[j] + 2(t - 1),
+    then in the beta order (the same word) right after, with the signs of
+    words.face_signs.  morse.match_product_of_chains reads each matched
+    partner from this order.
     """
     spec = as_spec(spec)
+    if spec.n > MAX_CHAINS:
+        raise CapExceeded(f"a spec of {spec.n} chains exceeds the limit of {MAX_CHAINS} chains")
     words, infos, starts, sizes = [], [], [], []
     for w, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
         for d in range(len(starts), len(info.by_dim)):  # a dimension met first here
             starts.append(array("i", [0]) * len(words))
             sizes.append(0)
-        words.append(w)
+        words.append(bytes(w))
         infos.append(info)
         for d, out in enumerate(starts):
             out.append(sizes[d])
@@ -257,9 +272,8 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     for k, (w, info) in enumerate(zip(words, infos)):
         alpha = {}
         for p in info.descents:
-            v = list(w)
-            v[p - 1], v[p] = v[p], v[p - 1]
-            a = bisect.bisect_left(words, tuple(v), 0, k)
+            v = w[:p - 1] + w[p:p + 1] + w[p - 1:p] + w[p + 1:]
+            a = bisect.bisect_left(words, v, 0, k)
             alpha[p] = (a, infos[a])
         for d in range(1, len(info.by_dim)):
             out = idx[d]

@@ -27,9 +27,11 @@ from the complex's face table as its partner, so the complex is the only
 owner of cell indices.  A MorseMatching holds the complex it was built on
 and refers to cells by their index in its cells[d]; it records each pair
 once: per dimension, a read-only array of up-partners, -1 where a cell is
-not matched up.  Its constructor checks that no cell is claimed twice, or
-both claimed and matched up, and derives the sorted indices of the
-critical cells once; the record cannot change after that.  Keys are read
+not matched up, kept without a copy when handed over as bytes (as the
+matching hands each dimension over) and copied otherwise.  Its
+constructor checks that no cell is claimed twice, or both claimed and
+matched up, and derives the sorted indices of the critical cells once;
+the record cannot change after that.  Keys are read
 from cells[d] only for the critical cells, which are printed.  Acyclicity
 is certified by Kahn's algorithm on the matched pairs alone, through the up
 arrays and the complex's face tables: the certificate keeps, per
@@ -134,7 +136,9 @@ class MorseMatching(NamedTuple("MorseMatching",
     `cx` is the complex the matching was built on, and the indices refer
     to its cells[d].  `up` is given as one array('i') per dimension of cx,
     each d-cell's partner in cells[d + 1] or -1, and kept as a Mates of
-    read-only copies: the one record of the pairs.  The constructor raises
+    read-only views: the one record of the pairs.  An exact bytes of the
+    array's machine values, which cannot change, is kept as it is; any
+    other input is copied into one.  The constructor raises
     ValueError on dimensions other than those of cx, a wrong length, a
     partner out of range, or a cell that is claimed twice or both claimed
     and matched up, and derives critical[d], the indices of the unmatched
@@ -241,12 +245,15 @@ def match_product_of_chains(cx):
                     f = idx[ptr[i] + 2 * pairs.index(-out) + 1]
                     if not (0 <= f - base < len(at) and at[f - base] == -out
                             and up[d - 1][f] < 0):
-                        raise AssertionError(f"inconsistent pair: {CellWord(word, pairs)} / {f}")
+                        cell = CellWord(tuple(word), pairs)
+                        raise AssertionError(f"inconsistent pair: {cell} / {f}")
                     up[d - 1][f] = i
                     n_pairs += 1
             at, base = row, start  # the outcomes and first cell one dimension down
     if n_lower != n_pairs:
         raise AssertionError("matching is not an involution")
+    for d in up:  # handed over as bytes, which MorseMatching keeps without a copy
+        up[d] = up[d].tobytes()
     return MorseMatching(cx, up)
 
 

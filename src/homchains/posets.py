@@ -355,10 +355,10 @@ def parse_poset_text(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers")
-        a, b = int(parts[0]), int(parts[1])
+        try:
+            a, b = map(int, line.split())
+        except ValueError:  # not two tokens, or one that is no integer
+            raise ValueError(f"line {lineno}: expected two integers") from None
         if not in_covers and a == len(ranks):
             ranks.append(b)
             continue

@@ -82,6 +82,25 @@ def test_build_poset_long_chain(tmp_path, capsys):
         assert err == "error: words of 1199 letters exceed the cap 1000\n"
 
 
+def test_build_poset_file_with_a_token_that_is_no_integer(tmp_path, capsys):
+    path = tmp_path / "bad.poset"
+    path.write_text("0 0\n1 x\n")
+    code, out, err = run(capsys, "build", "--poset", str(path))
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --poset: line 2: expected two integers\n")
+    assert "invalid literal" not in err
+
+
+def test_spec_of_256_chains_exits_2_before_enumerating(capsys):
+    # with bytes words a letter past 255 cannot be stored; the spec is
+    # refused before its 256! words are enumerated, whatever the cap
+    spec = ",".join(["1"] * 256)
+    for command in ("build", "match", "verify", "report"):
+        code, out, err = run(capsys, command, "--spec", spec, "--max-cells", "1" + "0" * 600)
+        assert (code, out) == (2, "")
+        assert err == "error: a spec of 256 chains exceeds the limit of 255 chains\n"
+
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
 # one line per golden file: its name, then the argv that prints it, with

@@ -1,6 +1,7 @@
 """Hom complexes: generic construction, the cubical cell-word model, folds."""
 
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -415,6 +416,14 @@ def test_spec_complex_locate_rejects_foreign_keys():
         CellWord((3, 3, 3, 3, 2, 1), ()),     # past the last word
         ((1, 2, 2, 3, 3, 3),),                # not a (word, pairs) key
         "123",
+        # the table stores words as bytes, but a key's word is a tuple of letters
+        CellWord((1, 2, 2, 3, 3, 256), ()),
+        CellWord((1, 2, 2, 3, 3, 259), ()),
+        CellWord((-1, 2, 2, 3, 3, 3), ()),
+        CellWord("122333", ()),
+        CellWord(6, ()),
+        CellWord(bytes((1, 2, 2, 3, 3, 3)), ()),
+        CellWord([1, 2, 2, 3, 3, 3], ()),
     ]
     for key in missing:
         with pytest.raises(KeyError):
@@ -422,6 +431,28 @@ def test_spec_complex_locate_rejects_foreign_keys():
         assert key not in cx.cells[0]
     assert CellWord((3, 2, 3, 1, 2, 3), (1, 3)) not in cx.cells[0]
     assert cx.locate(CellWord((3, 2, 3, 1, 2, 3), (1, 3)))[0] == 2
+
+
+def test_spec_words_are_stored_as_bytes_and_read_as_tuples():
+    # one bytes per word, 42 bytes for the 9 letters of (2,2,2,3); every
+    # cell key read back holds a tuple
+    cx = chain_product_complex((2, 2, 2, 3))
+    words = cx.word_table.words
+    assert len(words) == 7560 and all(type(w) is bytes for w in words)
+    assert max(map(sys.getsizeof, words)) < 48
+    assert [tuple(w) for w in words] == list(enumerate_words((2, 2, 2, 3)))
+    for d, cells in cx.cells.items():
+        assert type(cells[0].word) is type(cells[-1].word) is tuple
+        assert all(type(cw.word) is tuple for cw in cells[:50])
+        assert type(next(iter(cells)).word) is tuple
+
+
+def test_spec_of_more_than_255_chains_is_refused_before_enumerating():
+    with pytest.raises(CapExceeded, match="256 chains exceeds the limit of 255 chains"):
+        chain_product_complex((1,) * 256, cap=10**600)
+    # 255 chains pass the limit, and meet the cap on words
+    with pytest.raises(CapExceeded, match="words exceed the cap 1000"):
+        chain_product_complex((1,) * 255, cap=1000)
 
 
 def test_complex_cap():

@@ -569,6 +569,36 @@ def test_matching_memory_per_cell():
     assert net / cx.n_cells() < 7
 
 
+def test_matching_peak_memory_per_cell():
+    # the heap peak of the matching on (2,2,2,3) (72,750 cells): each
+    # dimension's up array is handed over as bytes, which MorseMatching
+    # keeps without a copy
+    cx = chain_product_complex((2, 2, 2, 3))
+    match_product_of_chains(cx)  # warm caches of the interpreter
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = match_product_of_chains(cx)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(m.up) == 36178
+    assert peak / cx.n_cells() < 9
+
+
+def test_matching_keeps_bytes_and_copies_anything_else():
+    # an exact bytes cannot change, so it is kept; an array is copied
+    cx = chain_product_complex((1, 1, 1))
+    up = match_product_of_chains(cx).up
+    handed = {d: bytes(up[d]) for d in cx.cells}
+    assert all(MorseMatching(cx, handed).up[d].obj is handed[d] for d in cx.cells)
+    given_arrays = {d: array("i", up[d]) for d in cx.cells}
+    m = MorseMatching(cx, given_arrays)
+    i = next(i for i, u in enumerate(up[0]) if u >= 0)
+    given_arrays[0][i] = -1
+    assert m.up[0][i] == up[0][i] >= 0
+
+
 def all_cells_acyclic(matching, cx):
     """The all-cells rule that validate_acyclic replaced, kept as its
     reference: Kahn's algorithm over every cell of both dimensions of each

@@ -405,3 +405,11 @@ def test_poset_text_round_trip():
 def test_poset_text_rejects_bad_cover():
     with pytest.raises(ValueError):
         parse_poset_text("0 0\n1 1\n0 5\n")
+
+
+@pytest.mark.parametrize("line", ["1 x", "x 1", "1 1.5", "1", "1 1 1", "1 2 x"])
+def test_poset_text_names_the_line_of_a_bad_token(tmp_path, line):
+    path = tmp_path / "bad.poset"
+    path.write_text(f"0 0\n{line}\n")
+    with pytest.raises(ValueError, match=r"^line 2: expected two integers$"):
+        parse_poset_text(path.read_text())
