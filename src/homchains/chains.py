@@ -15,7 +15,8 @@ faces and their signs come from
 words.signed_faces.  The Morse complex sweeps the acyclicity
 certificate's order twice per dimension, forward to mark the pairs the
 critical cells reach and back to give each its flow, its image in the
-critical cells, once; it lists no path.
+critical cells, once; it lists no path.  A flow of +-1 times one cell is
+folded in a plain loop, and only a wide flow is summed in a dict.
 Alternating paths are walked through a match oracle of two methods:
 facets(cell), the cell's (face, sign) pairs, and up(cell), its up-partner
 or None.  A path is the tuple of its cells.  path_censuses walks cell
@@ -41,7 +42,7 @@ from collections import defaultdict
 from itertools import chain, zip_longest
 from typing import NamedTuple
 
-from .columns import uncleared
+from .columns import pairwise, uncleared
 from .complexes import CellComplex, FaceTable, hom_complex_generic
 from .posets import delete_element, find_folds
 from .words import DEFAULT_CAP
@@ -486,8 +487,9 @@ def morse_complex(certificate):
     incidence plus the weights of all alternating paths from sigma to tau,
     as path_censuses counts them, without listing a path.  A flow is kept
     as a code, 0 or +-(r + 1) for +-1 times row r, as every flow of the
-    spec complexes measured is, and any other in a dict.  homology checks
-    d o d = 0 on the result before its SNF.
+    spec complexes measured is, folded from its faces' codes in a plain
+    loop, and any other, wide, in a dict.  homology checks d o d = 0 on
+    the result before its SNF.
     """
     matching = certificate.matching
     cx = matching.cx
@@ -504,16 +506,33 @@ def _morse_table(certificate, d):
     matching = certificate.matching
     rows, cols = matching.critical.get(d - 1, ()), matching.critical.get(d, ())
     table = ptr, idx, sgn = matching.cx.boundary[d]
+    w = 2 * d if pairwise(table, 2 * d, len(matching.cx.cells[d])) else 0
     up, order = matching.up[d - 1], certificate.orders[d]
     flow, wide, reached = array("i", [0]) * len(up), {}, bytearray(len(up))
     for r, tau in enumerate(rows):
         flow[tau] = r + 1
     for u in chain(cols, (up[a] for a in order if reached[a])):
-        for g in idx[ptr[u]:ptr[u + 1]]:
+        for g in idx[w * u:w * u + w] if w else idx[ptr[u]:ptr[u + 1]]:
             reached[g] = 1
     for a in reversed(order):
         if reached[a]:
-            acc = _image(table, up[a], flow, wide, -sgn[idx.index(a, ptr[up[a]])])
+            u = up[a]
+            lo, hi = (w * u, w * u + w) if w else (ptr[u], ptr[u + 1])
+            c = -sgn[idx.index(a, lo)]
+            # fold the faces' flows into v times one row; else the dict route
+            code = v = 0
+            for g, t in zip(idx[lo:hi], sgn[lo:hi]):
+                if f := flow[g]:
+                    if code and abs(f) != code:
+                        break
+                    code, v = abs(f), v + (t if f > 0 else -t)
+                elif wide and g in wide:
+                    break
+            else:
+                if v in (0, 1, -1):
+                    flow[a] = c * v * code
+                    continue
+            acc = _image(table, u, flow, wide, c)
             if len(acc) == 1 and (v := sum(acc.values())) in (1, -1):
                 flow[a] = v * (min(acc) + 1)
             elif acc:

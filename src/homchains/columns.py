@@ -9,7 +9,7 @@ from itertools import combinations, compress, count, product, repeat
 from operator import eq, ne
 
 
-def _pairwise(table, w, n):
+def pairwise(table, w, n):
     """Whether table lists the faces of n cells, w to a cell, at ptr = range(0, w n + 1, w)."""
     return table.ptr == range(0, w * n + 1, w) and len(table.idx) == len(table.sgn) == w * n
 
@@ -17,7 +17,7 @@ def _pairwise(table, w, n):
 def uncleared(cx, d):
     """The d-cells left to the per-cell loop of chains.check_squared, in
     order: all of them unless the d- and (d-1)-tables list faces pair by
-    pair (_pairwise) with constant sign columns, else those failing a
+    pair (pairwise) with constant sign columns, else those failing a
     streamed comparison of the column views idx[a::2d], indexed only then.
     A cell is cleared when its faces differ and, position 2t + x releasing
     pair t, for t < u the composites (2t + x, 2(u - 1) + y) and
@@ -26,8 +26,8 @@ def uncleared(cx, d):
     """
     table, lower = cx.boundary[d], cx.boundary.get(d - 1)
     w, n = 2 * d, len(table.ptr) - 1
-    if not (n and _pairwise(table, w, len(cx.cells[d]))
-            and (lower is None or _pairwise(lower, w - 2, len(cx.cells[d - 1])))):
+    if not (n and pairwise(table, w, len(cx.cells[d]))
+            and (lower is None or pairwise(lower, w - 2, len(cx.cells[d - 1])))):
         return range(n)
     views = []
 

@@ -57,8 +57,8 @@ class FaceTable(NamedTuple):
     nonzero integers of any size.  A spec complex, whose d-cells all have
     2d faces, keeps ptr as the range of that stride, not as a copy of it,
     and lists them pair by pair: position 2t + x releases the t-th pair
-    (0-based), alpha for x = 0 and beta for x = 1.  chains.check_squared
-    reads that order when it clears cells column by column.
+    (0-based), alpha for x = 0 and beta for x = 1, an order
+    chains.check_squared reads.  It is read by stride, any other through ptr.
     """
 
     ptr: array  # 'i', one more entry than there are d-cells; a range in a spec complex

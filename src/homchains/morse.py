@@ -46,6 +46,7 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple
 
+from .columns import pairwise
 from .words import CellWord, as_spec, check_content, descents, signed_faces
 
 
@@ -223,6 +224,9 @@ def match_product_of_chains(cx):
         raise ValueError("the matching needs the cell-word complex of a chain spec")
     cells = cx.cells
     up = _unmatched(cells)
+    # per dimension, the face table and its stride, or 0 to read through ptr
+    faces_at = {d: (t, 2 * d if pairwise(t, 2 * d, len(cells[d])) else 0)
+                for d, t in cx.boundary.items()}
     # a schedule's outcomes, dimension by dimension, from offsets[schedule] on:
     # one array, since an object per schedule leaves its small-object pages behind
     outcomes, offsets = array("i"), {}
@@ -241,8 +245,8 @@ def match_product_of_chains(cx):
                     n_lower += 1
                 elif out:
                     pairs = info.by_dim[d][i - start]
-                    ptr, idx, _ = cx.boundary[d]
-                    f = idx[ptr[i] + 2 * pairs.index(-out) + 1]
+                    (ptr, idx, _), w = faces_at[d]
+                    f = idx[(w * i if w else ptr[i]) + 2 * pairs.index(-out) + 1]
                     if not (0 <= f - base < len(at) and at[f - base] == -out
                             and up[d - 1][f] < 0):
                         cell = CellWord(tuple(word), pairs)
@@ -416,8 +420,9 @@ def validate_acyclic(matching):
     an arc to (b, u(b)) for each face b != a of u(a) that is matched up.
     Its topological order by Kahn's algorithm is the certificate, which
     holds the matching, and through it the complex whose face tables were
-    read.  A face index outside cells[d - 1] or a pair that is no cover
-    raises CertificationError, and an alternating cycle its subclass
+    read, by stride if they pass columns.pairwise and else through ptr.  A
+    face index outside cells[d - 1] or a pair that is no cover raises
+    CertificationError, and an alternating cycle its subclass
     AcyclicityError (both are ValueErrors).  An
     incidence other than +1 or -1 raises ArithmeticError, as a failed d o d
     check does: chains.morse_complex, which sweeps the certified pairs,
@@ -426,7 +431,8 @@ def validate_acyclic(matching):
     cx = matching.cx
     orders = {}
     for d in range(1, cx.dim + 1):
-        ptr, idx, sgn = cx.boundary[d]
+        table = ptr, idx, sgn = cx.boundary[d]
+        w = 2 * d if pairwise(table, 2 * d, len(cx.cells[d])) else 0
         lo_up = matching.up[d - 1]
         n0 = len(cx.cells[d - 1])
         if idx and not (min(idx) >= 0 and max(idx) < n0):
@@ -436,7 +442,7 @@ def validate_acyclic(matching):
         n_matched = 0
         for a, u in enumerate(lo_up):
             if u >= 0:
-                faces = idx[ptr[u]:ptr[u + 1]]
+                faces = idx[w * u:w * u + w] if w else idx[ptr[u]:ptr[u + 1]]
                 if a not in faces:
                     raise CertificationError(f"matched pair {cx.cells[d - 1][a]} / "
                                              f"{cx.cells[d][u]} is not a cover in the complex")
@@ -449,7 +455,7 @@ def validate_acyclic(matching):
         order = array("i", (a for a, u in enumerate(lo_up) if u >= 0 and not indeg[a]))
         for a in order:
             u = lo_up[a]
-            for b in idx[ptr[u]:ptr[u + 1]]:
+            for b in idx[w * u:w * u + w] if w else idx[ptr[u]:ptr[u + 1]]:
                 if b != a and lo_up[b] >= 0:
                     indeg[b] -= 1
                     if not indeg[b]:

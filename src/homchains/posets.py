@@ -346,7 +346,8 @@ def parse_poset_text(text):
     """Parse the CLI poset format: lines `id rank` for elements, then `lower upper` covers.
 
     Element ids must appear in order 0, 1, 2, ...; the cover section starts at
-    the first line whose leading token is an already-defined id.
+    the first line whose leading token is an already-defined id.  A text
+    without elements, empty or comments only, raises ValueError.
     """
     ranks = []
     covers = []
@@ -366,6 +367,8 @@ def parse_poset_text(text):
         if not (0 <= a < len(ranks) and 0 <= b < len(ranks)):
             raise ValueError(f"line {lineno}: cover references undefined element")
         covers.append((a, b))
+    if not ranks:
+        raise ValueError("no elements")
     return GradedPoset(len(ranks), covers, rank=ranks)
 
 

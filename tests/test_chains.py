@@ -37,9 +37,9 @@ from homchains import (
 )
 from homchains import chains
 from homchains.chains import _dense_snf, path_steps, path_weight
-from homchains.columns import uncleared
+from homchains.columns import pairwise, uncleared
 from homchains.complexes import FaceTable, _generic_signed_faces
-from homchains.morse import MorseMatching, SpecMatchContext
+from homchains.morse import CertificationError, MorseMatching, SpecMatchContext
 from homchains.words import release
 
 
@@ -613,6 +613,39 @@ def assert_same_as_reduction(certificate):
 def test_morse_complex_equals_the_reduction_on_spec_matchings(spec):
     cx = chain_product_complex(spec)
     assert_same_as_reduction(validate_acyclic(match_product_of_chains(cx)))
+
+
+@pytest.mark.parametrize("spec", [(1,) * 6, (2, 2, 2), (1, 1, 2, 2)])
+def test_stride_and_pointer_reads_agree(spec):
+    # a spec complex's tables are read by stride, the same tables with array
+    # pointers through ptr: the matching, its certificate and the Morse
+    # complex come out the same on both
+    cx = chain_product_complex(spec)
+    ax = with_array_pointers(cx)
+    for d in cx.boundary:
+        assert pairwise(cx.boundary[d], 2 * d, len(cx.cells[d]))
+        assert not pairwise(ax.boundary[d], 2 * d, len(ax.cells[d]))
+    m, am = match_product_of_chains(cx), match_product_of_chains(ax)
+    assert {d: list(m.up[d]) for d in cx.cells} == {d: list(am.up[d]) for d in ax.cells}
+    cert, acert = validate_acyclic(m), validate_acyclic(am)
+    assert cert.orders == acert.orders
+    got, want = assert_same_as_reduction(cert), assert_same_as_reduction(acert)
+    assert got.cells == want.cells and got.boundary == want.boundary
+
+
+def test_stride_reads_reject_a_moved_beta_face():
+    # 2-cell u of (2,2,2) releases its second pair to its beta face a, at
+    # position 3 of its faces; moved to another 1-cell, a is no face of u
+    cx = chain_product_complex((2, 2, 2))
+    m = match_product_of_chains(cx)
+    ptr, idx, _ = table = cx.boundary[2]
+    a, u = next((a, u) for a, u in enumerate(m.up[1]) if u >= 0 and idx[4 * u + 3] == a)
+    idx[4 * u + 3] = (a + 1) % len(cx.cells[1])
+    assert pairwise(table, 4, len(cx.cells[2])) and ptr[u] == 4 * u
+    with pytest.raises(CertificationError, match="is not a cover in the complex"):
+        validate_acyclic(m)
+    with pytest.raises(AssertionError, match="inconsistent pair"):
+        match_product_of_chains(cx)
 
 
 def test_morse_complex_equals_the_reduction_on_random_matchings():

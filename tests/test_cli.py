@@ -358,6 +358,14 @@ def test_input_usage_errors(capsys, argv, message):
     assert message in err
 
 
+def test_build_rejects_a_poset_file_without_elements(capsys, tmp_path):
+    path = tmp_path / "empty.poset"
+    path.write_text("# no elements\n")
+    code, out, err = run(capsys, "build", "--poset", str(path))
+    assert (code, out) == (2, "")
+    assert "argument --poset: no elements" in err
+
+
 def test_report_deterministic(capsys):
     code1, out1, _ = run(capsys, "report", "--spec", "1,1,2")
     code2, out2, _ = run(capsys, "report", "--spec", "1,1,2")

@@ -407,6 +407,12 @@ def test_poset_text_rejects_bad_cover():
         parse_poset_text("0 0\n1 1\n0 5\n")
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# a comment only\n"])
+def test_poset_text_without_elements_is_rejected(text):
+    with pytest.raises(ValueError, match="^no elements$"):
+        parse_poset_text(text)
+
+
 @pytest.mark.parametrize("line", ["1 x", "x 1", "1 1.5", "1", "1 1 1", "1 2 x"])
 def test_poset_text_names_the_line_of_a_bad_token(tmp_path, line):
     path = tmp_path / "bad.poset"
