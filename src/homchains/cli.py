@@ -22,8 +22,9 @@ alone: the pairs must sit on positions 1..ell - 1, no two adjacent, and
 the cells decided must be all of the complex's.  That is
 complexes.is_cubical on the cell's image under cellword_to_multihom; the
 tests hold the evidence that the cell-word model is Hom itself (against
-hom_complex_generic and a per-position map).  It takes about 0.02 s on
-(2,2,2,3) and 0.06 s on B_8.
+hom_complex_generic and a per-position map).  Words share their
+Placements, so it decides each distinct one once: about 0.0013 s on
+(2,2,2,3) and 0.005 s on B_8.
 
 The `bijection` suite (_bijection) reads each word's descents from the word
 table and compares (dimension, index) pairs, building a cell key only to
@@ -38,6 +39,7 @@ out-of-memory error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from functools import cached_property
@@ -222,17 +224,24 @@ class _Run:
 
 def _cubicality(cx):
     """(ok, detail) of the cubicality suite on a spec complex: every pair
-    mask m lies on positions 1..ell - 1 with no two bits adjacent."""
+    mask m lies on positions 1..ell - 1 with no two bits adjacent.  Words
+    share their Placements, so each distinct one is decided once, keyed by
+    identity, and adds its cells for every word that shares it; a failure
+    names the bad cell of the first word whose Placements has one."""
     table = cx.word_table
     outside = ~((1 << table.spec.ell) - 2)
-    checked = 0
-    for word, info in zip(table.words, table.placements):
-        for ps, ms in zip(info.by_dim, info.masks):
-            for m in ms:
-                if m & outside or m & (m >> 1):
-                    cell = words.CellWord(tuple(word), ps[ms.index(m)])
-                    return False, f"non-cubical cell {words.render_cellword(cell)}"
-            checked += len(ms)
+    sizes, bad = {}, {}  # by id of a Placements: its cell count; its first bad pairs
+    for info in {id(info): info for info in table.placements}.values():
+        sizes[id(info)] = sum(map(len, info.masks))
+        for pairs, m in zip(itertools.chain(*info.by_dim), itertools.chain(*info.masks)):
+            if m & outside or m & (m >> 1):
+                bad[id(info)] = pairs
+                break
+    if bad:
+        k = next(k for k, info in enumerate(table.placements) if id(info) in bad)
+        cell = words.CellWord(tuple(table.words[k]), bad[id(table.placements[k])])
+        return False, f"non-cubical cell {words.render_cellword(cell)}"
+    checked = sum(map(sizes.__getitem__, map(id, table.placements)))
     if checked != cx.n_cells():
         return False, f"{checked} cells checked of {cx.n_cells()}"
     return True, f"{checked} cells checked"

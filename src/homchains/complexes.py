@@ -13,11 +13,12 @@ A CellComplex indexes each cell by its position in the sequence cells[d]
 d-cells as a FaceTable: face indices into cells[d - 1] and signs in
 compressed sparse rows.  The generic complexes keep cells[d] as a tuple of
 keys.  A spec complex keeps its cells implicit: a WordTable holds its
-chain spec and stores each word once, as a bytes of its letters (so a
-spec has at most 255 chains), with its shared Placements and its start in
+chain spec and its words, all in one bytes of their letters (so a spec has
+at most 255 chains), with each word's shared Placements and its start in
 each dimension, and cells[d] is a WordCells view over it that builds a
 CellWord, with a tuple word, only when one is read.  The keys name cells
-in rendering, digests and per-cell traces.
+in rendering, digests and per-cell traces.  The build finds the word of
+each alpha face by rank arithmetic, not by a search of the words.
 
 cellword_to_multihom is the one bridge from a cell word to its multihom.
 The cubicality suite of `verify` does not call it: it decides each cell
@@ -31,8 +32,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import struct
 from array import array
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import NamedTuple
 
 from .posets import CapExceeded, GradedPoset, _bits, chain, chain_factors
@@ -156,35 +160,71 @@ def _face_table(cells, boundary, lower):
 MAX_CHAINS = 255  # a word's letters 1..n are stored one byte each
 
 
+class Words(Sequence):
+    """The words of a spec complex in lexicographic order, all kept in one
+    bytes of their letters: item k is the bytes letters[k*ell:(k + 1)*ell].
+
+    A read-only sequence that slices a word out only when one is read; a
+    slice of it is a tuple of such bytes.  bytes compare as tuples of
+    letters do, so the items are sorted.
+    """
+
+    __slots__ = ("letters", "ell", "_n")
+
+    def __init__(self, letters, ell):
+        self.letters = letters
+        self.ell = ell
+        self._n = len(letters) // ell
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, k):
+        k = range(self._n)[k]  # a range for a slice; raises as a tuple index would
+        if type(k) is range:
+            return tuple(map(self.__getitem__, k))
+        return self.letters[k * self.ell:(k + 1) * self.ell]
+
+    def __iter__(self):
+        return map(itemgetter(0), struct.iter_unpack(f"{self.ell}s", self.letters))
+
+    def __repr__(self):
+        return f"Words(n={self._n}, ell={self.ell})"
+
+
 class WordTable(NamedTuple):
     """The chain spec of a spec complex and its words, each stored once.
 
-    spec is the ChainSpec, words lists its words in lexicographic order,
-    each as one bytes of its letters (42 bytes for 9 letters, against 112
-    for a tuple; bytes compare as the tuples do), placements[k] is the
-    shared Placements of word k's descents, and starts[d][k] is the index
-    in cells[d] of word k's first d-cell, for each dimension d of the
-    complex.  A cell's index is its word's start plus the rank of its pair
-    placement.  Cell keys keep tuple words: locate and WordCells convert.
+    spec is the ChainSpec, words the Words view of its words in
+    lexicographic order (one bytes of all their letters), placements[k] the
+    shared Placements of word k's descents, and starts[d][k] the index in
+    cells[d] of word k's first d-cell, for each dimension d of the complex.
+    A cell's index is its word's start plus the rank of its pair placement.
+    Swapping x > y at a descent p of word k gives word k - N [(L(x) - L(y))
+    (s - 1) + m_x L(y) - m_y (L(x) - 1)] / (s (s - 1)), where the s
+    letters from p on hold m_c of letter c, L(c) below c, and have N
+    arrangements (_alpha_shift).  Cell keys keep tuple words: locate and
+    WordCells convert.
     """
 
     spec: object  # words.ChainSpec
-    words: list
+    words: Words
     placements: list
     starts: list
 
     def locate(self, cell):
-        """(dimension, index) of a cell word: a bisect on the words, then the
-        rank of its pair mask.  Raises KeyError for a key that is not a
-        cell of the complex, a word other than a tuple of letters 1..n
-        included."""
+        """(dimension, index) of a cell word: its word's rank among the
+        arrangements of its letters, then the rank of its pair mask.
+        Raises KeyError for a key that is not a cell of the complex, a word
+        other than a tuple of letters 1..n included."""
         try:
             word, pairs = cell
             if not isinstance(word, tuple):
                 raise TypeError("a cell key's word is a tuple")
-            word = bytes(word)
-            k = bisect.bisect_left(self.words, word)
-            if self.words[k] == word:
+            if len(word) != self.words.ell:  # and _word_rank is not asked to rank it
+                raise ValueError("a word of another length")
+            k = _word_rank(word)
+            if self.words[k] == bytes(word):
                 info = self.placements[k]
                 d, r = len(pairs), info.rank[sum(1 << p for p in pairs)]
                 if info.by_dim[d][r] == pairs:
@@ -235,6 +275,45 @@ class WordCells(Sequence):
         return f"WordCells(d={self.d}, n={self._n})"
 
 
+def _word_rank(word):
+    """The index of a word among the arrangements of its letters in
+    lexicographic order: at each position, the arrangements of the letters
+    left that start with a letter below the one there, N L(c) / s of the N
+    arrangements of s letters, L(c) of them below c."""
+    left = sorted(word)
+    n = math.factorial(len(left))
+    for c in set(left):
+        n //= math.factorial(left.count(c))
+    rank = 0
+    for c in word:
+        below, s = left.index(c), len(left)
+        rank += n * below // s
+        n = n * left.count(c) // s
+        del left[below]
+    return rank
+
+
+def _alpha_shift(suffix):
+    """How far a word's alpha word at a descent lies before it, from the
+    word's letters from the descent on: suffix = (x, y, ...) with x > y.
+
+    The words share what comes before, so this is the rank of x y R less
+    that of y x R among the N = s! / prod m_c! arrangements of the
+    suffix's s letters, N m_c / s of which start with c: those that start
+    with a letter from y up to below x, plus those that start with x then
+    a letter below y, less those that start with y then a letter below x.
+    Each term counts arrangements, so the division is exact.
+    """
+    x, y, s = suffix[0], suffix[1], len(suffix)
+    n = math.factorial(s)
+    for c in set(suffix):
+        n //= math.factorial(suffix.count(c))
+    lx = sum(c < x for c in suffix)
+    ly = sum(c < y for c in suffix)
+    return n * ((lx - ly) * (s - 1) + suffix.count(x) * ly
+                - suffix.count(y) * (lx - 1)) // (s * (s - 1))
+
+
 def chain_product_complex(spec, cap=DEFAULT_CAP):
     """Hom of a product of chains, built directly from parenthesized words.
 
@@ -243,38 +322,51 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
     cells of each dimension come sorted, all cells of one word together,
     and a cell's index is its word's start in its dimension plus the rank
     of its pair placement among that word's.  The cells stay implicit: the
-    complex keeps a WordTable, whose words are bytes, and a WordCells view
-    per dimension.  A spec of more than MAX_CHAINS chains raises
-    CapExceeded before any word is built.  The alpha face of a pair lies
-    in the word with that pair swapped, found by a bisect on the words
-    before it.  A d-cell j has 2d faces: its t-th pair released in the
-    alpha order (the word with the pair swapped) at ptr[j] + 2(t - 1),
-    then in the beta order (the same word) right after, with the signs of
-    words.face_signs.  morse.match_product_of_chains reads each matched
-    partner from this order.
+    complex keeps a WordTable, whose words are one bytes, and a WordCells
+    view per dimension.  A spec of more than MAX_CHAINS chains raises
+    CapExceeded before any word is built.
+
+    The alpha face of a pair x > y at positions p, p + 1 of word k lies in
+    the word with that pair swapped: word k - N [(L(x) - L(y))(s - 1)
+    + m_x L(y) - m_y (L(x) - 1)] / (s (s - 1)) for the s letters from p on
+    (_alpha_shift).  That depends only on x, y and the multiset of those
+    letters, so it is memoized by x, y and the multiset's code, the sum of
+    base^(c - 1) over its letters for base = max(i) + 1; one accumulate
+    gives the codes of every suffix of a word.  Alpha words come earlier,
+    so one pass over the words builds the table and the faces.  A d-cell j
+    has 2d faces: its t-th pair released in the alpha order (the word with
+    the pair swapped) at ptr[j] + 2(t - 1), then in the beta order (the
+    same word) right after, with the signs of words.face_signs.
+    morse.match_product_of_chains reads each matched partner from this
+    order.
     """
     spec = as_spec(spec)
     if spec.n > MAX_CHAINS:
         raise CapExceeded(f"a spec of {spec.n} chains exceeds the limit of {MAX_CHAINS} chains")
-    words, infos, starts, sizes = [], [], [], []
-    for w, info in word_placements(enumerate_words(spec, cap=cap), cap=cap):
+    ell, base = spec.ell, spec.i[-1] + 1
+    power = [0] + [base ** c for c in range(spec.n)]  # letter c -> base^(c - 1)
+    shifts = {}  # (suffix code, x, y) -> _alpha_shift of that suffix
+    letters, infos, starts, sizes, idx = bytearray(), [], [], [], []
+    for k, (w, info) in enumerate(word_placements(enumerate_words(spec, cap=cap), cap=cap)):
         for d in range(len(starts), len(info.by_dim)):  # a dimension met first here
-            starts.append(array("i", [0]) * len(words))
+            starts.append(array("i", [0]) * k)
             sizes.append(0)
-        words.append(bytes(w))
+            idx.append(array("i"))
+        letters.extend(w)
         infos.append(info)
         for d, out in enumerate(starts):
             out.append(sizes[d])
         for d, ps in enumerate(info.by_dim):
             sizes[d] += len(ps)
-    table = WordTable(spec, words, infos, starts)
-    idx = {d: array("i") for d in range(1, len(starts))}
-    for k, (w, info) in enumerate(zip(words, infos)):
+        # codes[ell - p] is the code of w[p - 1:]
+        codes = list(itertools.accumulate(map(power.__getitem__, reversed(w))))
         alpha = {}
         for p in info.descents:
-            v = w[:p - 1] + w[p:p + 1] + w[p - 1:p] + w[p + 1:]
-            a = bisect.bisect_left(words, v, 0, k)
-            alpha[p] = (a, infos[a])
+            key = (codes[ell - p], w[p - 1], w[p])
+            a = shifts.get(key)
+            if a is None:
+                a = shifts[key] = _alpha_shift(w[p - 1:])
+            alpha[p] = (k - a, infos[k - a])
         for d in range(1, len(info.by_dim)):
             out = idx[d]
             lower = starts[d - 1]
@@ -285,10 +377,12 @@ def chain_product_complex(spec, cap=DEFAULT_CAP):
                     a, a_info = alpha[p]
                     out.append(lower[a] + a_info.rank[q])
                     out.append(beta_start + info.rank[q])
+    table = WordTable(spec, Words(bytes(letters), ell), infos, starts)
+    del letters
     faces = {}
-    for d, out in idx.items():
+    for d in range(1, len(sizes)):
         n = sizes[d]
-        faces[d] = FaceTable(range(0, 2 * d * n + 1, 2 * d), out, array("b", face_signs(d)) * n)
+        faces[d] = FaceTable(range(0, 2 * d * n + 1, 2 * d), idx[d], array("b", face_signs(d)) * n)
     cells = {d: WordCells(table, d, n) for d, n in enumerate(sizes)}
     return CellComplex.from_faces(cells, faces, word_table=table)
 

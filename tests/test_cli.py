@@ -642,6 +642,23 @@ def test_cubicality_fails_on_two_adjacent_pairs(capsys, monkeypatch):
     assert (code, out) == (1, f"cubicality: FAIL (non-cubical cell {cell})\n")
 
 
+def test_cubicality_fails_on_a_shared_placements_and_names_its_first_word():
+    # the 67 words of (2,2,2,3) with descents (3, 4, 7) share one Placements;
+    # one mutated copy, shared the same way, adds the overlapping pairs (3, 4)
+    from homchains import cli
+
+    cx = chain_product_complex((2, 2, 2, 3))
+    placements = cx.word_table.placements
+    old = next(info for info in placements if info.descents == (3, 4, 7))
+    bad = old._replace(by_dim=old.by_dim[:2] + (old.by_dim[2] + ((3, 4),),),
+                       masks=old.masks[:2] + (old.masks[2] + (0b11000,),))
+    shared = [k for k, info in enumerate(placements) if info is old]
+    assert len(shared) == 67
+    for k in shared:
+        placements[k] = bad
+    assert cli._cubicality(cx) == (False, "non-cubical cell 11(4(3)2)2434")
+
+
 def test_cubicality_fails_unless_it_decides_every_cell(capsys, monkeypatch):
     tamper_last_word(monkeypatch, lambda info: info._replace(
         by_dim=info.by_dim[:2], masks=info.masks[:2]))

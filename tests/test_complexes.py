@@ -447,6 +447,63 @@ def test_spec_words_are_stored_as_bytes_and_read_as_tuples():
         assert type(next(iter(cells)).word) is tuple
 
 
+def test_spec_words_are_kept_in_one_bytes():
+    # 7,560 words of 9 letters: one bytes of 68,040 letters, sliced on reading
+    words = chain_product_complex((2, 2, 2, 3)).word_table.words
+    assert type(words.letters) is bytes and len(words.letters) == 68040
+    assert len(words) == 7560 and words.ell == 9
+    assert words[0] == words[-7560] == bytes((1, 1, 2, 2, 3, 3, 4, 4, 4))
+    assert words[-1] == words[7559] == words.letters[-9:]
+    assert list(words) == [words[k] for k in range(7560)]
+    assert words[2:5] == (words[2], words[3], words[4])
+    for k in (7560, -7561):
+        with pytest.raises(IndexError):
+            words[k]
+
+
+def test_spec_complex_is_built_without_a_bisect(monkeypatch):
+    class NoBisect:
+        def __getattr__(self, name):
+            raise AssertionError(f"the build called bisect.{name}")
+
+    monkeypatch.setattr(complexes, "bisect", NoBisect())
+    assert chain_product_complex((2, 2, 2, 3)).f_vector() == (7560, 25200, 27720, 11100, 1170)
+
+
+def test_alpha_shift_closed_form():
+    # the arrangements of 1223 in order: 1223 1232 1322 2123 2132 2213 2231
+    # 2312 2321 3122 3212 3221; 3212 is the 11th, 2312 the 8th
+    assert complexes._alpha_shift((3, 2, 1, 2)) == 3
+    # words of (2,2,2,3): the swap of x > y at p moves word k to k - shift
+    words = list(enumerate_words((2, 2, 2, 3)))
+    for w, p, shift in [((4, 4, 4, 3, 3, 2, 2, 1, 1), 3, 90),
+                        ((3, 2, 1, 1, 2, 3, 4, 4, 4), 1, 1470),
+                        ((1, 1, 4, 3, 2, 2, 4, 3, 4), 4, 24)]:
+        v = w[:p - 1] + (w[p], w[p - 1]) + w[p + 1:]
+        assert complexes._alpha_shift(w[p - 1:]) == shift == words.index(w) - words.index(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=8)
+       .map(sorted).filter(lambda spec: sum(spec) <= 8))
+def test_alpha_index_holds_the_swapped_word(spec):
+    cx = chain_product_complex(spec)
+    table = cx.word_table
+    words = list(enumerate_words(spec))
+    assert [tuple(w) for w in table.words] == words
+    for k, w in enumerate(words):
+        assert complexes._word_rank(w) == k  # the rank locate reads
+        for p in table.placements[k].descents:
+            v = w[:p - 1] + (w[p], w[p - 1]) + w[p + 1:]
+            assert words[k - complexes._alpha_shift(w[p - 1:])] == v
+    # and the build puts it there: each 1-cell's alpha face is its swapped word
+    if 1 in cx.boundary:
+        idx = cx.boundary[1].idx
+        for j, (w, (p,)) in enumerate(cx.cells[1]):
+            v = w[:p - 1] + (w[p], w[p - 1]) + w[p + 1:]
+            assert cx.cells[0][idx[2 * j]] == CellWord(v, ())
+
+
 def test_spec_of_more_than_255_chains_is_refused_before_enumerating():
     with pytest.raises(CapExceeded, match="256 chains exceeds the limit of 255 chains"):
         chain_product_complex((1,) * 256, cap=10**600)
