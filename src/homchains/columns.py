@@ -5,7 +5,7 @@ whole, and the compile of chains, the package's largest module, sets the
 peak of that start-up heap.
 """
 
-from itertools import combinations, compress, count, product, repeat
+from itertools import combinations, compress, count, product
 from operator import eq, ne
 
 

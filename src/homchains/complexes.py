@@ -8,15 +8,20 @@ parenthesized multiset permutation (CellWord): a word plus a placement of
 pairs among its descents.  maximal_chain_complex builds that model for
 every poset that posets.chain_factors proves a product of chains.
 
-A CellComplex indexes each cell by its position in the sequence cells[d]
-(sorted, for the complexes built here), and stores the boundary of the
-d-cells as a FaceTable: face indices into cells[d - 1] and signs in
-compressed sparse rows.  The generic complexes keep cells[d] as a tuple of
-keys.  A spec complex keeps its cells implicit: a WordTable holds its
-chain spec and its words, all in one bytes of their letters (so a spec has
-at most 255 chains), with each word's shared Placements and its start in
-each dimension, and cells[d] is a WordCells view over it that builds a
-CellWord, with a tuple word, only when one is read.  The keys name cells
+A CellComplex indexes each cell by its position in the sequence cells[d],
+and every builder lists cells[d] sorted: a spec complex its words in
+lexicographic order and each word's placements in combinations order,
+hom_complex_generic and the key-level constructor by sorting, and
+chains.morse_complex its critical cells in their parent's order.  locate,
+and through it MorseMatching.from_pairs, finds a key by one bisect of each
+dimension.  The boundary of the d-cells is a FaceTable: face indices into
+cells[d - 1] and signs in compressed sparse rows.  The generic complexes
+keep cells[d] as a tuple of keys.  A spec complex keeps its cells
+implicit: a WordTable holds its chain spec and its words, all in one bytes
+of their letters (so a spec has at most 255 chains), with each word's
+shared Placements and its start in each dimension, and cells[d] is a
+WordCells view over it that builds a CellWord, with a tuple word, only
+when one is read.  The keys name cells
 in rendering, digests and per-cell traces.  The build finds the word of
 each alpha face by rank arithmetic, not by a search of the words.
 
@@ -77,33 +82,28 @@ class FaceTable(NamedTuple):
 class CellComplex:
     """A polyhedral cell complex: cell keys per dimension plus index-based signed faces.
 
-    `cells` maps each dimension to its cell keys, and `boundary` maps each
-    cell of dimension >= 1 to its ((face, sign), ...); the keys are turned
-    into indices once, here.  Builders that already hold indices use
-    from_faces.  `word_table` is the WordTable behind the cells of a spec
-    complex, which also holds its chain spec, and None for every other
-    complex.
+    `cells` maps each dimension to its cell keys, which must compare with
+    one another, and `boundary` maps each cell of dimension >= 1 to its
+    ((face, sign), ...); the keys are sorted and turned into indices once,
+    here.  Builders that already hold indices use from_faces.
+    `word_table` is the WordTable behind the cells of a spec complex, which
+    also holds its chain spec, and None for every other complex.
     """
 
     def __init__(self, cells, boundary):
-        cells = {d: tuple(cells[d]) for d in sorted(cells)}
-        faces = {d: _face_table(cells[d], boundary,
-                                {cell: i for i, cell in enumerate(cells[d - 1])})
-                 for d in cells if d}
-        self._set(cells, faces, None)
+        self.cells = cells = {d: tuple(sorted(cells[d])) for d in sorted(cells)}
+        self.boundary = {d: _face_table(cells[d], boundary,
+                                        {cell: i for i, cell in enumerate(cells[d - 1])})
+                         for d in cells if d}
+        self.word_table = None
 
     @classmethod
     def from_faces(cls, cells, faces, word_table=None):
-        """A complex from cell sequences and a FaceTable per dimension >= 1."""
+        """A complex from cell sequences, each already sorted, and a
+        FaceTable per dimension >= 1."""
         cx = cls.__new__(cls)
-        cx._set(cells, faces, word_table)
+        cx.cells, cx.boundary, cx.word_table = cells, faces, word_table
         return cx
-
-    def _set(self, cells, faces, word_table):
-        self.cells = cells
-        self.boundary = faces
-        self.word_table = word_table
-        self._where = None
 
     @property
     def dim(self):
@@ -127,14 +127,17 @@ class CellComplex:
         return tuple(zip(idx[lo:hi], sgn[lo:hi]))
 
     def locate(self, cell):
-        """(dimension, index) of a cell key, or KeyError.  A spec complex
-        computes it from its word table; any other builds a key index on
-        first use."""
-        if self.word_table is not None:
-            return self.word_table.locate(cell)
-        if self._where is None:
-            self._where = {c: (d, i) for d, cs in self.cells.items() for i, c in enumerate(cs)}
-        return self._where[cell]
+        """(dimension, index) of a cell key, by a bisect of each sorted
+        cells[d], or KeyError.  A key that does not compare with the keys
+        of a dimension is not one of them."""
+        for d, cs in self.cells.items():
+            try:
+                i = bisect.bisect_left(cs, cell)
+            except TypeError:
+                continue
+            if i < len(cs) and cs[i] == cell:
+                return d, i
+        raise KeyError(cell)
 
     def __repr__(self):
         return f"CellComplex(f={self.f_vector()})"
@@ -203,35 +206,14 @@ class WordTable(NamedTuple):
     Swapping x > y at a descent p of word k gives word k - N [(L(x) - L(y))
     (s - 1) + m_x L(y) - m_y (L(x) - 1)] / (s (s - 1)), where the s
     letters from p on hold m_c of letter c, L(c) below c, and have N
-    arrangements (_alpha_shift).  Cell keys keep tuple words: locate and
-    WordCells convert.
+    arrangements (_alpha_shift).  Cell keys keep tuple words: WordCells
+    converts.
     """
 
     spec: object  # words.ChainSpec
     words: Words
     placements: list
     starts: list
-
-    def locate(self, cell):
-        """(dimension, index) of a cell word: its word's rank among the
-        arrangements of its letters, then the rank of its pair mask.
-        Raises KeyError for a key that is not a cell of the complex, a word
-        other than a tuple of letters 1..n included."""
-        try:
-            word, pairs = cell
-            if not isinstance(word, tuple):
-                raise TypeError("a cell key's word is a tuple")
-            if len(word) != self.words.ell:  # and _word_rank is not asked to rank it
-                raise ValueError("a word of another length")
-            k = _word_rank(word)
-            if self.words[k] == bytes(word):
-                info = self.placements[k]
-                d, r = len(pairs), info.rank[sum(1 << p for p in pairs)]
-                if info.by_dim[d][r] == pairs:
-                    return d, self.starts[d][k] + r
-        except (LookupError, TypeError, ValueError):  # not a cell word of this complex
-            pass
-        raise KeyError(cell)
 
 
 class WordCells(Sequence):
@@ -273,24 +255,6 @@ class WordCells(Sequence):
 
     def __repr__(self):
         return f"WordCells(d={self.d}, n={self._n})"
-
-
-def _word_rank(word):
-    """The index of a word among the arrangements of its letters in
-    lexicographic order: at each position, the arrangements of the letters
-    left that start with a letter below the one there, N L(c) / s of the N
-    arrangements of s letters, L(c) of them below c."""
-    left = sorted(word)
-    n = math.factorial(len(left))
-    for c in set(left):
-        n //= math.factorial(left.count(c))
-    rank = 0
-    for c in word:
-        below, s = left.index(c), len(left)
-        rank += n * below // s
-        n = n * left.count(c) // s
-        del left[below]
-    return rank
 
 
 def _alpha_shift(suffix):

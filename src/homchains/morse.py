@@ -23,22 +23,22 @@ The matching runs on the complex built by complexes.chain_product_complex,
 whose cells are implicit: it walks the complex's word table once, each word
 with its placements of every dimension, and builds a cell key only for an
 error message.  A cell that releases a pair takes that pair's beta face
-from the complex's face table as its partner, so the complex is the only
-owner of cell indices.  A MorseMatching holds the complex it was built on
-and refers to cells by their index in its cells[d]; it records each pair
-once: per dimension, a read-only array of up-partners, -1 where a cell is
-not matched up, kept without a copy when handed over as bytes (as the
-matching hands each dimension over) and copied otherwise.  Its
-constructor checks that no cell is claimed twice, or both claimed and
-matched up, and derives the sorted indices of the critical cells once;
-the record cannot change after that.  Keys are read
-from cells[d] only for the critical cells, which are printed.  Acyclicity
-is certified by Kahn's algorithm on the matched pairs alone, through the up
-arrays and the complex's face tables: the certificate keeps, per
-dimension, the pairs' lower cells in a topological order, in an
-array('i'), and the matching it was issued for.  So each stage takes one
-object, complex -> matching -> certificate, and a certificate reaches only
-the tables it certified.
+as its partner, read by stride from the complex's face table, which lists
+faces pair by pair, so the complex is the only owner of cell indices.  A
+MorseMatching holds the complex it was built on and refers to cells by
+their index in its cells[d]; it records each pair once: per dimension, a
+read-only array of up-partners, -1 where a cell is not matched up, kept
+without a copy when handed over as bytes (as the matching hands each
+dimension over) and copied otherwise.  Its constructor checks that no
+cell is claimed twice, or both claimed and matched up, and derives the
+sorted indices of the critical cells once; the record cannot change after
+that.  Keys are read from cells[d] only for the critical cells, which are
+printed.  Acyclicity is certified by Kahn's algorithm on the matched
+pairs alone, through the up arrays and the complex's face tables: the
+certificate keeps, per dimension, the pairs' lower cells in a topological
+order, in an array('i'), and the matching it was issued for.  So each
+stage takes one object, complex -> matching -> certificate, and a
+certificate reaches only the tables it certified.
 """
 
 from __future__ import annotations
@@ -210,23 +210,23 @@ def match_product_of_chains(cx):
     """Run the matching over every cell of a built cell-word complex.
 
     `cx` comes from complexes.chain_product_complex, whose d-cell i lists
-    its t-th pair's faces at ptr[i] + 2(t - 1): the alpha release, then the
-    beta release.  A cell is a word and a pair placement, never a stored
-    key.  A cell that releases its pair at j takes that pair's beta face
-    (same word, pair removed) as its partner, and records itself as that
-    face's up-partner.  The assembly asserts an involution: the face is a
-    cell of the same word classified lower at the same j, no lower cell is
-    claimed twice, and every lower cell is claimed, so the cells no loop
-    classifies `a` are exactly the ones MorseMatching finds critical.
+    its t-th pair's faces at idx[2d i + 2(t - 1)]: the alpha release, then
+    the beta release.  A complex without a word table, or with a table that
+    columns.pairwise does not accept, raises ValueError.  A cell is a word
+    and a pair placement, never a stored key.  A cell that releases its
+    pair at j takes that pair's beta face (same word, pair removed) as its
+    partner, and records itself as that face's up-partner.  The assembly
+    asserts an involution: the face is a cell of the same word classified
+    lower at the same j, no lower cell is claimed twice, and every lower
+    cell is claimed, so the cells no loop classifies `a` are exactly the
+    ones MorseMatching finds critical.
     """
-    table = cx.word_table
-    if table is None:
+    table, cells = cx.word_table, cx.cells
+    if table is None or not all(pairwise(t, 2 * d, len(cells[d]))
+                                for d, t in cx.boundary.items()):
         raise ValueError("the matching needs the cell-word complex of a chain spec")
-    cells = cx.cells
     up = _unmatched(cells)
-    # per dimension, the face table and its stride, or 0 to read through ptr
-    faces_at = {d: (t, 2 * d if pairwise(t, 2 * d, len(cells[d])) else 0)
-                for d, t in cx.boundary.items()}
+    idxs = {d: t.idx for d, t in cx.boundary.items()}
     # a schedule's outcomes, dimension by dimension, from offsets[schedule] on:
     # one array, since an object per schedule leaves its small-object pages behind
     outcomes, offsets = array("i"), {}
@@ -238,15 +238,14 @@ def match_product_of_chains(cx):
             end = offsets[schedule] = len(outcomes)
             outcomes.extend([_classify(schedule, m) for ms in info.masks for m in ms])
         for d, ms in enumerate(info.masks):
-            row, start = outcomes[end:end + len(ms)], table.starts[d][k]
+            row, start, idx = outcomes[end:end + len(ms)], table.starts[d][k], idxs.get(d)
             end += len(ms)
             for i, out in enumerate(row, start):
                 if out > 0:
                     n_lower += 1
                 elif out:
                     pairs = info.by_dim[d][i - start]
-                    (ptr, idx, _), w = faces_at[d]
-                    f = idx[(w * i if w else ptr[i]) + 2 * pairs.index(-out) + 1]
+                    f = idx[2 * d * i + 2 * pairs.index(-out) + 1]
                     if not (0 <= f - base < len(at) and at[f - base] == -out
                             and up[d - 1][f] < 0):
                         cell = CellWord(tuple(word), pairs)

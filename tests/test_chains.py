@@ -17,6 +17,7 @@ from homchains import (
     CellComplex,
     ComplexMatchContext,
     FinitePoset,
+    GradedPoset,
     cellword_to_multihom,
     chain,
     chain_product_complex,
@@ -618,19 +619,26 @@ def test_morse_complex_equals_the_reduction_on_spec_matchings(spec):
 @pytest.mark.parametrize("spec", [(1,) * 6, (2, 2, 2), (1, 1, 2, 2)])
 def test_stride_and_pointer_reads_agree(spec):
     # a spec complex's tables are read by stride, the same tables with array
-    # pointers through ptr: the matching, its certificate and the Morse
-    # complex come out the same on both
+    # pointers through ptr: given the same up partners, the certificate and
+    # the Morse complex come out the same on both
     cx = chain_product_complex(spec)
     ax = with_array_pointers(cx)
     for d in cx.boundary:
         assert pairwise(cx.boundary[d], 2 * d, len(cx.cells[d]))
         assert not pairwise(ax.boundary[d], 2 * d, len(ax.cells[d]))
-    m, am = match_product_of_chains(cx), match_product_of_chains(ax)
-    assert {d: list(m.up[d]) for d in cx.cells} == {d: list(am.up[d]) for d in ax.cells}
+    m = match_product_of_chains(cx)
+    am = MorseMatching(ax, {d: m.up[d] for d in ax.cells})
     cert, acert = validate_acyclic(m), validate_acyclic(am)
     assert cert.orders == acert.orders
     got, want = assert_same_as_reduction(cert), assert_same_as_reduction(acert)
     assert got.cells == want.cells and got.boundary == want.boundary
+
+
+def test_matching_refuses_tables_not_listed_pair_by_pair():
+    # the matching reads each partner by stride alone: the same spec complex
+    # with array pointers is refused, as a complex without a word table is
+    with pytest.raises(ValueError, match="chain spec"):
+        match_product_of_chains(with_array_pointers(chain_product_complex((2, 2, 2))))
 
 
 def test_stride_reads_reject_a_moved_beta_face():
@@ -661,6 +669,46 @@ def test_morse_complex_equals_the_reduction_on_random_matchings():
             assert_same_as_reduction(validate_acyclic(random_acyclic_matching(cx, rng)))
             n_matchings += 1
     assert n_matchings == 240
+
+
+def assert_sorted_and_located(cx):
+    """Each cells[d] of cx is sorted, the rule locate bisects by, and
+    locate finds each of its cells where it is."""
+    for d, cells in cx.cells.items():
+        cells = list(cells)
+        assert cells == sorted(cells)
+        for i, cell in enumerate(cells):
+            assert cx.locate(cell) == (d, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=7)
+       .map(sorted).filter(lambda spec: sum(spec) <= 7))
+def test_spec_cells_are_sorted_and_located(spec):
+    cx = chain_product_complex(spec)
+    assert_sorted_and_located(cx)
+    assert_sorted_and_located(morse_complex(validate_acyclic(match_product_of_chains(cx))))
+
+
+def test_cells_of_every_builder_are_sorted_and_located():
+    rng = random.Random(34)
+    zigzag = hom_complex_generic(chain(5), ideal_lattice(
+        FinitePoset(5, [(0, 1), (2, 1), (2, 3), (4, 3)])))
+    m3 = GradedPoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], rank=[0, 1, 1, 1, 2])
+    assert_sorted_and_located(zigzag)
+    assert_sorted_and_located(hom_complex_generic(chain(2), m3))
+    for cx in (zigzag, chain_product_complex((1, 1, 2))):
+        matching = random_acyclic_matching(cx, rng)
+        assert sum(map(len, matching.critical.values())) < cx.n_cells()
+        assert_sorted_and_located(morse_complex(validate_acyclic(matching)))
+    # the key-level constructor sorts the keys it is given in reverse order
+    rp2 = projective_plane()
+    cells = {d: cs[::-1] for d, cs in rp2.cells.items()}
+    boundary = {c: tuple((rp2.cells[d - 1][f], s) for f, s in rp2.faces(d, i))
+                for d, cs in rp2.cells.items() for i, c in enumerate(cs)}
+    cx = CellComplex(cells, boundary)
+    assert cx.cells == rp2.cells
+    assert_sorted_and_located(cx)
 
 
 class InOrder:
