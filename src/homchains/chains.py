@@ -2,6 +2,11 @@
 Smith-normal-form homology, the fold check built on it, and the Morse
 complex of an acyclic matching.
 
+Smith normal form takes its unit pivots in one pass over the columns in
+index order, each from the shortest row with a +-1 in that column, and
+reduces densely only what the pass leaves: nothing, on the boundary tables
+of the spec complexes measured.
+
 A boundary is always a FaceTable (complexes.FaceTable): check_squared and
 Smith normal form read it as written, and the Morse complex is a
 CellComplex whose tables hold its integer incidences.  check_squared is the
@@ -36,7 +41,6 @@ a matching that was not certified acyclic.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from collections import defaultdict
 from itertools import chain, zip_longest
@@ -54,39 +58,6 @@ from .words import DEFAULT_CAP
 class SNFResult(NamedTuple):
     factors: tuple  # nonzero invariant factors d_1 | d_2 | ...
     rank: int
-
-
-def _eliminate_unit(rowdata, cols, heap, r0, c0):
-    """Clear row r0 and column c0 against the unit pivot at (r0, c0).
-
-    Every entry that becomes +-1 is pushed onto the pivot heap with its
-    Markowitz cost at that moment.
-    """
-    v = rowdata[r0][c0]  # +-1
-    row0 = rowdata.pop(r0)
-    for c in row0:
-        cols[c].discard(r0)
-    for r in list(cols[c0]):
-        row = rowdata[r]
-        a = row.pop(c0)
-        cols[c0].discard(r)
-        f = a * v
-        for c, w in row0.items():
-            if c == c0:
-                continue
-            nv = row.get(c, 0) - f * w
-            if nv:
-                row[c] = nv
-                col = cols[c]
-                col.add(r)
-                if nv in (1, -1):
-                    heapq.heappush(heap, ((len(row) - 1) * (len(col) - 1), r, c))
-            elif c in row:
-                del row[c]
-                cols[c].discard(r)
-        if not row:
-            del rowdata[r]
-    cols.pop(c0, None)
 
 
 def _dense_snf(A):
@@ -129,46 +100,47 @@ def smith_normal_form(table):
     """Invariant factors d_1 | d_2 | ... (nonzero only) and the rank of a
     FaceTable, whose rows are the faces and whose columns are the cells.
 
-    Unit pivots are eliminated sparsely, cheapest first: a lazy min-heap
-    holds every +-1 entry keyed by its Markowitz cost (row length - 1) *
-    (column length - 1), with ties broken by (row, col).  A popped entry that
-    is no longer +-1 is dropped, and one whose cost has grown since it was
-    pushed goes back with its current cost.  Each unit pivot contributes the
-    factor 1.  Once no +-1 entry is left, the residue is reduced densely; its
-    factors are positive and already form a divisibility chain.
+    One pass over the columns in index order.  A column that holds a +-1
+    entry is cleared by row operations against it, the pivot taken in the
+    shortest such row, the lower row index on a tie.  The column operations
+    that would clear the pivot row touch no other row, so the row and the
+    column are dropped and the factor 1 is counted.  What the pass leaves is
+    reduced densely; its factors are positive and already form a
+    divisibility chain.
     """
     ptr, idx, sgn = table
-    rows = defaultdict(dict)
+    rows, cols = defaultdict(dict), defaultdict(set)
     for j in range(len(ptr) - 1):
         for k in range(ptr[j], ptr[j + 1]):
             rows[idx[k]][j] = sgn[k]
-    rowdata = dict(rows)
-    cols = defaultdict(set)
-    for r, row in rowdata.items():
-        for c in row:
-            cols[c].add(r)
-    heap = [((len(row) - 1) * (len(cols[c]) - 1), r, c)
-            for r, row in rowdata.items() for c, v in row.items() if v in (1, -1)]
-    heapq.heapify(heap)
+            cols[j].add(idx[k])
     n_units = 0
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        row = rowdata.get(r)
-        if row is None or row.get(c) not in (1, -1):
+    for j in range(len(ptr) - 1):
+        units = [(len(rows[r]), r) for r in cols[j] if rows[r][j] in (1, -1)]
+        if not units:
             continue
-        now = (len(row) - 1) * (len(cols[c]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, r, c))
-            continue
-        _eliminate_unit(rowdata, cols, heap, r, c)
+        p = min(units)[1]
+        top = rows.pop(p)
+        v = top.pop(j)
+        for c in top:
+            cols[c].discard(p)
+        for r in cols.pop(j):
+            if r == p:
+                continue
+            row = rows[r]
+            f = row.pop(j) * v
+            for c, w in top.items():
+                if nv := row.get(c, 0) - f * w:
+                    row[c] = nv
+                    cols[c].add(r)
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+            if not row:
+                del rows[r]
         n_units += 1
-    # dense residue (no +-1 entries left)
-    rest = []
-    if rowdata:
-        act_rows = sorted(rowdata)
-        act_cols = sorted({c for row in rowdata.values() for c in row})
-        dense = [[rowdata[r].get(c, 0) for c in act_cols] for r in act_rows]
-        rest = _dense_snf(dense)
+    act_cols = sorted({c for row in rows.values() for c in row})
+    rest = _dense_snf([[rows[r].get(c, 0) for c in act_cols] for r in sorted(rows)])
     factors = (1,) * n_units + tuple(rest)
     return SNFResult(factors, len(factors))
 

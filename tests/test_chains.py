@@ -28,6 +28,7 @@ from homchains import (
     ideal_lattice,
     involution_partner,
     match_product_of_chains,
+    maximal_chain_complex,
     morse_complex,
     parse_cellword,
     path_censuses,
@@ -253,6 +254,58 @@ def test_b6_boundary_snf_ranks_pinned():
         assert set(snf.factors) == {1}
         ranks[d] = snf.rank
     assert ranks == {1: 719, 2: 970, 3: 90}
+
+
+@pytest.mark.parametrize("spec", [(1,) * 6, (1,) * 7, (2, 2, 2, 3), (3, 3, 3)])
+def test_unit_pass_leaves_no_dense_residue_on_spec_tables(spec, monkeypatch):
+    # the column pass reaches full rank with unit pivots alone, so the dense
+    # O(n^3) reduction gets an empty matrix from every boundary table
+    seen = []
+
+    def dense_snf(A):
+        seen.append(A)
+        return _dense_snf(A)
+
+    monkeypatch.setattr(chains, "_dense_snf", dense_snf)
+    cx = chain_product_complex(spec)
+    for table in cx.boundary.values():
+        assert set(smith_normal_form(table).factors) == {1}
+    assert seen == [[]] * len(cx.boundary)
+
+
+def partition_lattice(n):
+    """The partitions of {0, ..., n - 1} ordered by refinement, ranked by n - #blocks."""
+    parts = [frozenset()]
+    for x in range(n):
+        parts = ([p - {b} | {b | {x}} for p in parts for b in p]
+                 + [p | {frozenset({x})} for p in parts])
+    index = {p: i for i, p in enumerate(parts)}
+    covers = [(index[p], index[p - {a, b} | {a | b}])
+              for p in parts for a, b in itertools.combinations(p, 2)]
+    return GradedPoset(len(parts), covers, [n - len(p) for p in parts])
+
+
+@pytest.mark.parametrize("build, betti", [
+    (lambda: hom_complex_generic(chain(3), ideal_lattice(FinitePoset(4, []))),
+     (1, 0, 1, 0, 0, 0)),
+    (lambda: hom_complex_generic(chain(4), ideal_lattice(FinitePoset(5, []))),
+     (1, 0, 9, 0, 0, 0, 0)),
+    (lambda: maximal_chain_complex(partition_lattice(4)), (1, 6, 0)),
+    (lambda: maximal_chain_complex(partition_lattice(5)), (1, 86, 0, 0, 0)),
+], ids=["Hom(C_4,B_4)", "Hom(C_5,B_5)", "Pi_4", "Pi_5"])
+def test_snf_homology_of_complexes_outside_the_cubical_model(build, betti):
+    h = homology(build())
+    assert h.betti == betti
+    assert h.torsion_free
+
+
+def test_snf_homology_of_spec_2223_equals_its_morse_homology():
+    cx = chain_product_complex((2, 2, 2, 3))
+    got = homology(cx)
+    want = homology(morse_complex(validate_acyclic(match_product_of_chains(cx))))
+    assert (got.betti, got.torsion) == (want.betti, want.torsion)
+    assert got.betti == (1, 116, 271, 6, 0)
+    assert got.torsion_free
 
 
 def test_single_vertex_no_matrices():
